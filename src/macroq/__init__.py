@@ -4,8 +4,9 @@ Two cross-validated pipelines compute the same pair of measures on single-
 and multimode Fock-space states: the coherence measure I (which can be
 negative) and the purity-normalized structure measure chi2 = 2C/P, related
 through the exact identity I = (C - M*P)/2. The operator pipeline evaluates
-dense traces over ladder and quadrature operators; the phase-space pipeline
-integrates a sampled distribution W(q, p) and its gradients.
+the ladder and quadrature traces as shifted slices of the density matrix;
+the phase-space pipeline integrates a sampled distribution W(q, p) and its
+gradients.
 """
 
 from .config import TOL, Tolerances, max_dimension

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,7 +41,7 @@ from .states import (
     thermal_state,
 )
 from .verify import run_verification
-from .wigner import GridSpec, wigner_from_density, wigner_measure_report
+from .wigner import GridSpec, _grid_report, wigner_from_density, wigner_measure_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -174,7 +173,7 @@ def _measure_one(
     if method == "wigner":
         return wigner_measure_report(rho, gs, provenance=provenance).to_dict()
     operator = measure_report(rho, provenance=provenance)
-    grid_side = wigner_measure_report(rho, gs, provenance=provenance)
+    grid_side = _grid_report(rho, gs, operator, provenance=provenance)
     return {
         "operator": operator.to_dict(),
         "wigner": grid_side.to_dict(),
@@ -246,9 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out=Path(args.out),
     )
     ordered = sorted(spec.values)
-    with ThreadPoolExecutor(max_workers=min(4, len(ordered))) as pool:
-        outcomes = list(pool.map(
-            lambda v: _run_point(spec, v, args.truncation), ordered))
+    outcomes = [_run_point(spec, value, args.truncation) for value in ordered]
     successes = sum(1 for _, report, err in outcomes if err is None)
     lines = ["parameter,I,C,P,chi2,errors"]
     points_doc = []

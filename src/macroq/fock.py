@@ -85,7 +85,6 @@ def _single_mode_matrix(truncation: int, label: str) -> ComplexMatrix:
     return out
 
 
-@lru_cache(maxsize=None)
 def _embedded_matrix(num_modes: int, truncation: int, mode: int, label: str) -> ComplexMatrix:
     op = _single_mode_matrix(truncation, label)
     eye_left = np.eye(truncation ** (mode - 1), dtype=np.complex128)

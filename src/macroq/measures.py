@@ -10,10 +10,28 @@ I = (C - M*P)/2 and the structure measure is chi2 = 2C/P. At finite
 truncation the identity carries a corner defect proportional to the
 population of each mode's top Fock level (the truncated ladder commutator
 is not quite the identity there), which is why states are required to keep
-that level empty to within the tail tolerance. The redundancies are
-checked, not assumed: I is evaluated both by the literal three-trace form
-and by the cyclicity-reduced two-trace form, and the identity residual is
-recomputed from independently evaluated I and (C, P).
+that level empty to within the tail tolerance.
+
+No mode operator is ever built. For mode m, rho's row (or column) index is
+viewed as (L, N, R) with L = N^(m-1) and R = N^(M-m); a, a^dagger, q and p
+are bidiagonal on the middle axis, so applying one to either side of rho is
+one or two shifted slices scaled by sqrt(k), and every trace Tr[XY] is
+sum(X * Y^T). A report costs O(M D^2) instead of O(M D^3).
+
+The redundancies are checked, not assumed:
+
+- I is evaluated by the literal three-trace form, with Tr[rho^2 n] weighted
+  on the row index and Tr[rho n rho] on the column index of rho_ij rho_ji,
+  and by the cyclicity-reduced two-trace form; both share the hop term
+  Tr[(rho a)(rho a^dagger)], evaluated once per mode.
+- C comes from q and p alone, as Tr[(q rho)(rho q)] - Tr[(rho q)(rho q)]
+  and the same for p, and P is sum_ij rho_ij rho_ji. Neither shares an
+  intermediate with I, so the identity residual |I - (C - M*P)/2| is a
+  real cross-check.
+- Every trace is complex and its imaginary residue is checked: products
+  like sum(X * Y^T) are real only for Hermitian rho, so a corrupted matrix
+  shows up there.
+- chi2 must be positive, and pure states must satisfy I = chi2/4 - M/2.
 """
 
 from __future__ import annotations
@@ -21,10 +39,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import TOL
 from .errors import ConsistencyError
-from .fock import annihilation_op, creation_op, quadrature_p, quadrature_q
-from .linalg import matmul, trace
+from .fock import ModeSpec
 from .states import DensityMatrix, PureState, as_density, purity
 
 WIGNER_CONVENTION_NOTE = (
@@ -86,6 +105,51 @@ def _real_after_residue_check(value: complex, what: str) -> float:
     return value.real
 
 
+_S = 1.0 / np.sqrt(2.0)
+# (a, a^dagger) coefficients of each single-mode operator
+_A = (1.0, 0.0)
+_ADAG = (0.0, 1.0)
+_Q = (_S, _S)
+_P = (-1j * _S, 1j * _S)
+
+
+def _ladder(view: np.ndarray, lower: complex, upper: complex) -> np.ndarray:
+    """(lower * a + upper * a^dagger) applied along axis 1 of an (A, N, B) view."""
+    root = np.sqrt(np.arange(1.0, view.shape[1]))[:, None]
+    out = np.zeros_like(view)
+    if lower:
+        np.multiply(view[:, 1:], lower * root, out=out[:, :-1])
+    if upper:
+        out[:, 1:] += (upper * root) * view[:, :-1]
+    return out
+
+
+def _left(mat: np.ndarray, spec: ModeSpec, mode: int, coefs: tuple) -> np.ndarray:
+    """X @ mat for the mode operator X = coefs[0] a + coefs[1] a^dagger."""
+    n = spec.truncation
+    view = mat.reshape(n ** (mode - 1), n, -1)
+    return _ladder(view, *coefs).reshape(mat.shape)
+
+
+def _right(mat: np.ndarray, spec: ModeSpec, mode: int, coefs: tuple) -> np.ndarray:
+    """mat @ X, which is X^T on the column index; a^T = a^dagger swaps the coefficients."""
+    n = spec.truncation
+    view = mat.reshape(-1, n, n ** (spec.num_modes - mode))
+    return _ladder(view, coefs[1], coefs[0]).reshape(mat.shape)
+
+
+def _tr(x: np.ndarray, y: np.ndarray) -> complex:
+    """Tr[x y] without the product: sum_ij x_ij y_ji."""
+    return complex(np.einsum("ij,ji->", x, y))
+
+
+def _occupation(weights: np.ndarray, spec: ModeSpec, mode: int) -> complex:
+    """sum_i n_m(i) weights_i for a weight on the flat basis index."""
+    n = spec.truncation
+    marginal = weights.reshape(n ** (mode - 1), n, -1).sum(axis=(0, 2))
+    return complex(marginal @ np.arange(n))
+
+
 def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     """Both evaluations of the coherence measure I.
 
@@ -95,18 +159,17 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     """
     spec = rho.spec
     mat = rho.matrix
-    rho_sq = matmul(mat, mat)
+    overlap = mat * mat.T  # rho_ij rho_ji
+    by_row = overlap.sum(axis=1)  # (rho^2)_ii
+    by_col = overlap.sum(axis=0)
     three = 0.0 + 0.0j
     two = 0.0 + 0.0j
     for mode in range(1, spec.num_modes + 1):
-        a = annihilation_op(spec, mode).matrix
-        adag = creation_op(spec, mode).matrix
-        num = matmul(adag, a)
-        three += 0.5 * trace(matmul(rho_sq, num))
-        three += 0.5 * trace(matmul(matmul(mat, num), mat))
-        three -= trace(matmul(matmul(mat, a), matmul(mat, adag)))
-        two += trace(matmul(rho_sq, num))
-        two -= trace(matmul(matmul(mat, a), matmul(mat, adag)))
+        sq_n = _occupation(by_row, spec, mode)  # Tr[rho^2 n]
+        n_mid = _occupation(by_col, spec, mode)  # Tr[rho n rho]
+        hop = _tr(_right(mat, spec, mode, _A), _right(mat, spec, mode, _ADAG))
+        three += 0.5 * sq_n + 0.5 * n_mid - hop
+        two += sq_n - hop
     return (
         _real_after_residue_check(three, "measure I"),
         _real_after_residue_check(two, "measure I (two-term form)"),
@@ -133,15 +196,12 @@ def measure_C(rho: DensityMatrix) -> float:
     """Structure functional from quadrature traces."""
     spec = rho.spec
     mat = rho.matrix
-    rho_sq = matmul(mat, mat)
     total = 0.0 + 0.0j
     for mode in range(1, spec.num_modes + 1):
-        q = quadrature_q(spec, mode).matrix
-        p = quadrature_p(spec, mode).matrix
-        total += trace(matmul(rho_sq, matmul(q, q)))
-        total += trace(matmul(rho_sq, matmul(p, p)))
-        total -= trace(matmul(matmul(mat, q), matmul(mat, q)))
-        total -= trace(matmul(matmul(mat, p), matmul(mat, p)))
+        for coefs in (_Q, _P):
+            left = _left(mat, spec, mode, coefs)  # X rho
+            right = _right(mat, spec, mode, coefs)  # rho X
+            total += _tr(left, right) - _tr(right, right)
     return _real_after_residue_check(total, "measure C")
 
 

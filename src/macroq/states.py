@@ -115,11 +115,15 @@ class DensityMatrix:
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
         if trace_dev > TOL.trace_tol:
             raise StateValidationError(f"trace deviates from 1 by {trace_dev:.2e}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < TOL.psd_floor:
+        # every eigenvalue is >= psd_floor iff rho - psd_floor * 1 has a
+        # Cholesky factor; the eigenvalues are computed only to word the rejection
+        try:
+            np.linalg.cholesky(mat - TOL.psd_floor * np.eye(dim))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(mat)[0])
             raise StateValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {min_eig:.2e}"
-            )
+            ) from None
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -384,8 +388,12 @@ def product_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr[rho^2]; the imaginary residue must be negligible."""
-    value = complex(np.trace(rho.matrix @ rho.matrix))
+    """Tr[rho^2] = sum_ij rho_ij rho_ji; the imaginary residue must be negligible.
+
+    Not |rho|^2: that is real by construction and would hide a non-Hermitian
+    corruption that this sum exposes.
+    """
+    value = complex(np.sum(rho.matrix * rho.matrix.T))
     if abs(value.imag) > TOL.imag_residue_tol:
         raise StateValidationError(
             f"purity has imaginary residue {value.imag:.2e}; input is corrupted"

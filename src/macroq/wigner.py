@@ -385,18 +385,34 @@ def wigner_measure_report(
     and the two pipelines must agree on C, P and chi2 within the relative
     tolerance, otherwise a ConsistencyError carries both sets of values.
     """
-    from .measures import MeasureReport, measure_report
+    from .measures import measure_report
 
     _require_single_mode(rho, "wigner_measure_report")
     if gs is None:
         gs = default_grid_spec(rho.spec.truncation)
+    return _grid_report(rho, gs, measure_report(rho), cross_tol=cross_tol,
+                        stencil_order=stencil_order, provenance=provenance)
+
+
+def _grid_report(
+    rho: DensityMatrix,
+    gs: GridSpec,
+    operator,
+    *,
+    cross_tol: float | None = None,
+    stencil_order: int = 8,
+    provenance: dict | None = None,
+):
+    """The grid side of wigner_measure_report, checked against a given operator report."""
+    from .measures import MeasureReport
+
+    _require_single_mode(rho, "wigner_measure_report")
     tol = TOL.dual_pipeline_rel if cross_tol is None else cross_tol
     grid = wigner_from_density(rho, gs)
     c_value = measure_C_wigner(grid, stencil_order=stencil_order, check_resolution=False)
     p_value = measure_P_wigner(grid)
     i_value = (c_value - p_value) / 2.0
     chi2 = 2.0 * c_value / p_value
-    operator = measure_report(rho)
     deltas = {
         "C": abs(c_value - operator.C) / abs(operator.C),
         "P": abs(p_value - operator.P) / operator.P,

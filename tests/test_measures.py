@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+import macroq.fock
 from macroq import (
     ConsistencyError,
     GaussianSpec,
     ModeSpec,
+    StateValidationError,
     TruncationError,
     as_density,
     cat_mixture,
@@ -33,6 +35,7 @@ from macroq import (
 from oracles import (
     brute_force_C,
     brute_force_I,
+    brute_force_purity,
     cat_mixture_chi2,
     cat_mixture_I,
     even_cat_I,
@@ -45,6 +48,31 @@ SQRT2 = math.sqrt(2.0)
 
 def _thermal(a: float):
     return thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+
+
+class TestSliceTracesAgainstOracle:
+    """The slice-product traces against the dense brute-force products."""
+
+    @pytest.mark.parametrize("num_modes,truncation", [(1, 12), (2, 5), (3, 3)])
+    def test_every_trace_matches(self, num_modes, truncation, rng):
+        rho = random_mixed_state(ModeSpec(num_modes, truncation), rng)
+        expected_I = brute_force_I(rho.matrix, num_modes, truncation)
+        three, two = measure_I_forms(rho)
+        assert three == pytest.approx(expected_I, abs=1e-12)
+        assert two == pytest.approx(expected_I, abs=1e-12)
+        assert measure_C(rho) == pytest.approx(
+            brute_force_C(rho.matrix, num_modes, truncation), abs=1e-12)
+        assert purity(rho) == pytest.approx(brute_force_purity(rho.matrix), abs=1e-12)
+
+    def test_no_embedded_operator_is_built(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("the measure path built an embedded D x D operator")
+
+        monkeypatch.setattr(macroq.fock, "_embedded_matrix", refuse)
+        report = measure_report(random_mixed_state(ModeSpec(2, 5), rng))
+        assert report.identity_residual < 1e-9
+        pure = pure_state_measures(random_pure_state(ModeSpec(2, 5), rng))
+        assert pure.pure_relation_residual < 1e-10
 
 
 class TestMeasureI:
@@ -234,6 +262,23 @@ class TestConsistencyGuards:
         object.__setattr__(rho, "matrix", corrupted)
         with pytest.raises(ConsistencyError, match="imaginary residue"):
             measure_I(rho)
+
+    @staticmethod
+    def _corrupted():
+        # same corruption as test_imaginary_residue_detected
+        rho = as_density(coherent_state(ModeSpec(1, 22), 1.3))
+        corrupted = rho.matrix.copy()
+        corrupted[1, 0] += 1e-4j
+        object.__setattr__(rho, "matrix", corrupted)
+        return rho
+
+    def test_imaginary_residue_detected_in_C(self):
+        with pytest.raises(ConsistencyError, match="measure C has imaginary residue"):
+            measure_C(self._corrupted())
+
+    def test_imaginary_residue_detected_in_purity(self):
+        with pytest.raises(StateValidationError, match="purity has imaginary residue"):
+            purity(self._corrupted())
 
     def test_thermal_family_signs(self):
         for a in (1.2, 2.0, 5.0):

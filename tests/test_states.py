@@ -309,6 +309,27 @@ class TestValidation:
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             DensityMatrix(ModeSpec(1, 4), mat)
 
+    @pytest.mark.parametrize("num_modes,truncation", [(1, 6), (2, 3)])
+    def test_psd_floor_boundary(self, num_modes, truncation, rng):
+        # the floor is -1e-8: a minimum eigenvalue of -2e-8 lies below it,
+        # -5e-9 above it
+        spec = ModeSpec(num_modes, truncation)
+        dim = spec.total_dim
+        basis, _ = np.linalg.qr(
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+        def with_min_eigenvalue(low):
+            eigs = np.full(dim, (1.0 - low) / (dim - 1))
+            eigs[0] = low
+            mat = (basis * eigs) @ basis.conj().T
+            return (mat + mat.conj().T) / 2.0
+
+        with pytest.raises(StateValidationError,
+                           match="positive semidefinite: min eigenvalue -2.00e-08"):
+            DensityMatrix(spec, with_min_eigenvalue(-2e-8))
+        rho = DensityMatrix(spec, with_min_eigenvalue(-5e-9))
+        assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(-5e-9, abs=1e-12)
+
     def test_norm_deviation_rejected(self):
         with pytest.raises(StateValidationError, match="norm"):
             PureState(ModeSpec(1, 4), np.array([1.0, 1.0, 0, 0], dtype=complex))
