@@ -41,7 +41,13 @@ from .states import (
     thermal_state,
 )
 from .verify import run_verification
-from .wigner import GridSpec, _grid_report, wigner_from_density, wigner_measure_report
+from .wigner import (
+    GridSpec,
+    _grid_report,
+    default_grid_spec,
+    wigner_from_density,
+    wigner_measure_report,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -166,10 +172,7 @@ def _measure_one(
 ) -> dict:
     if method == "operator":
         return measure_report(rho, provenance=provenance).to_dict()
-    gs = GridSpec(
-        half_width=float(np.sqrt(2.0 * rho.spec.truncation) + 5.0),
-        nq=grid_points, np=grid_points,
-    )
+    gs = default_grid_spec(rho.spec.truncation, grid_points)
     if method == "wigner":
         return wigner_measure_report(rho, gs, provenance=provenance).to_dict()
     operator = measure_report(rho, provenance=provenance)
@@ -289,10 +292,10 @@ def _run_point(spec: SweepSpec, value, truncation: int | None):
 def cmd_wigner(args: argparse.Namespace) -> int:
     state = load_state(args.state, require_tail=True)
     rho = as_density(state)
-    half_width = args.half_width
-    if half_width is None:
-        half_width = float(np.sqrt(2.0 * rho.spec.truncation) + 5.0)
-    gs = GridSpec(half_width=half_width, nq=args.grid, np=args.grid)
+    if args.half_width is None:
+        gs = default_grid_spec(rho.spec.truncation, args.grid)
+    else:
+        gs = GridSpec(half_width=args.half_width, nq=args.grid, np=args.grid)
     grid = wigner_from_density(rho, gs)
     out = Path(args.out)
     written = []
@@ -308,7 +311,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         "written": written,
         "nq": grid.nq,
         "np": grid.np,
-        "half_width": half_width,
+        "half_width": gs.half_width,
         "normalization": grid.normalization(),
         "extreme_value": float(grid.values[peak]),
         "extreme_at": [float(grid.q_vector()[peak[0]]), float(grid.p_vector()[peak[1]])],

@@ -1,13 +1,19 @@
 """Single-mode phase-space pipeline.
 
-The primary transform expands rho over number-basis dyads |m><n| whose
-phase-space kernels are generated by stable upward recurrences (Laguerre
-form, damped by exp(-q^2-p^2) from the start). The defining integral
+Every grid comes from the defining integral
 
-    W(q, p) = (1/2pi) integral d_eta <q + eta/2| rho |q - eta/2> exp(-i eta p)
+    W(q, p) = (1/2pi) integral d_eta <q + eta/2| rho |q - eta/2> exp(-i eta p),
 
-is kept as a slow, independently-coded oracle (wigner_direct) built from
-harmonic-oscillator position wavefunctions and eta quadrature.
+vectorised (the idea of QuTiP's FFT Wigner method, Johansson, Nation & Nori,
+Comput. Phys. Commun. 183, 1760 (2012)): the position kernel Psi rho Psi^T
+is formed with two BLAS products from the oscillator eigenfunctions on a
+position grid refined from the q grid, each q row gathers its
+anti-diagonal, and one dense DFT product carries the eta samples onto the
+p grid. The eta step is the largest multiple of the position step not
+above pi/half_width, so the periodic images of W in p stay outside the
+window. wigner_direct is a slower second quadrature of the same integral
+on a caller-chosen eta grid; the independent judge of both lives in the
+test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
 C = pi * integral(|dW/dq|^2 + |dW/dp|^2) with central finite differences.
@@ -181,61 +187,59 @@ def _finish(raw: np.ndarray, gs: GridSpec, what: str) -> PhaseSpaceGrid:
 # transforms
 # ---------------------------------------------------------------------------
 
-def _diagonal_kernel_sum(diag: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_n rho_nn * (-1)^n L_n(2r^2) exp(-r^2) / pi via the damped recurrence."""
-    r_sq = q[:, None] ** 2 + p[None, :] ** 2
-    x = 2.0 * r_sq
-    damp = np.exp(-r_sq)
-    b_prev = damp.copy()
-    total = diag[0] * b_prev
-    if diag.size > 1:
-        b_cur = (x - 1.0) * damp
-        total = total + diag[1] * b_cur
-        for n in range(1, diag.size - 1):
-            b_next = (-(2 * n + 1 - x) * b_cur - n * b_prev) / (n + 1)
-            total = total + diag[n + 1] * b_next
-            b_prev, b_cur = b_cur, b_next
-    return total / np.pi
+# eta columns gathered and transformed at a time: keeps the transient arrays
+# of the transform at a few (nq x block) beside the position kernel itself
+_ETA_BLOCK = 256
 
 
-def _kernel_sum(mat: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Full complex sum over dyad kernels, sum_{mn} rho_mn T_mn(q, p).
+def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
+    """Refinement r of the position grid over the q grid, and eta stride m.
 
-    T_mn for n >= m is generated row by row: T_00 is the damped Gaussian,
-    T_0n climbs the first row, and each next row starts from the previous
-    one. Kernels carry the Gaussian damping from the start so every
-    intermediate stays bounded. T_nm = conj(T_mn) closes the lower triangle.
+    The eta step m*dq/r is the largest multiple of the refined step dq/r
+    that is at most pi/half_width. W sampled that way is periodic in p with
+    period 2pi/d_eta >= 2*half_width, so its images fall outside the window.
     """
-    dim = mat.shape[0]
-    off_diag = mat - np.diag(np.diag(mat))
-    if not off_diag.any():
-        return _diagonal_kernel_sum(np.diag(mat), q, p).astype(np.complex128)
-    a_grid = (q[:, None] + 1j * p[None, :]) / np.sqrt(2.0)
-    row = [np.zeros_like(a_grid) for _ in range(dim)]
-    row[0] = np.exp(-2.0 * np.abs(a_grid) ** 2) / np.pi
-    total = mat[0, 0] * row[0]
-    for n in range(1, dim):
-        row[n] = (2.0 * a_grid * row[n - 1]) / math.sqrt(n)
-        total = total + mat[0, n] * row[n] + mat[n, 0] * np.conj(row[n])
-    for m in range(1, dim):
-        diag_above = row[m]
-        row[m] = (2.0 * np.conj(a_grid) * diag_above - math.sqrt(m) * row[m - 1]) / math.sqrt(m)
-        total = total + mat[m, m] * row[m]
-        for n in range(m + 1, dim):
-            advanced = (2.0 * a_grid * row[n - 1] - math.sqrt(m) * diag_above) / math.sqrt(n)
-            diag_above = row[n]
-            row[n] = advanced
-            total = total + mat[m, n] * row[n] + mat[n, m] * np.conj(row[n])
-    return total
+    dq = 2.0 * gs.half_width / (gs.nq - 1)
+    limit = math.pi / gs.half_width
+    refine = max(1, math.ceil(dq / limit))
+    stride = max(1, math.floor(limit * refine / dq))
+    return refine, stride
+
+
+def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
+    """(1/2pi) sum_j d_eta <q_i + eta_j/2| rho |q_i - eta_j/2> exp(-i eta_j p_k).
+
+    The position kernel <x_a|rho|x_b> = Psi rho Psi^T is sampled on
+    x_a = -h + a*dq/(2r), so q_i sits at a = 2ri and q_i +- eta_j/2 at
+    a = 2ri +- mj. Each block of eta columns is gathered from the kernel's
+    anti-diagonals (pairs that leave the window count as zero) and carried
+    onto the p grid by one dense DFT product.
+    """
+    refine, stride = _eta_sampling(gs)
+    size = 2 * refine * (gs.nq - 1) + 1
+    psi = _hermite_functions(np.linspace(-gs.half_width, gs.half_width, size), mat.shape[0])
+    flat = ((psi @ mat) @ psi.T).ravel()
+    d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
+    centre = 2 * refine * np.arange(gs.nq)
+    room = np.minimum(centre, size - 1 - centre)[:, None]
+    p = gs.p_vector()
+    reach = (size - 1) // (2 * stride)
+    raw = np.zeros((gs.nq, gs.np), dtype=np.complex128)
+    for first in range(-reach, reach + 1, _ETA_BLOCK):
+        j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))
+        inside = stride * np.abs(j) <= room
+        index = centre[:, None] * (size + 1) + stride * (size - 1) * j
+        column = np.where(inside, flat[np.where(inside, index, 0)], 0.0)
+        raw += column @ np.exp(-1j * d_eta * np.outer(j, p))
+    return raw * (d_eta / (2.0 * np.pi))
 
 
 def wigner_from_density(rho: DensityMatrix, gs: GridSpec | None = None) -> PhaseSpaceGrid:
-    """Sample W for a single-mode state via the number-basis kernel recurrences."""
+    """Sample W for a single-mode state by the vectorised defining integral."""
     _require_single_mode(rho, "wigner_from_density")
     if gs is None:
         gs = default_grid_spec(rho.spec.truncation)
-    raw = _kernel_sum(rho.matrix, gs.q_vector(), gs.p_vector())
-    return _finish(raw, gs, "wigner_from_density")
+    return _finish(_defining_integral(rho.matrix, gs), gs, "wigner_from_density")
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
@@ -255,11 +259,15 @@ def wigner_direct(
     gs: GridSpec | None = None,
     eta_points: int = 2048,
 ) -> PhaseSpaceGrid:
-    """Evaluate the defining integral by brute-force eta quadrature.
+    """Evaluate the defining integral row by row on a caller-chosen eta grid.
 
-    Slow but independent of the kernel recurrences; used to validate them.
-    The eta range spans twice the grid half-width, beyond which the position
-    matrix elements of a truncated state have decayed to nothing.
+    A second, slower quadrature of the integral wigner_from_density
+    vectorises, sharing its oscillator eigenfunctions: it takes eta_points
+    trapezoid nodes instead of the grid-derived eta step, and evaluates the
+    wavefunctions at q +- eta/2 directly instead of gathering them from a
+    position grid. The eta range spans twice the grid half-width, beyond
+    which the position matrix elements of a truncated state have decayed to
+    nothing.
     """
     _require_single_mode(rho, "wigner_direct")
     if eta_points < 256:

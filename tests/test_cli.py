@@ -92,6 +92,15 @@ class TestMeasureCommand:
         assert max(doc["cross_deltas"].values()) < 1e-3
         assert doc["wigner"]["chi2"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_large_cat_both_methods_at_fine_grid(self, tmp_path, capsys):
+        out = tmp_path / "cat7.json"
+        assert run("state", "cat", "alpha=7", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("measure", str(out), "--method", "both", "--grid", "1024") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["operator"]["truncation"] == 115
+        assert max(doc["cross_deltas"].values()) < 1e-3
+
     def test_coherent_structure_measure(self, tmp_path, capsys):
         out = tmp_path / "coh.json"
         run("state", "coherent", "alpha=2", "--out", str(out))

@@ -1,11 +1,13 @@
 """Phase-space transform and grid-measure tests.
 
-The defining-integral engine (wigner_direct) is the oracle for the kernel
-recurrences; closed-form Gaussians anchor both.
+The number-basis dyad recurrence in tests/oracles.py is the independent
+judge of both quadratures of the defining integral (wigner_from_density
+and wigner_direct); closed-form Gaussians and cat states anchor them.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from macroq import (
     cat_mixture,
     cat_state,
     coherent_state,
+    default_coherent_truncation,
     default_thermal_truncation,
     fock_mixture,
     fock_state,
@@ -33,9 +36,10 @@ from macroq import (
     wigner_from_density,
     wigner_measure_report,
 )
-from macroq.wigner import PhaseSpaceGrid, default_grid_spec
+from macroq.config import TOL
+from macroq.wigner import PhaseSpaceGrid, _eta_sampling, default_grid_spec
 
-from oracles import oscillator_eigenfunctions
+from oracles import even_cat_wigner, oscillator_eigenfunctions, wigner_dyad_recurrence
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,6 +50,12 @@ def _vacuum(n_levels=12):
 
 def _grid(n_levels, points):
     return default_grid_spec(n_levels, points)
+
+
+def _oracle_gap(rho, grid):
+    """Largest |W - oracle| over the grid, the oracle's imaginary part included."""
+    oracle = wigner_dyad_recurrence(rho.matrix, grid.q_vector(), grid.p_vector())
+    return float(np.max(np.abs(grid.values - oracle)))
 
 
 class TestKernelTransform:
@@ -63,6 +73,7 @@ class TestKernelTransform:
         center = (gs.nq // 2, gs.np // 2)
         assert kernel.values[center] == pytest.approx(-1.0 / np.pi, abs=1e-6)
         assert kernel.values[center] == pytest.approx(direct.values[center], abs=1e-6)
+        assert _oracle_gap(rho, kernel) < 1e-10
 
     def test_thermal_matches_analytic_gaussian(self):
         a = SQRT2
@@ -92,6 +103,58 @@ class TestKernelTransform:
     def test_undersized_window_rejected(self):
         with pytest.raises(TruncationError, match="integrates"):
             wigner_from_density(_vacuum(), GridSpec(half_width=0.8, nq=32, np=32))
+
+
+class TestEtaSampling:
+    """Each branch of the eta-step choice, and a non-square grid, against the oracle."""
+
+    @pytest.mark.parametrize("make, nq, np_, refine, stride", [
+        (lambda: _vacuum(), 33, 33, 2, 1),
+        (lambda: as_density(fock_state(ModeSpec(1, 12), 5)), 512, 512, 1, 8),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5 * np.exp(0.7j))), 64, 96, 2, 1),
+    ])
+    def test_matches_dyad_oracle(self, make, nq, np_, refine, stride):
+        rho = make()
+        gs = GridSpec(default_grid_spec(rho.spec.truncation).half_width, nq=nq, np=np_)
+        assert _eta_sampling(gs) == (refine, stride)
+        grid = wigner_from_density(rho, gs)
+        assert grid.values.shape == (nq, np_)
+        assert _oracle_gap(rho, grid) < 1e-10
+
+    def test_eta_step_keeps_images_outside_window(self):
+        for points in (32, 33, 64, 128, 256, 257, 512, 1024):
+            for n_levels in (12, 54, 115, 315):
+                gs = default_grid_spec(n_levels, points)
+                refine, stride = _eta_sampling(gs)
+                step = 2.0 * gs.half_width / (gs.nq - 1) / refine
+                assert stride * step <= math.pi / gs.half_width
+                assert (stride + 1) * step > math.pi / gs.half_width
+                assert refine == 1 or stride == 1
+
+    @pytest.mark.parametrize("alpha, points", [(5.0, 512), (7.0, 1024)])
+    def test_large_cat_normalized_and_analytic(self, alpha, points):
+        n_levels = default_coherent_truncation(alpha)
+        rho = as_density(cat_state(ModeSpec(1, n_levels), alpha))
+        gs = _grid(n_levels, points)
+        grid = wigner_from_density(rho, gs)
+        assert abs(grid.normalization() - 1.0) < TOL.grid_norm_tol
+        analytic = even_cat_wigner(alpha, gs.q_vector(), gs.p_vector())
+        assert np.max(np.abs(grid.values - analytic)) < 1e-7
+
+    def test_peak_memory_of_refined_kernel(self):
+        a = 5.0
+        n_levels = default_thermal_truncation(a)
+        rho = thermal_state(ModeSpec(1, n_levels), GaussianSpec(a))
+        gs = _grid(n_levels, 256)
+        assert _eta_sampling(gs) == (3, 1)
+        tracemalloc.start()
+        try:
+            grid = wigner_from_density(rho, gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.normalization() == pytest.approx(1.0, abs=TOL.grid_norm_tol)
+        assert peak <= 64 * 2 ** 20
 
 
 class TestDirectTransform:
@@ -124,6 +187,8 @@ class TestDirectTransform:
         direct = wigner_direct(rho, gs, eta_points=1024)
         kernel = wigner_from_density(rho, gs)
         assert np.max(np.abs(direct.values - kernel.values)) < 1e-6
+        assert _oracle_gap(rho, kernel) < 1e-10
+        assert _oracle_gap(rho, direct) < 1e-6
 
     def test_eta_resolution_floor(self):
         with pytest.raises(ValueError, match="eta_points"):
