@@ -14,10 +14,8 @@ slowest-varying tensor index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .config import max_dimension
 from .errors import TruncationError
@@ -64,7 +62,6 @@ def _check_mode(spec: ModeSpec, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range 1..{spec.num_modes}")
 
 
-@lru_cache(maxsize=None)
 def _single_mode_matrix(truncation: int, label: str) -> ComplexMatrix:
     n = np.arange(1, truncation)
     a = np.zeros((truncation, truncation), dtype=np.complex128)
@@ -85,8 +82,8 @@ def _single_mode_matrix(truncation: int, label: str) -> ComplexMatrix:
     return out
 
 
-def _embedded_matrix(num_modes: int, truncation: int, mode: int, label: str) -> ComplexMatrix:
-    op = _single_mode_matrix(truncation, label)
+def _embedded_matrix(op: ComplexMatrix, num_modes: int, mode: int) -> ComplexMatrix:
+    truncation = op.shape[0]
     eye_left = np.eye(truncation ** (mode - 1), dtype=np.complex128)
     eye_right = np.eye(truncation ** (num_modes - mode), dtype=np.complex128)
     full = tensor_product(tensor_product(eye_left, op), eye_right)
@@ -96,7 +93,8 @@ def _embedded_matrix(num_modes: int, truncation: int, mode: int, label: str) -> 
 
 def _build(spec: ModeSpec, mode: int, label: str) -> ModeOperator:
     _check_mode(spec, mode)
-    matrix = _embedded_matrix(spec.num_modes, spec.truncation, mode, label)
+    op = _single_mode_matrix(spec.truncation, label)
+    matrix = _embedded_matrix(op, spec.num_modes, mode)
     return ModeOperator(spec=spec, matrix=matrix, label=label, mode=mode)
 
 
@@ -125,18 +123,29 @@ def number_op(spec: ModeSpec, mode: int = 1) -> ModeOperator:
     return _build(spec, mode, "n")
 
 
+def _single_mode_displacement(truncation: int, beta: complex) -> ComplexMatrix:
+    """N x N exponential of the generator G = beta a^dagger - conj(beta) a.
+
+    G is skew-Hermitian, so iG is Hermitian with iG = v diag(w) v^dagger and
+    exp(G) = v diag(exp(-iw)) v^dagger; the eigendecomposition exponential is
+    backward stable for normal matrices and unitary to rounding.
+    """
+    a = _single_mode_matrix(truncation, "a")
+    gen = beta * a.conj().T - np.conj(beta) * a
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def displacement_op(spec: ModeSpec, beta: complex, mode: int = 1) -> ModeOperator:
     """Truncated displacement exp(beta a^dagger - conj(beta) a).
 
-    Built by scaling-and-squaring matrix exponential of the skew-Hermitian
-    generator, so the result is unitary to rounding. It displaces faithfully
-    only for states supported well inside the truncated space; callers must
-    keep the displaced support away from the top levels.
+    The single-mode N x N generator is exponentiated through its Hermitian
+    eigendecomposition, so the result is unitary to rounding, and then
+    embedded in the full space. It displaces faithfully only for states
+    supported well inside the truncated space; callers must keep the
+    displaced support away from the top levels.
     """
     _check_mode(spec, mode)
-    a = annihilation_op(spec, mode).matrix
-    adag = creation_op(spec, mode).matrix
-    gen = beta * adag - np.conj(beta) * a
-    matrix = scipy.linalg.expm(gen)
-    matrix.flags.writeable = False
+    op = _single_mode_displacement(spec.truncation, beta)
+    matrix = _embedded_matrix(op, spec.num_modes, mode)
     return ModeOperator(spec=spec, matrix=matrix, label="D", mode=mode)

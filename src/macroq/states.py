@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import StateValidationError, TruncationError
-from .fock import ModeSpec, displacement_op
+from .fock import ModeSpec, _check_mode, _single_mode_displacement
 from .linalg import ComplexMatrix
 
 __all__ = [
@@ -402,13 +402,18 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix:
-    """Conjugate by the truncated displacement operator.
+    """Conjugate by the truncated displacement operator on one mode.
+
+    The N x N single-mode exponential U acts on that mode's axis of the row
+    and column indices of rho, viewed as (N^(m-1), N, N^(M-m)) each, so the
+    cost is O(N D^2) and no D x D operator is built.
 
     Faithful only for interior-supported states: population above level
     N - ceil(4|beta| sqrt(N)) must be below the displacement tail guard,
     otherwise the truncated operator wraps probability around the cutoff.
     """
     spec = rho.spec
+    _check_mode(spec, mode)
     n_total = spec.truncation
     guard = n_total - math.ceil(4.0 * abs(beta) * math.sqrt(n_total))
     if guard <= 0:
@@ -422,8 +427,11 @@ def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix
             f"state holds {upper:.2e} of its population above level {guard}; "
             f"displacement by beta={beta} needs more truncation headroom"
         )
-    d_op = displacement_op(spec, beta, mode).matrix
-    return DensityMatrix(spec, d_op @ rho.matrix @ d_op.conj().T)
+    u = _single_mode_displacement(n_total, beta)
+    axis = (n_total ** (mode - 1), n_total, n_total ** (spec.num_modes - mode))
+    moved = np.einsum("ij,ajbcld,lk->aibckd", u, rho.matrix.reshape(axis + axis),
+                      u.conj().T, optimize=True)
+    return DensityMatrix(spec, moved.reshape(spec.total_dim, spec.total_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +475,26 @@ def random_mixed_state(
 FORMAT_VERSION = 1
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def save_state(state: State, path: str | Path, metadata: dict | None = None) -> None:
-    """Write the JSON state document; values round-trip at double precision."""
+    """Write the JSON state document; values round-trip at double precision.
+
+    The document is one line (json's C encoder; an indented layout would
+    force the pure-Python one), with sorted keys so writes are deterministic.
+    """
     if isinstance(state, PureState):
         kind = "pure"
-        data = [_pair(z) for z in state.amplitudes]
+        values = state.amplitudes
     else:
         kind = "mixed"
-        data = [[_pair(z) for z in row] for row in state.matrix]
+        values = state.matrix
     doc = {
         "format_version": FORMAT_VERSION,
         "spec": {"num_modes": state.spec.num_modes, "truncation": state.spec.truncation},
         "kind": kind,
-        "data": data,
+        "data": np.stack((values.real, values.imag), axis=-1).tolist(),
         "metadata": metadata or {},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_state(path: str | Path, *, require_tail: bool = False) -> State:

@@ -26,6 +26,26 @@ def embed(op: np.ndarray, mode: int, num_modes: int, n_levels: int) -> np.ndarra
     return out
 
 
+def expm_reference(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) by scaling and squaring a Taylor series.
+
+    gen is halved s times until its 1-norm is at most 1/2, where 30 Taylor
+    terms leave a remainder below 0.5^31 / 31!, far under rounding; the
+    sum is then squared s times.
+    """
+    norm = np.abs(gen).sum(axis=0).max()
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+    x = gen / 2.0 ** squarings
+    term = np.eye(gen.shape[0], dtype=complex)
+    out = term.copy()
+    for k in range(1, 31):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def coherent_vector(n_levels: int, alpha: complex) -> np.ndarray:
     """Truncated coherent expansion with exact factorials, renormalized."""
     amps = np.array(

@@ -1,6 +1,10 @@
 """Mode operator construction and truncated-commutator behavior."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,13 @@ from macroq import (
     annihilation_op,
     coherent_state,
     creation_op,
+    displacement_op,
     number_op,
     quadrature_p,
     quadrature_q,
 )
 
-from oracles import ladder_matrix
+from oracles import embed, expm_reference, ladder_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,3 +169,39 @@ class TestModeSpec:
         op = annihilation_op(ModeSpec(1, 6)).matrix
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+
+class TestDisplacementOperator:
+    @pytest.mark.parametrize("num_modes, n_levels, mode, beta", [
+        (1, 40, 1, 0.5 + 0.5j),
+        (2, 12, 1, 0.3),
+        (2, 12, 2, 0.3j),
+    ])
+    def test_matches_taylor_oracle_and_is_unitary(self, num_modes, n_levels, mode, beta):
+        op = displacement_op(ModeSpec(num_modes, n_levels), beta, mode)
+        a = ladder_matrix(n_levels)
+        gen = beta * a.conj().T - np.conj(beta) * a
+        expected = embed(expm_reference(gen), mode, num_modes, n_levels)
+        assert np.max(np.abs(op.matrix - expected)) < 1e-13
+        identity = np.eye(n_levels ** num_modes)
+        assert np.max(np.abs(op.matrix @ op.matrix.conj().T - identity)) < 1e-13
+        assert not op.matrix.flags.writeable
+
+
+class TestRuntimeDependencies:
+    def test_import_and_displacement_load_no_scipy(self):
+        script = (
+            "import sys\n"
+            "import macroq\n"
+            "from macroq import ModeSpec, as_density, coherent_state, displaced, displacement_op\n"
+            "displaced(as_density(coherent_state(ModeSpec(1, 30), 0.5)), 0.3)\n"
+            "displacement_op(ModeSpec(2, 6), 0.2j, mode=2)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

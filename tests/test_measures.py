@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import macroq.fock
 from macroq import (
     ConsistencyError,
+    DensityMatrix,
     GaussianSpec,
     ModeSpec,
     StateValidationError,
@@ -38,7 +40,10 @@ from oracles import (
     brute_force_purity,
     cat_mixture_chi2,
     cat_mixture_I,
+    embed,
     even_cat_I,
+    expm_reference,
+    ladder_matrix,
     thermal_chi2,
     thermal_I,
 )
@@ -239,6 +244,20 @@ class TestDisplacement:
             moved = displaced(rho, beta)
             assert measure_I(moved) == pytest.approx(i_ref, abs=1e-7)
             assert measure_chi2(moved) == pytest.approx(chi_ref, abs=1e-6)
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_axiswise_matches_embedded_conjugation(self, mode, rng):
+        # a random 2-mode mixed state on levels 0..2 of each mode, padded into
+        # N = 12 so the displacement guard passes
+        small = random_mixed_state(ModeSpec(2, 4), rng).matrix.reshape(4, 4, 4, 4)
+        padded = np.zeros((12, 12, 12, 12), dtype=complex)
+        padded[:4, :4, :4, :4] = small
+        rho = DensityMatrix(ModeSpec(2, 12), padded.reshape(144, 144))
+        beta = 0.3 - 0.2j
+        a = ladder_matrix(12)
+        e = embed(expm_reference(beta * a.conj().T - np.conj(beta) * a), mode, 2, 12)
+        moved = displaced(rho, beta, mode)
+        assert np.max(np.abs(moved.matrix - e @ rho.matrix @ e.conj().T)) < 1e-13
 
     def test_guard_rejects_state_near_cutoff(self):
         rho = as_density(fock_state(ModeSpec(1, 40), 20))

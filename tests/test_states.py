@@ -364,6 +364,33 @@ class TestSerialization:
         assert isinstance(loaded, DensityMatrix)
         assert np.array_equal(loaded.matrix, state.matrix)
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_one_line_document_round_trips_bit_exactly(self, kind, tmp_path, rng):
+        spec = ModeSpec(2, 5)
+        if kind == "pure":
+            state, field = random_pure_state(spec, rng), "amplitudes"
+        else:
+            state, field = random_mixed_state(spec, rng), "matrix"
+        path = tmp_path / f"{kind}.json"
+        save_state(state, path, metadata={"note": "round trip"})
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        loaded = load_state(path)
+        assert type(loaded) is type(state)
+        assert np.array_equal(getattr(loaded, field), getattr(state, field))
+        save_state(loaded, path, metadata={"note": "round trip"})
+        assert path.read_text() == text
+
+    def test_indented_layout_still_loads(self, tmp_path, rng):
+        # files in the indented layout (same keys and [re, im] pairs, one
+        # value per line) exist and must keep loading
+        state = random_mixed_state(ModeSpec(1, 9), rng)
+        path = tmp_path / "indented.json"
+        save_state(state, path)
+        path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=1) + "\n")
+        assert path.read_text().count("\n") > 9 * 9 * 2
+        assert np.array_equal(load_state(path).matrix, state.matrix)
+
     def test_corrupted_trace_names_invariant(self, tmp_path):
         state = thermal_state(ModeSpec(1, 31), GaussianSpec(SQRT2))
         path = tmp_path / "bad.json"
