@@ -12,6 +12,7 @@ gradients.
 from .config import TOL, Tolerances, max_dimension
 from .errors import ConsistencyError, MacroqError, StateValidationError, TruncationError
 from .fock import (
+    ComplexMatrix,
     ModeOperator,
     ModeSpec,
     annihilation_op,
@@ -21,7 +22,6 @@ from .fock import (
     quadrature_p,
     quadrature_q,
 )
-from .linalg import ComplexMatrix, adjoint, matmul, tensor_product, trace
 from .measures import (
     MeasureReport,
     measure_C,
@@ -60,7 +60,6 @@ from .wigner import (
     gaussian_wigner,
     measure_C_wigner,
     measure_P_wigner,
-    wigner_direct,
     wigner_from_density,
     wigner_measure_report,
 )
@@ -84,10 +83,6 @@ __all__ = [
     "number_op",
     "displacement_op",
     "ComplexMatrix",
-    "matmul",
-    "adjoint",
-    "trace",
-    "tensor_product",
     "MeasureReport",
     "measure_I",
     "measure_I_forms",
@@ -119,7 +114,6 @@ __all__ = [
     "PhaseSpaceGrid",
     "default_grid_spec",
     "wigner_from_density",
-    "wigner_direct",
     "gaussian_wigner",
     "measure_P_wigner",
     "measure_C_wigner",

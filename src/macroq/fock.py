@@ -19,7 +19,9 @@ import numpy as np
 
 from .config import max_dimension
 from .errors import TruncationError
-from .linalg import ComplexMatrix, tensor_product
+
+# Dense complex matrix: 2-D complex128 ndarray, row-major.
+ComplexMatrix = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def _embedded_matrix(op: ComplexMatrix, num_modes: int, mode: int) -> ComplexMat
     truncation = op.shape[0]
     eye_left = np.eye(truncation ** (mode - 1), dtype=np.complex128)
     eye_right = np.eye(truncation ** (num_modes - mode), dtype=np.complex128)
-    full = tensor_product(tensor_product(eye_left, op), eye_right)
+    full = np.kron(np.kron(eye_left, op), eye_right)
     full.flags.writeable = False
     return full
 

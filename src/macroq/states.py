@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import StateValidationError, TruncationError
-from .fock import ModeSpec, _check_mode, _single_mode_displacement
-from .linalg import ComplexMatrix
+from .fock import ComplexMatrix, ModeSpec, _check_mode, _single_mode_displacement
 
 __all__ = [
     "PureState",
@@ -497,6 +496,14 @@ def save_state(state: State, path: str | Path, metadata: dict | None = None) -> 
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _spec_int(spec: dict, key: str) -> int:
+    """A spec field that must be a JSON integer; bools and floats are refused."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"spec {key} must be an integer, got {value!r}")
+    return value
+
+
 def load_state(path: str | Path, *, require_tail: bool = False) -> State:
     """Read a JSON state document back, revalidating every invariant."""
     try:
@@ -509,7 +516,7 @@ def load_state(path: str | Path, *, require_tail: bool = False) -> State:
     if version != FORMAT_VERSION:
         raise StateValidationError(f"{path}: unsupported format_version {version!r}")
     try:
-        spec = ModeSpec(int(doc["spec"]["num_modes"]), int(doc["spec"]["truncation"]))
+        spec = ModeSpec(_spec_int(doc["spec"], "num_modes"), _spec_int(doc["spec"], "truncation"))
         kind = doc["kind"]
         raw = np.asarray(doc["data"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

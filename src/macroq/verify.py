@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import TOL
 from .errors import MacroqError
 from .fock import ModeSpec
 from .measures import measure_I, measure_C, measure_chi2, measure_I_forms, measure_report
@@ -85,12 +86,6 @@ def cat_mixture_chi2_exact(alpha: complex) -> float:
     r_sq = abs(alpha) ** 2
     s_sq = math.exp(-4.0 * r_sq)
     return 2.0 - 8.0 * r_sq * s_sq / (1.0 + s_sq)
-
-
-def cat_state_I_exact(alpha: float) -> float:
-    """Even-cat coherence alpha^2 (1-s)/(1+s), s = exp(-2 alpha^2)."""
-    s = math.exp(-2.0 * alpha * alpha)
-    return alpha * alpha * (1.0 - s) / (1.0 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +276,7 @@ def check_pure_state_relation(tol_factor: float = 1.0) -> CheckResult:
 
 def check_dual_pipeline(grid_points: int = 256, tol_factor: float = 1.0) -> CheckResult:
     """Operator vs phase-space C, P and chi2 on the single-mode corpus."""
-    base = 1e-3 if grid_points >= 256 else 5e-3
+    base = TOL.dual_pipeline_rel if grid_points >= 256 else TOL.dual_pipeline_rel_coarse
     tol = base * tol_factor
     worst = 0.0
     worst_name = ""

@@ -11,12 +11,11 @@ position grid refined from the q grid, each q row gathers its
 anti-diagonal, and one dense DFT product carries the eta samples onto the
 p grid. The eta step is the largest multiple of the position step not
 above pi/half_width, so the periodic images of W in p stay outside the
-window. wigner_direct is a slower second quadrature of the same integral
-on a caller-chosen eta grid; the independent judge of both lives in the
-test suite.
+window. The independent judge of the transform, a number-basis dyad
+recurrence, lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
-C = pi * integral(|dW/dq|^2 + |dW/dp|^2) with central finite differences.
+C = pi * integral(|dW/dq|^2 + |dW/dp|^2) with 8th-order central differences.
 Grids cover a square of half-width sqrt(2N) + 5, outside which an
 N-truncated state's W has decayed far below the quadrature tolerances.
 """
@@ -38,7 +37,6 @@ __all__ = [
     "PhaseSpaceGrid",
     "default_grid_spec",
     "wigner_from_density",
-    "wigner_direct",
     "gaussian_wigner",
     "measure_P_wigner",
     "measure_C_wigner",
@@ -254,43 +252,6 @@ def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def wigner_direct(
-    rho: DensityMatrix,
-    gs: GridSpec | None = None,
-    eta_points: int = 2048,
-) -> PhaseSpaceGrid:
-    """Evaluate the defining integral row by row on a caller-chosen eta grid.
-
-    A second, slower quadrature of the integral wigner_from_density
-    vectorises, sharing its oscillator eigenfunctions: it takes eta_points
-    trapezoid nodes instead of the grid-derived eta step, and evaluates the
-    wavefunctions at q +- eta/2 directly instead of gathering them from a
-    position grid. The eta range spans twice the grid half-width, beyond
-    which the position matrix elements of a truncated state have decayed to
-    nothing.
-    """
-    _require_single_mode(rho, "wigner_direct")
-    if eta_points < 256:
-        raise ValueError(f"eta_points must be at least 256, got {eta_points}")
-    if gs is None:
-        gs = default_grid_spec(rho.spec.truncation)
-    dim = rho.spec.truncation
-    q = gs.q_vector()
-    p = gs.p_vector()
-    eta = np.linspace(-2.0 * gs.half_width, 2.0 * gs.half_width, eta_points)
-    weights = np.full(eta_points, eta[1] - eta[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    phase = np.exp(-1j * np.outer(eta, p))
-    raw = np.empty((gs.nq, gs.np), dtype=np.complex128)
-    for i, qi in enumerate(q):
-        left = _hermite_functions(qi + eta / 2.0, dim)
-        right = _hermite_functions(qi - eta / 2.0, dim)
-        elems = np.einsum("km,mn,kn->k", left, rho.matrix, right)
-        raw[i, :] = (elems * weights) @ phase / (2.0 * np.pi)
-    return _finish(raw, gs, "wigner_direct")
-
-
 def gaussian_wigner(g: GaussianSpec, gs: GridSpec) -> PhaseSpaceGrid:
     """Analytic isotropic Gaussian profile exp(-(q^2+p^2)/a^2) / (pi a^2)."""
     q = gs.q_vector()
@@ -308,36 +269,26 @@ def measure_P_wigner(w: PhaseSpaceGrid) -> float:
     return 2.0 * np.pi * _trapezoid_2d(w.values * w.values, w.dq, w.dp)
 
 
-_STENCILS = {
-    2: None,
-    4: (2, np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0),
-    6: (3, np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0),
-    8: (4, np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
-                     4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])),
-}
+# 8th-order central first-derivative coefficients over offsets -4..4
+_STENCIL = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
+                     4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
 
 
-def _central_gradient(values: np.ndarray, step: float, axis: int, order: int) -> np.ndarray:
-    """Central differences of the requested order; one-sided near the border.
+def _central_gradient(values: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """8th-order central differences; second-order one-sided near the border.
 
     The border layers fall back to numpy's second-order edge handling; grid
     windows are sized so W is negligible there, but the entries must still
-    be finite numbers.
+    be finite numbers. Grids keep at least 16 points per axis even after
+    coarsening, so the stencil always fits.
     """
     grad = np.gradient(values, step, axis=axis, edge_order=2)
-    if order == 2:
-        return grad
-    try:
-        half, coeffs = _STENCILS[order]
-    except KeyError:
-        raise ValueError(f"unsupported stencil order {order}; choose 2, 4, 6 or 8") from None
     moved = np.moveaxis(values, axis, 0)
     out = np.moveaxis(grad, axis, 0)
     width = moved.shape[0]
-    if width < 2 * half + 1:
-        return grad
+    half = _STENCIL.size // 2
     acc = np.zeros_like(moved[half:width - half])
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(_STENCIL):
         if c == 0.0:
             continue
         acc += c * moved[k:width - 2 * half + k]
@@ -345,25 +296,20 @@ def _central_gradient(values: np.ndarray, step: float, axis: int, order: int) ->
     return grad
 
 
-def measure_C_wigner(
-    w: PhaseSpaceGrid,
-    *,
-    stencil_order: int = 8,
-    check_resolution: bool = True,
-) -> float:
+def measure_C_wigner(w: PhaseSpaceGrid, *, check_resolution: bool = True) -> float:
     """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) on the grid.
 
     The resolution guard compares against the same evaluation on the
-    2x-coarsened grid: for a stencil of order k the observed change bounds
-    the change a further halving would make by a factor 2^k, so the guard
-    threshold is 2^k times the admissible halving change.
+    2x-coarsened grid: for the 8th-order stencil the observed change bounds
+    the change a further halving would make by a factor 2^8, so the guard
+    threshold is 2^8 times the admissible halving change.
     """
-    value = _c_from_values(w.values, w.dq, w.dp, stencil_order)
+    value = _c_from_values(w.values, w.dq, w.dp)
     if check_resolution:
         coarse = w.values[::2, ::2]
-        coarse_value = _c_from_values(coarse, 2.0 * w.dq, 2.0 * w.dp, stencil_order)
+        coarse_value = _c_from_values(coarse, 2.0 * w.dq, 2.0 * w.dp)
         change = abs(coarse_value - value) / abs(value)
-        limit = (2 ** stencil_order) * TOL.gradient_resolution_tol
+        limit = 2 ** 8 * TOL.gradient_resolution_tol
         if change > limit:
             raise TruncationError(
                 f"gradient integral not grid-converged: coarsening changes C by "
@@ -372,9 +318,9 @@ def measure_C_wigner(
     return value
 
 
-def _c_from_values(values: np.ndarray, dq: float, dp: float, order: int) -> float:
-    grad_q = _central_gradient(values, dq, 0, order)
-    grad_p = _central_gradient(values, dp, 1, order)
+def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
+    grad_q = _central_gradient(values, dq, 0)
+    grad_p = _central_gradient(values, dp, 1)
     return float(np.pi * _trapezoid_2d(grad_q * grad_q + grad_p * grad_p, dq, dp))
 
 
@@ -383,7 +329,6 @@ def wigner_measure_report(
     gs: GridSpec | None = None,
     *,
     cross_tol: float | None = None,
-    stencil_order: int = 8,
     provenance: dict | None = None,
 ):
     """Phase-space-path report, cross-checked against the operator path.
@@ -399,7 +344,7 @@ def wigner_measure_report(
     if gs is None:
         gs = default_grid_spec(rho.spec.truncation)
     return _grid_report(rho, gs, measure_report(rho), cross_tol=cross_tol,
-                        stencil_order=stencil_order, provenance=provenance)
+                        provenance=provenance)
 
 
 def _grid_report(
@@ -408,7 +353,6 @@ def _grid_report(
     operator,
     *,
     cross_tol: float | None = None,
-    stencil_order: int = 8,
     provenance: dict | None = None,
 ):
     """The grid side of wigner_measure_report, checked against a given operator report."""
@@ -417,7 +361,7 @@ def _grid_report(
     _require_single_mode(rho, "wigner_measure_report")
     tol = TOL.dual_pipeline_rel if cross_tol is None else cross_tol
     grid = wigner_from_density(rho, gs)
-    c_value = measure_C_wigner(grid, stencil_order=stencil_order, check_resolution=False)
+    c_value = measure_C_wigner(grid, check_resolution=False)
     p_value = measure_P_wigner(grid)
     i_value = (c_value - p_value) / 2.0
     chi2 = 2.0 * c_value / p_value

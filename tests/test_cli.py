@@ -113,6 +113,16 @@ class TestMeasureCommand:
         assert run("measure", "/nonexistent/state.json") == 2
         capsys.readouterr()
 
+    def test_non_integer_spec_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fock.json"
+        run("state", "fock", "n=1", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["spec"]["truncation"] = float(doc["spec"]["truncation"]) + 0.9
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("measure", str(out)) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_pipeline_disagreement_exit_code(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
         run("state", "cat", "alpha=1.5", "--out", str(out))

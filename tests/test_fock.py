@@ -52,6 +52,12 @@ class TestLadderOperators:
         manual = np.kron(ladder_matrix(4), np.eye(4))
         assert np.array_equal(got, manual)
 
+    @pytest.mark.parametrize("num_modes, truncation, mode", [(1, 7, 1), (2, 4, 2)])
+    def test_creation_is_adjoint_of_annihilation(self, num_modes, truncation, mode):
+        spec = ModeSpec(num_modes, truncation)
+        a = annihilation_op(spec, mode=mode).matrix
+        assert np.array_equal(creation_op(spec, mode=mode).matrix, a.conj().T)
+
     def test_creation_entries(self):
         adag = creation_op(ModeSpec(1, 3)).matrix
         assert adag[1, 0] == 1.0

@@ -1,0 +1,102 @@
+"""The package's public surface, pinned so that a removal is a visible choice.
+
+bench/tracing.py rebinds macroq functions by name to time each layer; every
+name it lists must keep resolving, or a traced benchmark run breaks.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import macroq
+
+PUBLIC_NAMES = [
+    "ComplexMatrix",
+    "ConsistencyError",
+    "DensityMatrix",
+    "GaussianSpec",
+    "GridSpec",
+    "MacroqError",
+    "MeasureReport",
+    "ModeOperator",
+    "ModeSpec",
+    "PhaseSpaceGrid",
+    "PureState",
+    "StateValidationError",
+    "TOL",
+    "Tolerances",
+    "TruncationError",
+    "__version__",
+    "annihilation_op",
+    "as_density",
+    "cat_mixture",
+    "cat_state",
+    "coherent_state",
+    "creation_op",
+    "default_coherent_truncation",
+    "default_grid_spec",
+    "default_thermal_truncation",
+    "displaced",
+    "displacement_op",
+    "fock_mixture",
+    "fock_state",
+    "gaussian_wigner",
+    "load_state",
+    "max_dimension",
+    "measure_C",
+    "measure_C_wigner",
+    "measure_I",
+    "measure_I_forms",
+    "measure_P_wigner",
+    "measure_chi2",
+    "measure_report",
+    "mix",
+    "number_op",
+    "product_state",
+    "pure_state_measures",
+    "purity",
+    "quadrature_p",
+    "quadrature_q",
+    "random_mixed_state",
+    "random_pure_state",
+    "save_state",
+    "thermal_state",
+    "wigner_from_density",
+    "wigner_measure_report",
+]
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_macroq_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_public_surface():
+    assert sorted(macroq.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(macroq, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("macroq.linalg")
+
+    tracing = _load_tracing()
+    for module in tracing.MACROQ_MODULES:
+        importlib.import_module(module)
+    for table in tracing.LAYER_SPANS.values():
+        for target in table:
+            module, attr = target.split(":")
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                assert hasattr(owner, part), target
+                owner = getattr(owner, part)
+            assert callable(owner), target

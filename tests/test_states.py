@@ -401,6 +401,20 @@ class TestSerialization:
         with pytest.raises(StateValidationError, match="trace deviates from 1 by 1.00e-01"):
             load_state(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_modes", 1.7),
+        ("num_modes", True),
+        ("truncation", 12.9),
+    ])
+    def test_non_integer_spec_field_rejected(self, tmp_path, key, value):
+        path = tmp_path / "spec.json"
+        save_state(fock_state(ModeSpec(1, 12), 1), path)
+        doc = json.loads(path.read_text())
+        doc["spec"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateValidationError, match=f"spec {key} must be an integer"):
+            load_state(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "v99.json"
         path.write_text(json.dumps({"format_version": 99}))

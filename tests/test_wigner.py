@@ -1,8 +1,8 @@
 """Phase-space transform and grid-measure tests.
 
 The number-basis dyad recurrence in tests/oracles.py is the independent
-judge of both quadratures of the defining integral (wigner_from_density
-and wigner_direct); closed-form Gaussians and cat states anchor them.
+judge of the vectorised defining integral (wigner_from_density);
+closed-form Gaussians and cat states anchor it.
 """
 
 import json
@@ -32,7 +32,6 @@ from macroq import (
     measure_P_wigner,
     product_state,
     thermal_state,
-    wigner_direct,
     wigner_from_density,
     wigner_measure_report,
 )
@@ -69,10 +68,8 @@ class TestKernelTransform:
         rho = as_density(fock_state(ModeSpec(1, 12), 1))
         gs = _grid(12, 65)
         kernel = wigner_from_density(rho, gs)
-        direct = wigner_direct(rho, gs, eta_points=1024)
         center = (gs.nq // 2, gs.np // 2)
         assert kernel.values[center] == pytest.approx(-1.0 / np.pi, abs=1e-6)
-        assert kernel.values[center] == pytest.approx(direct.values[center], abs=1e-6)
         assert _oracle_gap(rho, kernel) < 1e-10
 
     def test_thermal_matches_analytic_gaussian(self):
@@ -158,9 +155,11 @@ class TestEtaSampling:
 
 
 class TestDirectTransform:
+    """wigner_from_density compared point by point with closed forms and the oracle."""
+
     def test_vacuum_matches_analytic(self):
         gs = _grid(12, 49)
-        grid = wigner_direct(_vacuum(), gs, eta_points=1024)
+        grid = wigner_from_density(_vacuum(), gs)
         q = gs.q_vector()[:, None]
         p = gs.p_vector()[None, :]
         analytic = np.exp(-(q ** 2 + p ** 2)) / np.pi
@@ -169,7 +168,7 @@ class TestDirectTransform:
     def test_coherent_peak_position(self):
         rho = as_density(coherent_state(ModeSpec(1, 19), 1.0))
         gs = _grid(19, 81)
-        grid = wigner_direct(rho, gs, eta_points=1024)
+        grid = wigner_from_density(rho, gs)
         peak = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         cell = grid.dq
         assert abs(grid.q_vector()[peak[0]] - SQRT2) <= cell
@@ -184,15 +183,8 @@ class TestDirectTransform:
     def test_agrees_with_kernel_transform(self, make):
         rho = make()
         gs = _grid(rho.spec.truncation, 61)
-        direct = wigner_direct(rho, gs, eta_points=1024)
         kernel = wigner_from_density(rho, gs)
-        assert np.max(np.abs(direct.values - kernel.values)) < 1e-6
         assert _oracle_gap(rho, kernel) < 1e-10
-        assert _oracle_gap(rho, direct) < 1e-6
-
-    def test_eta_resolution_floor(self):
-        with pytest.raises(ValueError, match="eta_points"):
-            wigner_direct(_vacuum(), _grid(12, 49), eta_points=128)
 
 
 class TestGaussianProfile:
@@ -255,8 +247,8 @@ class TestGridMeasures:
         with pytest.raises(TruncationError, match="finer grid"):
             measure_C_wigner(grid)
 
-    def test_second_order_refinement_order(self):
-        # with plain central differences the error must shrink like h^2
+    def test_stencil_refinement_order(self):
+        # the 8th-order stencil's error must shrink at least like h^7
         for make in (lambda: _vacuum(),
                      lambda: as_density(coherent_state(ModeSpec(1, 19), 1.0))):
             rho = make()
@@ -264,10 +256,10 @@ class TestGridMeasures:
             errs = []
             for points in (65, 129, 257):
                 grid = wigner_from_density(rho, _grid(rho.spec.truncation, points))
-                value = measure_C_wigner(grid, stencil_order=2, check_resolution=False)
+                value = measure_C_wigner(grid, check_resolution=False)
                 errs.append(abs(value - reference))
             orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
-            assert min(orders) >= 1.8
+            assert min(orders) >= 7.0
 
     def test_marginal_recovers_position_density(self):
         states = [
