@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import ModeSpec
-from .measures import MeasureReport, measure_report
+from .measures import MeasureReport, measure_report, pure_state_measures
 from .states import (
     DensityMatrix,
     GaussianSpec,
@@ -168,8 +168,11 @@ def cmd_state(args: argparse.Namespace) -> int:
 
 
 def _measure_one(
-    rho: DensityMatrix, method: str, grid_points: int, provenance: dict
+    state: PureState | DensityMatrix, method: str, grid_points: int, provenance: dict
 ) -> dict:
+    if method == "operator" and isinstance(state, PureState):
+        return pure_state_measures(state, provenance=provenance).to_dict()
+    rho = as_density(state)
     if method == "operator":
         return measure_report(rho, provenance=provenance).to_dict()
     gs = default_grid_spec(rho.spec.truncation, grid_points)
@@ -186,9 +189,8 @@ def _measure_one(
 
 def cmd_measure(args: argparse.Namespace) -> int:
     state = load_state(args.state, require_tail=True)
-    rho = as_density(state)
     provenance = {"state_file": str(args.state)}
-    result = _measure_one(rho, args.method, args.grid, provenance)
+    result = _measure_one(state, args.method, args.grid, provenance)
     print(json.dumps(result, sort_keys=True, indent=2))
     return EXIT_OK
 

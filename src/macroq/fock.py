@@ -32,6 +32,12 @@ class ModeSpec:
     truncation: int
 
     def __post_init__(self) -> None:
+        for name in ("num_modes", "truncation"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a NumPy integer would wrap in total_dim instead of exceeding the budget
+            object.__setattr__(self, name, int(value))
         if self.num_modes < 1:
             raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
         if self.truncation < 2:

@@ -13,9 +13,10 @@ is not quite the identity there), which is why states are required to keep
 that level empty to within the tail tolerance.
 
 No mode operator is ever built. For mode m, rho's row (or column) index is
-viewed as (L, N, R) with L = N^(m-1) and R = N^(M-m); a, a^dagger, q and p
-are bidiagonal on the middle axis, so applying one to either side of rho is
-one or two shifted slices scaled by sqrt(k), and every trace Tr[XY] is
+viewed as (L, N, R) with L = N^(m-1) and R = N^(M-m); a and a^dagger are
+shifts on the middle axis, so applying one to either side of rho is one
+shifted slice scaled by sqrt(k), written into a scratch buffer that the
+caller allocates once and reuses across modes, and every trace Tr[XY] is
 sum(X * Y^T). A report costs O(M D^2) instead of O(M D^3).
 
 The redundancies are checked, not assumed:
@@ -24,14 +25,28 @@ The redundancies are checked, not assumed:
   on the row index and Tr[rho n rho] on the column index of rho_ij rho_ji,
   and by the cyclicity-reduced two-trace form; both share the hop term
   Tr[(rho a)(rho a^dagger)], evaluated once per mode.
-- C comes from q and p alone, as Tr[(q rho)(rho q)] - Tr[(rho q)(rho q)]
-  and the same for p, and P is sum_ij rho_ij rho_ji. Neither shares an
-  intermediate with I, so the identity residual |I - (C - M*P)/2| is a
-  real cross-check.
+- C is evaluated in its commutator form. By cyclicity on the truncated
+  space, Tr[rho^2 X^2 - rho X rho X] = -(1/2) Tr[[X, rho]^2] exactly. Per
+  mode, [a, rho] and [a^dagger, rho] are formed in three reused D x D
+  buffers; their sum is sqrt(2) [q, rho] and their difference
+  i sqrt(2) [p, rho], and the q and p traces are taken separately. For
+  Hermitian rho each trace is a squared Frobenius norm of fixed sign, so C
+  is a sum of same-sign terms rather than a difference of two O(P) traces,
+  whose cancellation cost about 1e-11 relative in thermal chi2 at a = 8.
+- P is sum_ij rho_ij rho_ji. Neither C nor P shares an intermediate with I,
+  so the identity residual |I - (C - M*P)/2| is a real cross-check.
 - Every trace is complex and its imaginary residue is checked: products
   like sum(X * Y^T) are real only for Hermitian rho, so a corrupted matrix
   shows up there.
 - chi2 must be positive, and pure states must satisfy I = chi2/4 - M/2.
+
+Pure states are measured from their amplitude vector and never become a
+D x D projector. For rho = |psi><psi| with s = <psi|psi>, Tr[rho^2 n] =
+Tr[rho n rho] = s <n> (from the |psi|^2 marginals), Tr[rho a rho a^dagger]
+= <a><a^dagger> (each from its own slice), Tr[rho^2 X^2 - rho X rho X] =
+s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. That costs O(M D), and
+keeping s rather than assuming 1 keeps each value equal to the projector's
+trace.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec
-from .states import DensityMatrix, PureState, as_density, purity
+from .states import DensityMatrix, PureState, purity
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -106,36 +121,33 @@ def _real_after_residue_check(value: complex, what: str) -> float:
 
 
 _S = 1.0 / np.sqrt(2.0)
-# (a, a^dagger) coefficients of each single-mode operator
-_A = (1.0, 0.0)
-_ADAG = (0.0, 1.0)
-_Q = (_S, _S)
-_P = (-1j * _S, 1j * _S)
 
 
-def _ladder(view: np.ndarray, lower: complex, upper: complex) -> np.ndarray:
-    """(lower * a + upper * a^dagger) applied along axis 1 of an (A, N, B) view."""
+def _ladder(view: np.ndarray, out: np.ndarray, raising: bool) -> None:
+    """a (or a^dagger if raising) applied along axis 1 of an (A, N, B) view, into out.
+
+    out is caller-owned scratch that is reused, so the edge row the shift
+    leaves uncovered is zeroed here rather than trusted to be zero.
+    """
     root = np.sqrt(np.arange(1.0, view.shape[1]))[:, None]
-    out = np.zeros_like(view)
-    if lower:
-        np.multiply(view[:, 1:], lower * root, out=out[:, :-1])
-    if upper:
-        out[:, 1:] += (upper * root) * view[:, :-1]
-    return out
+    if raising:
+        np.multiply(view[:, :-1], root, out=out[:, 1:])
+        out[:, 0] = 0.0
+    else:
+        np.multiply(view[:, 1:], root, out=out[:, :-1])
+        out[:, -1] = 0.0
 
 
-def _left(mat: np.ndarray, spec: ModeSpec, mode: int, coefs: tuple) -> np.ndarray:
-    """X @ mat for the mode operator X = coefs[0] a + coefs[1] a^dagger."""
-    n = spec.truncation
-    view = mat.reshape(n ** (mode - 1), n, -1)
-    return _ladder(view, *coefs).reshape(mat.shape)
+def _left(mat: np.ndarray, spec: ModeSpec, mode: int, raising: bool, out: np.ndarray) -> None:
+    """out = X @ mat for X = a_m (a_m^dagger if raising); mat may be a matrix or a vector."""
+    shape = (spec.truncation ** (mode - 1), spec.truncation, -1)
+    _ladder(mat.reshape(shape), out.reshape(shape), raising)
 
 
-def _right(mat: np.ndarray, spec: ModeSpec, mode: int, coefs: tuple) -> np.ndarray:
-    """mat @ X, which is X^T on the column index; a^T = a^dagger swaps the coefficients."""
-    n = spec.truncation
-    view = mat.reshape(-1, n, n ** (spec.num_modes - mode))
-    return _ladder(view, coefs[1], coefs[0]).reshape(mat.shape)
+def _right(mat: np.ndarray, spec: ModeSpec, mode: int, raising: bool, out: np.ndarray) -> None:
+    """out = mat @ X, which is X^T on the column index; a^T = a^dagger swaps the direction."""
+    shape = (-1, spec.truncation, spec.truncation ** (spec.num_modes - mode))
+    _ladder(mat.reshape(shape), out.reshape(shape), not raising)
 
 
 def _tr(x: np.ndarray, y: np.ndarray) -> complex:
@@ -159,7 +171,9 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     """
     spec = rho.spec
     mat = rho.matrix
-    overlap = mat * mat.T  # rho_ij rho_ji
+    down = np.empty_like(mat)
+    up = np.empty_like(mat)
+    overlap = np.multiply(mat, mat.T, out=down)  # rho_ij rho_ji
     by_row = overlap.sum(axis=1)  # (rho^2)_ii
     by_col = overlap.sum(axis=0)
     three = 0.0 + 0.0j
@@ -167,13 +181,25 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     for mode in range(1, spec.num_modes + 1):
         sq_n = _occupation(by_row, spec, mode)  # Tr[rho^2 n]
         n_mid = _occupation(by_col, spec, mode)  # Tr[rho n rho]
-        hop = _tr(_right(mat, spec, mode, _A), _right(mat, spec, mode, _ADAG))
+        _right(mat, spec, mode, False, down)  # rho a
+        _right(mat, spec, mode, True, up)  # rho a^dagger
+        hop = _tr(down, up)
         three += 0.5 * sq_n + 0.5 * n_mid - hop
         two += sq_n - hop
     return (
         _real_after_residue_check(three, "measure I"),
         _real_after_residue_check(two, "measure I (two-term form)"),
     )
+
+
+def _agreeing_I(three: float, two: float) -> float:
+    """The three-term value, once the two-term form has confirmed it."""
+    if abs(three - two) > TOL.three_two_term_tol:
+        raise ConsistencyError(
+            f"three-term and two-term evaluations of I disagree: "
+            f"{three!r} vs {two!r}"
+        )
+    return three
 
 
 def measure_I(rho: DensityMatrix) -> float:
@@ -183,26 +209,34 @@ def measure_I(rho: DensityMatrix) -> float:
     two-term form; the two must agree or the computation is rejected. The
     three-term value is the one reported.
     """
-    value, value_two = measure_I_forms(rho)
-    if abs(value - value_two) > TOL.three_two_term_tol:
-        raise ConsistencyError(
-            f"three-term and two-term evaluations of I disagree: "
-            f"{value!r} vs {value_two!r}"
-        )
-    return value
+    return _agreeing_I(*measure_I_forms(rho))
 
 
 def measure_C(rho: DensityMatrix) -> float:
-    """Structure functional from quadrature traces."""
+    """Structure functional as sum_m -1/2 (Tr[[q_m, rho]^2] + Tr[[p_m, rho]^2]).
+
+    Per mode, [a, rho] and [a^dagger, rho] are formed by shifted slices in
+    three D x D scratch buffers allocated once per call; their sum is
+    sqrt(2) [q, rho] and their difference i sqrt(2) [p, rho].
+    """
     spec = rho.spec
     mat = rho.matrix
-    total = 0.0 + 0.0j
+    lower = np.empty_like(mat)
+    upper = np.empty_like(mat)
+    work = np.empty_like(mat)
+    total = 0.0
     for mode in range(1, spec.num_modes + 1):
-        for coefs in (_Q, _P):
-            left = _left(mat, spec, mode, coefs)  # X rho
-            right = _right(mat, spec, mode, coefs)  # rho X
-            total += _tr(left, right) - _tr(right, right)
-    return _real_after_residue_check(total, "measure C")
+        _left(mat, spec, mode, False, lower)  # a rho
+        _right(mat, spec, mode, False, work)  # rho a
+        lower -= work  # [a, rho]
+        _left(mat, spec, mode, True, upper)  # a^dagger rho
+        _right(mat, spec, mode, True, work)  # rho a^dagger
+        upper -= work  # [a^dagger, rho]
+        np.add(lower, upper, out=work)  # sqrt(2) [q, rho]
+        lower -= upper  # i sqrt(2) [p, rho]
+        total += -0.25 * _real_after_residue_check(_tr(work, work), "measure C")
+        total += 0.25 * _real_after_residue_check(_tr(lower, lower), "measure C")
+    return total
 
 
 def measure_chi2(rho: DensityMatrix) -> float:
@@ -213,17 +247,10 @@ def measure_chi2(rho: DensityMatrix) -> float:
     return value
 
 
-def measure_report(rho: DensityMatrix, provenance: dict | None = None) -> MeasureReport:
-    """Full operator-path report.
-
-    I comes from the ladder-operator route and (C, P) from the quadrature
-    route with no shared intermediates, so the identity residual
-    |I - (C - M*P)/2| is a genuine cross-check of both.
-    """
-    i_value = measure_I(rho)
-    c_value = measure_C(rho)
-    p_value = purity(rho)
-    m = rho.spec.num_modes
+def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSpec,
+                    provenance: dict | None) -> MeasureReport:
+    """Operator report once the identity |I - (C - M*P)/2| has held."""
+    m = spec.num_modes
     residual = abs(i_value - (c_value - m * p_value) / 2.0)
     if residual >= TOL.identity_tol:
         raise ConsistencyError(
@@ -231,29 +258,92 @@ def measure_report(rho: DensityMatrix, provenance: dict | None = None) -> Measur
             f"(I={i_value!r}, C={c_value!r}, P={p_value!r}); "
             "truncation is inadequate or the build is broken"
         )
-    chi2 = 2.0 * c_value / p_value
     return MeasureReport(
         I=i_value,
         C=c_value,
         P=p_value,
-        chi2=chi2,
+        chi2=2.0 * c_value / p_value,
         num_modes=m,
-        truncation=rho.spec.truncation,
+        truncation=spec.truncation,
         identity_residual=residual,
         method="operator",
         provenance=provenance or {},
     )
 
 
+def measure_report(rho: DensityMatrix, provenance: dict | None = None) -> MeasureReport:
+    """Full operator-path report.
+
+    I comes from the ladder-operator route and (C, P) from the quadrature
+    route with no shared intermediates, so the identity residual
+    |I - (C - M*P)/2| is a genuine cross-check of both.
+    """
+    return _checked_report(measure_I(rho), measure_C(rho), purity(rho), rho.spec, provenance)
+
+
+def _pure_I_forms(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[float, float]:
+    """Three- and two-term I of rho = |psi><psi| from the vector.
+
+    Tr[rho^2 n] = Tr[rho n rho] = |psi|^2 <n> and Tr[rho a rho a^dagger] =
+    <a><a^dagger>, so the three-term form is |psi|^2 <n> - <a><a^dagger>
+    with <a^dagger> from its own slice, and the two-term form is
+    |psi|^2 <n> - |<a>|^2.
+    """
+    prob = amps.real ** 2 + amps.imag ** 2
+    shifted = np.empty_like(amps)
+    three = 0.0 + 0.0j
+    two = 0.0 + 0.0j
+    for mode in range(1, spec.num_modes + 1):
+        sq_n = norm_sq * _occupation(prob, spec, mode)
+        _left(amps, spec, mode, False, shifted)
+        mean_a = complex(np.vdot(amps, shifted))
+        _left(amps, spec, mode, True, shifted)
+        mean_adag = complex(np.vdot(amps, shifted))
+        three += sq_n - mean_a * mean_adag
+        two += sq_n - abs(mean_a) ** 2
+    return (
+        _real_after_residue_check(three, "measure I"),
+        _real_after_residue_check(two, "measure I (two-term form)"),
+    )
+
+
+def _pure_C(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> float:
+    """C of rho = |psi><psi| as sum over X = q_m, p_m of |psi|^2 |X psi|^2 - <X>^2."""
+    lower = np.empty_like(amps)
+    upper = np.empty_like(amps)
+    quad = np.empty_like(amps)
+    total = 0.0
+    for mode in range(1, spec.num_modes + 1):
+        _left(amps, spec, mode, False, lower)  # a psi
+        _left(amps, spec, mode, True, upper)  # a^dagger psi
+        for combine, scale in ((np.add, _S), (np.subtract, -1j * _S)):  # q psi, then p psi
+            combine(lower, upper, out=quad)
+            quad *= scale
+            mean = _real_after_residue_check(complex(np.vdot(amps, quad)), "measure C")
+            total += norm_sq * float(np.vdot(quad, quad).real) - mean * mean
+    return total
+
+
 def pure_state_measures(psi: PureState, provenance: dict | None = None) -> MeasureReport:
     """Report for a pure state, asserting I = chi2/4 - M/2 on top.
 
-    The relation follows from P = 1 and holds to rounding for any state
-    that leaves the guard level empty; a violation beyond tolerance means
+    The traces of rho = |psi><psi| are evaluated from the amplitude vector
+    in O(M D), keeping its squared norm, so no D x D projector is built. The
+    relation follows from P = 1 and holds to rounding for any state that
+    leaves the guard level empty; a violation beyond tolerance means
     inadequate truncation or a broken build.
     """
-    report = measure_report(as_density(psi), provenance=provenance)
-    m = psi.spec.num_modes
+    spec = psi.spec
+    amps = psi.amplitudes
+    norm_sq = float(np.vdot(amps, amps).real)
+    report = _checked_report(
+        _agreeing_I(*_pure_I_forms(amps, spec, norm_sq)),
+        _pure_C(amps, spec, norm_sq),
+        norm_sq * norm_sq,
+        spec,
+        provenance,
+    )
+    m = spec.num_modes
     residual = abs(report.I - (report.chi2 / 4.0 - m / 2.0))
     if residual >= TOL.pure_relation_tol:
         raise ConsistencyError(

@@ -116,8 +116,10 @@ class DensityMatrix:
             raise StateValidationError(f"trace deviates from 1 by {trace_dev:.2e}")
         # every eigenvalue is >= psd_floor iff rho - psd_floor * 1 has a
         # Cholesky factor; the eigenvalues are computed only to word the rejection
+        shifted = mat.copy()
+        shifted.reshape(-1)[:: dim + 1] -= TOL.psd_floor
         try:
-            np.linalg.cholesky(mat - TOL.psd_floor * np.eye(dim))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             min_eig = float(np.linalg.eigvalsh(mat)[0])
             raise StateValidationError(

@@ -1,11 +1,21 @@
 """End-to-end command-line behavior: files, formats, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from macroq import GaussianSpec, ModeSpec, measure_report, thermal_state
+from macroq import (
+    GaussianSpec,
+    ModeSpec,
+    PureState,
+    measure_report,
+    pure_state_measures,
+    random_pure_state,
+    save_state,
+    thermal_state,
+)
 from macroq.cli import main
 
 from oracles import cat_mixture_I, thermal_chi2
@@ -108,6 +118,24 @@ class TestMeasureCommand:
         run("measure", str(out))
         report = json.loads(capsys.readouterr().out)
         assert report["chi2"] == pytest.approx(2.0, abs=1e-8)
+
+    def test_pure_file_measured_from_vector(self, tmp_path, capsys, monkeypatch, rng):
+        out = tmp_path / "pure.json"
+        psi = random_pure_state(ModeSpec(2, 64), rng)
+        save_state(psi, out)
+
+        def refuse(self):
+            raise AssertionError("measure built the D x D projector of a pure file")
+
+        monkeypatch.setattr(PureState, "projector", refuse)
+        start = time.perf_counter()
+        assert run("measure", str(out)) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(capsys.readouterr().out)
+        direct = pure_state_measures(psi)
+        assert report["I"] == direct.I
+        assert report["chi2"] == direct.chi2
+        assert report["pure_relation_residual"] == direct.pure_relation_residual
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run("measure", "/nonexistent/state.json") == 2

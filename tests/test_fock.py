@@ -165,6 +165,21 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(0, 4)
 
+    @pytest.mark.parametrize("num_modes,truncation,field", [
+        (1.7, 12, "num_modes"), (True, 12, "num_modes"), (1, 12.0, "truncation"),
+    ])
+    def test_rejects_non_integer_fields(self, num_modes, truncation, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModeSpec(num_modes, truncation)
+
+    def test_accepts_numpy_integers(self):
+        spec = ModeSpec(np.int64(2), np.int32(5))
+        assert spec == ModeSpec(2, 5)
+        assert type(spec.total_dim) is int
+        # 64^20 wraps to 0 in int64 arithmetic, which would pass the budget
+        with pytest.raises(TruncationError, match="budget"):
+            ModeSpec(np.int64(20), np.int64(64))
+
     def test_dimension_budget(self, monkeypatch):
         monkeypatch.setenv("MACROQ_MAX_DIM", "100")
         with pytest.raises(TruncationError, match="budget"):

@@ -1,6 +1,7 @@
 """Measure evaluation: values, identities, and consistency guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from macroq import (
     DensityMatrix,
     GaussianSpec,
     ModeSpec,
+    PureState,
     StateValidationError,
     TruncationError,
     as_density,
@@ -61,6 +63,22 @@ class TestSliceTracesAgainstOracle:
     @pytest.mark.parametrize("num_modes,truncation", [(1, 12), (2, 5), (3, 3)])
     def test_every_trace_matches(self, num_modes, truncation, rng):
         rho = random_mixed_state(ModeSpec(num_modes, truncation), rng)
+        self._check_traces(rho, num_modes, truncation)
+
+    @pytest.mark.parametrize("num_modes,truncation", [(1, 12), (2, 5), (3, 3)])
+    def test_every_trace_matches_with_top_levels_populated(self, num_modes, truncation, rng):
+        # a stale edge row in a reused scratch buffer meets only empty top
+        # levels in a guard-respecting state; full support gives it weight
+        spec = ModeSpec(num_modes, truncation)
+        g = (rng.standard_normal((spec.total_dim,) * 2)
+             + 1j * rng.standard_normal((spec.total_dim,) * 2))
+        gram = g @ g.conj().T
+        rho = DensityMatrix(spec, gram / np.trace(gram).real)
+        assert np.min(rho.top_level_mass()) > 1e-3
+        self._check_traces(rho, num_modes, truncation)
+
+    @staticmethod
+    def _check_traces(rho, num_modes, truncation):
         expected_I = brute_force_I(rho.matrix, num_modes, truncation)
         three, two = measure_I_forms(rho)
         assert three == pytest.approx(expected_I, abs=1e-12)
@@ -216,6 +234,77 @@ class TestPureStateMeasures:
         for _ in range(10):
             report = pure_state_measures(random_pure_state(ModeSpec(1, 12), rng))
             assert report.pure_relation_residual < 1e-10
+
+
+def _peak_bytes(func, *args):
+    """Peak of the memory traced by tracemalloc while func(*args) runs."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPureVectorPath:
+    """pure_state_measures from the amplitude vector, never the projector."""
+
+    @staticmethod
+    def _off_norm(spec, rng):
+        # squared norm 1 + 5e-11, inside norm_tol; mostly vacuum so I < 1 and
+        # the pure relation, which carries I (1 - 1/P), stays inside its 1e-10
+        vac = np.zeros(spec.total_dim, dtype=complex)
+        vac[0] = 1.0
+        mixed = vac + 0.3 * random_pure_state(spec, rng).amplitudes
+        return PureState(spec, mixed / np.linalg.norm(mixed) * math.sqrt(1.0 + 5e-11))
+
+    @pytest.mark.parametrize("num_modes,truncation", [(1, 12), (2, 5), (3, 3)])
+    def test_matches_projector_and_oracle(self, num_modes, truncation, rng):
+        spec = ModeSpec(num_modes, truncation)
+        off_norm = self._off_norm(spec, rng)
+        assert abs(float(np.vdot(off_norm.amplitudes, off_norm.amplitudes).real)
+                   - 1.0 - 5e-11) < 1e-14
+        for psi in (random_pure_state(spec, rng), off_norm):
+            report = pure_state_measures(psi)
+            dense = measure_report(as_density(psi))
+            projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            oracle = {
+                "I": brute_force_I(projector, num_modes, truncation),
+                "C": brute_force_C(projector, num_modes, truncation),
+                "P": brute_force_purity(projector),
+            }
+            for key, want in oracle.items():
+                assert getattr(report, key) == pytest.approx(want, abs=1e-12)
+                assert getattr(report, key) == pytest.approx(getattr(dense, key), abs=1e-12)
+            assert report.chi2 == pytest.approx(dense.chi2, abs=1e-12)
+            assert report.identity_residual < 1e-12
+            assert report.pure_relation_residual < 1e-10
+
+    def test_large_state_never_builds_projector(self, monkeypatch, rng):
+        def refuse(self):
+            raise AssertionError("pure_state_measures built the D x D projector")
+
+        psi = random_pure_state(ModeSpec(2, 64), rng)
+        monkeypatch.setattr(PureState, "projector", refuse)
+        # the projector alone would be 16 D^2 bytes = 256 MiB
+        assert _peak_bytes(pure_state_measures, psi) <= 4 * 2 ** 20
+        report = pure_state_measures(psi)
+        assert report.P == pytest.approx(1.0, abs=1e-14)
+        assert report.pure_relation_residual < 1e-10
+        assert report.identity_residual < 1e-10
+
+
+class TestMixedPathBounds:
+    @pytest.mark.parametrize("a", [6.0, 8.0, 12.0])
+    def test_thermal_chi2_without_cancellation(self, a):
+        # C is a sum of squared commutator norms, not a difference of traces
+        assert abs(measure_chi2(_thermal(a)) / thermal_chi2(a) - 1.0) < 1e-13
+
+    def test_report_scratch_memory(self, rng):
+        rho = random_mixed_state(ModeSpec(1, 512), rng)
+        # three D x D complex scratch buffers (12 MiB at D = 512) plus slack
+        bound = 3.25 * 16 * rho.spec.total_dim ** 2
+        assert _peak_bytes(measure_report, rho) <= bound
 
 
 class TestIdentity:
