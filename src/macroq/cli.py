@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import ModeSpec
-from .measures import MeasureReport, measure_report, pure_state_measures
+from .measures import measure_report, pure_state_measures
 from .states import (
     DensityMatrix,
     GaussianSpec,
@@ -41,13 +40,7 @@ from .states import (
     thermal_state,
 )
 from .verify import run_verification
-from .wigner import (
-    GridSpec,
-    _grid_report,
-    default_grid_spec,
-    wigner_from_density,
-    wigner_measure_report,
-)
+from .wigner import GridSpec, default_grid_spec, wigner_from_density, wigner_measure_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -176,12 +169,11 @@ def _measure_one(
     if method == "operator":
         return measure_report(rho, provenance=provenance).to_dict()
     gs = default_grid_spec(rho.spec.truncation, grid_points)
+    grid_side = wigner_measure_report(rho, gs, provenance=provenance)
     if method == "wigner":
-        return wigner_measure_report(rho, gs, provenance=provenance).to_dict()
-    operator = measure_report(rho, provenance=provenance)
-    grid_side = _grid_report(rho, gs, operator, provenance=provenance)
+        return grid_side.to_dict()
     return {
-        "operator": operator.to_dict(),
+        "operator": grid_side.checked_against.to_dict(),
         "wigner": grid_side.to_dict(),
         "cross_deltas": grid_side.cross_deltas,
     }
@@ -195,32 +187,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter family scan: which knob, which family, which values."""
-
-    parameter: str
-    family: str
-    values: tuple
-    out: Path
-
-    def __post_init__(self) -> None:
-        if self.parameter not in SWEEP_PARAM_FAMILIES:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"choose from {sorted(SWEEP_PARAM_FAMILIES)}")
-        allowed = SWEEP_PARAM_FAMILIES[self.parameter]
-        if self.family not in allowed:
-            raise ValueError(
-                f"parameter {self.parameter!r} applies to families {allowed}, "
-                f"not {self.family!r}")
-        if len(self.values) < 1:
-            raise ValueError("sweep needs at least one value")
-
-
 def _sweep_values(args: argparse.Namespace) -> tuple:
     if args.values is not None:
         items = [item for item in args.values.split(",") if item.strip()]
+        if not items:
+            raise ValueError("sweep needs at least one value")
         if args.parameter in ("d", "n"):
             return tuple(int(item) for item in items)
         return tuple(float(item) for item in items)
@@ -235,22 +206,14 @@ def _sweep_values(args: argparse.Namespace) -> tuple:
     return tuple(float(v) for v in np.linspace(args.start, args.stop, args.steps))
 
 
-def _sweep_point(spec: SweepSpec, value, truncation: int | None) -> MeasureReport:
-    params = {spec.parameter: repr(float(value)) if isinstance(value, float) else str(value)}
-    state, _ = build_state(spec.family, params, truncation)
-    return measure_report(
-        as_density(state), provenance={"family": spec.family, spec.parameter: value})
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        parameter=args.parameter,
-        family=args.family,
-        values=_sweep_values(args),
-        out=Path(args.out),
-    )
-    ordered = sorted(spec.values)
-    outcomes = [_run_point(spec, value, args.truncation) for value in ordered]
+    values = _sweep_values(args)
+    allowed = SWEEP_PARAM_FAMILIES[args.parameter]
+    if args.family not in allowed:
+        raise ValueError(
+            f"parameter {args.parameter!r} applies to families {allowed}, not {args.family!r}")
+    ordered = sorted(values)
+    outcomes = [_run_point(args, value) for value in ordered]
     successes = sum(1 for _, report, err in outcomes if err is None)
     lines = ["parameter,I,C,P,chi2,errors"]
     points_doc = []
@@ -265,33 +228,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             safe_err = err.replace(",", ";").replace("\n", " ")
             lines.append(f"{value_text},,,,,{safe_err}")
             points_doc.append({"parameter": value, "error": err})
-    spec.out.write_text("\n".join(lines) + "\n")
-    sidecar = spec.out.with_suffix(".json")
-    if sidecar == spec.out:
-        sidecar = spec.out.with_name(spec.out.name + ".reports.json")
+    out = Path(args.out)
+    out.write_text("\n".join(lines) + "\n")
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        sidecar = out.with_name(out.name + ".reports.json")
     sidecar.write_text(json.dumps(
         {
             "generated_at": _now(),
-            "family": spec.family,
-            "parameter": spec.parameter,
+            "family": args.family,
+            "parameter": args.parameter,
             "points": points_doc,
         },
         sort_keys=True, indent=2) + "\n")
-    print(f"wrote {spec.out} ({successes}/{len(ordered)} points) and {sidecar}")
+    print(f"wrote {out} ({successes}/{len(ordered)} points) and {sidecar}")
     if successes == 0:
         print("every sweep point failed", file=sys.stderr)
         return EXIT_TRUNCATION
     return EXIT_OK
 
 
-def _run_point(spec: SweepSpec, value, truncation: int | None):
+def _run_point(args: argparse.Namespace, value):
+    params = {args.parameter: repr(float(value)) if isinstance(value, float) else str(value)}
     try:
-        return value, _sweep_point(spec, value, truncation), None
+        state, _ = build_state(args.family, params, args.truncation)
+        report = measure_report(
+            as_density(state), provenance={"family": args.family, args.parameter: value})
+        return value, report, None
     except (StateValidationError, TruncationError, ConsistencyError, ValueError) as exc:
         return value, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    json_path = out.with_suffix(".json") if args.format == "both" else out
+    if args.format == "both" and json_path == out:
+        raise ValueError(f"--format both would write the CSV and the JSON both to {out}; "
+                         "give --out a suffix other than .json")
     state = load_state(args.state, require_tail=True)
     rho = as_density(state)
     if args.half_width is None:
@@ -299,13 +272,11 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     else:
         gs = GridSpec(half_width=args.half_width, nq=args.grid, np=args.grid)
     grid = wigner_from_density(rho, gs)
-    out = Path(args.out)
     written = []
     if args.format in ("csv", "both"):
         grid.to_csv(out)
         written.append(str(out))
     if args.format in ("json", "both"):
-        json_path = out if args.format == "json" else out.with_suffix(".json")
         json_path.write_text(json.dumps(grid.to_json_dict(), sort_keys=True) + "\n")
         written.append(str(json_path))
     peak = np.unravel_index(np.argmax(np.abs(grid.values)), grid.values.shape)

@@ -35,7 +35,7 @@ class ModeSpec:
         for name in ("num_modes", "truncation"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"mode spec {name} must be an integer, got {value!r}")
             # a NumPy integer would wrap in total_dim instead of exceeding the budget
             object.__setattr__(self, name, int(value))
         if self.num_modes < 1:

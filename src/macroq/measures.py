@@ -84,6 +84,8 @@ class MeasureReport:
     pure_relation_residual: float | None = None
     cross_deltas: dict[str, float] | None = None
     provenance: dict = field(default_factory=dict)
+    # grid reports: the operator report the grid values were checked against
+    checked_against: MeasureReport | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -105,10 +107,8 @@ class MeasureReport:
             out["provenance"] = self.provenance
         return out
 
-    def to_json(self, **extra) -> str:
-        doc = self.to_dict()
-        doc.update(extra)
-        return json.dumps(doc, sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _real_after_residue_check(value: complex, what: str) -> float:

@@ -22,29 +22,6 @@ from .config import TOL
 from .errors import StateValidationError, TruncationError
 from .fock import ComplexMatrix, ModeSpec, _check_mode, _single_mode_displacement
 
-__all__ = [
-    "PureState",
-    "DensityMatrix",
-    "GaussianSpec",
-    "fock_state",
-    "coherent_state",
-    "cat_state",
-    "cat_mixture",
-    "fock_mixture",
-    "thermal_state",
-    "mix",
-    "product_state",
-    "purity",
-    "as_density",
-    "displaced",
-    "random_pure_state",
-    "random_mixed_state",
-    "default_coherent_truncation",
-    "default_thermal_truncation",
-    "save_state",
-    "load_state",
-]
-
 
 # ---------------------------------------------------------------------------
 # state types
@@ -80,11 +57,7 @@ class PureState:
 
     def top_level_mass(self) -> np.ndarray:
         """Population of the highest retained Fock level, per mode."""
-        pops = self.mode_level_populations()
-        top = self.spec.truncation - 1
-        return np.array(
-            [pops.take(top, axis=m).sum() for m in range(self.spec.num_modes)]
-        )
+        return _top_level_mass(self)
 
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(self.spec, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -133,11 +106,7 @@ class DensityMatrix:
         return probs.reshape((self.spec.truncation,) * self.spec.num_modes)
 
     def top_level_mass(self) -> np.ndarray:
-        pops = self.mode_level_populations()
-        top = self.spec.truncation - 1
-        return np.array(
-            [pops.take(top, axis=m).sum() for m in range(self.spec.num_modes)]
-        )
+        return _top_level_mass(self)
 
 
 @dataclass(frozen=True)
@@ -160,6 +129,12 @@ class GaussianSpec:
 
 
 State = PureState | DensityMatrix
+
+
+def _top_level_mass(state: State) -> np.ndarray:
+    pops = state.mode_level_populations()
+    top = state.spec.truncation - 1
+    return np.array([pops.take(top, axis=m).sum() for m in range(state.spec.num_modes)])
 
 
 def _require_tail(state: State, what: str) -> None:
@@ -188,7 +163,7 @@ def default_coherent_truncation(alpha: complex) -> int:
     return int(math.ceil(r * r + 8.0 * r + 10.0))
 
 
-def default_thermal_truncation(a: float, tail_tol: float | None = None) -> int:
+def default_thermal_truncation(a: float) -> int:
     """Fock cutoff for a thermal state of width a.
 
     The larger of a linear rule-of-thumb (20*nbar + 20) and the smallest N
@@ -196,12 +171,11 @@ def default_thermal_truncation(a: float, tail_tol: float | None = None) -> int:
     tolerance; the linear rule alone under-resolves the geometric tail once
     a is around 2 or larger.
     """
-    tol = TOL.tail_tol if tail_tol is None else tail_tol
     nbar = (a * a - 1.0) / 2.0
     heuristic = int(math.ceil(20.0 * nbar + 20.0))
     if nbar <= 0.0:
         return max(heuristic, 2)
-    by_tail = int(math.ceil(1.0 + (math.log(tol) + math.log1p(nbar))
+    by_tail = int(math.ceil(1.0 + (math.log(TOL.tail_tol) + math.log1p(nbar))
                             / (math.log(nbar) - math.log1p(nbar))))
     return max(heuristic, by_tail, 2)
 
@@ -227,6 +201,15 @@ def _coherent_required_truncation(alpha: complex) -> int:
             return n
         n = int(n * 1.25) + 1
     raise TruncationError(f"no admissible truncation found for alpha={alpha}")
+
+
+def _admit_coherent_tail(state: PureState, family: str, alpha: complex) -> PureState:
+    if float(state.top_level_mass().max()) >= TOL.tail_tol:
+        raise TruncationError(
+            f"truncation {state.spec.truncation} too small for {family} alpha={alpha}: "
+            f"use at least N={_coherent_required_truncation(alpha)}"
+        )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +246,7 @@ def coherent_state(spec: ModeSpec, alpha: complex) -> PureState:
     if spec.num_modes != 1:
         raise ValueError("coherent_state builds single-mode states; combine with product_state")
     amps = _coherent_amplitudes(spec.truncation, alpha)
-    amps = amps / np.linalg.norm(amps)
-    state = PureState(spec, amps)
-    if float(state.top_level_mass().max()) >= TOL.tail_tol:
-        raise TruncationError(
-            f"truncation {spec.truncation} too small for coherent alpha={alpha}: "
-            f"use at least N={_coherent_required_truncation(alpha)}"
-        )
-    return state
+    return _admit_coherent_tail(PureState(spec, amps / np.linalg.norm(amps)), "coherent", alpha)
 
 
 def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> PureState:
@@ -291,13 +267,7 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
             f"cat state norm vanishes (alpha={alpha}, phase={relative_phase}); "
             "the odd combination is undefined at alpha -> 0"
         )
-    state = PureState(spec, raw / norm)
-    if float(state.top_level_mass().max()) >= TOL.tail_tol:
-        raise TruncationError(
-            f"truncation {spec.truncation} too small for cat alpha={alpha}: "
-            f"use at least N={_coherent_required_truncation(alpha)}"
-        )
-    return state
+    return _admit_coherent_tail(PureState(spec, raw / norm), "cat", alpha)
 
 
 def cat_mixture(spec: ModeSpec, alpha: complex) -> DensityMatrix:
@@ -498,14 +468,6 @@ def save_state(state: State, path: str | Path, metadata: dict | None = None) -> 
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _spec_int(spec: dict, key: str) -> int:
-    """A spec field that must be a JSON integer; bools and floats are refused."""
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"spec {key} must be an integer, got {value!r}")
-    return value
-
-
 def load_state(path: str | Path, *, require_tail: bool = False) -> State:
     """Read a JSON state document back, revalidating every invariant."""
     try:
@@ -518,7 +480,7 @@ def load_state(path: str | Path, *, require_tail: bool = False) -> State:
     if version != FORMAT_VERSION:
         raise StateValidationError(f"{path}: unsupported format_version {version!r}")
     try:
-        spec = ModeSpec(_spec_int(doc["spec"], "num_modes"), _spec_int(doc["spec"], "truncation"))
+        spec = ModeSpec(doc["spec"]["num_modes"], doc["spec"]["truncation"])
         kind = doc["kind"]
         raw = np.asarray(doc["data"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -30,18 +30,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConsistencyError, TruncationError
+from .measures import MeasureReport, measure_report
 from .states import DensityMatrix, GaussianSpec
-
-__all__ = [
-    "GridSpec",
-    "PhaseSpaceGrid",
-    "default_grid_spec",
-    "wigner_from_density",
-    "gaussian_wigner",
-    "measure_P_wigner",
-    "measure_C_wigner",
-    "wigner_measure_report",
-]
 
 
 @dataclass(frozen=True)
@@ -330,35 +320,19 @@ def wigner_measure_report(
     *,
     cross_tol: float | None = None,
     provenance: dict | None = None,
-):
+) -> MeasureReport:
     """Phase-space-path report, cross-checked against the operator path.
 
     C and P come from the grid; I is reconstructed through I = (C - M*P)/2
-    and chi2 = 2C/P. The same state is measured through the operator traces
-    and the two pipelines must agree on C, P and chi2 within the relative
-    tolerance, otherwise a ConsistencyError carries both sets of values.
+    and chi2 = 2C/P. The same state is first measured through the operator
+    traces, and the two pipelines must agree on C, P and chi2 within the
+    relative tolerance, otherwise a ConsistencyError carries both sets of
+    values. The operator report is kept as the result's checked_against.
     """
-    from .measures import measure_report
-
     _require_single_mode(rho, "wigner_measure_report")
     if gs is None:
         gs = default_grid_spec(rho.spec.truncation)
-    return _grid_report(rho, gs, measure_report(rho), cross_tol=cross_tol,
-                        provenance=provenance)
-
-
-def _grid_report(
-    rho: DensityMatrix,
-    gs: GridSpec,
-    operator,
-    *,
-    cross_tol: float | None = None,
-    provenance: dict | None = None,
-):
-    """The grid side of wigner_measure_report, checked against a given operator report."""
-    from .measures import MeasureReport
-
-    _require_single_mode(rho, "wigner_measure_report")
+    operator = measure_report(rho, provenance=provenance)
     tol = TOL.dual_pipeline_rel if cross_tol is None else cross_tol
     grid = wigner_from_density(rho, gs)
     c_value = measure_C_wigner(grid, check_resolution=False)
@@ -389,4 +363,5 @@ def _grid_report(
         method="wigner",
         cross_deltas=deltas,
         provenance=provenance or {},
+        checked_against=operator,
     )

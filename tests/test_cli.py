@@ -10,6 +10,7 @@ from macroq import (
     GaussianSpec,
     ModeSpec,
     PureState,
+    load_state,
     measure_report,
     pure_state_measures,
     random_pure_state,
@@ -101,6 +102,27 @@ class TestMeasureCommand:
         assert set(doc) == {"operator", "wigner", "cross_deltas"}
         assert max(doc["cross_deltas"].values()) < 1e-3
         assert doc["wigner"]["chi2"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_both_methods_trace_the_operator_side_once(self, tmp_path, capsys, monkeypatch):
+        import macroq.measures
+
+        out = tmp_path / "thermal.json"
+        run("state", "thermal", "a=2", "--out", str(out))
+        capsys.readouterr()
+        original = macroq.measures.measure_C
+        calls = []
+
+        def counted(rho):
+            calls.append(rho.spec)
+            return original(rho)
+
+        monkeypatch.setattr(macroq.measures, "measure_C", counted)
+        assert run("measure", str(out), "--method", "both") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert doc["operator"]["method"] == "operator"
+        assert doc["operator"]["provenance"] == {"state_file": str(out)}
+        assert doc["operator"]["C"] == measure_report(load_state(out)).C
 
     def test_large_cat_both_methods_at_fine_grid(self, tmp_path, capsys):
         out = tmp_path / "cat7.json"
@@ -295,6 +317,20 @@ class TestWignerCommand:
         doc = json.loads(out.read_text())
         assert doc["grid_spec"]["nq"] == 65
         assert len(doc["values"]) == 65
+
+    def test_both_formats_into_one_json_path_refused(self, tmp_path, capsys, monkeypatch):
+        state = tmp_path / "vac.json"
+        run("state", "fock", "n=0", "--out", str(state))
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform ran although the output paths clash")
+
+        monkeypatch.setattr("macroq.cli.wigner_from_density", refuse)
+        out = tmp_path / "g.json"
+        assert run("wigner", str(state), "--out", str(out), "--format", "both") == 2
+        assert str(out) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multimode_rejected(self, tmp_path, capsys):
         left = tmp_path / "l.json"

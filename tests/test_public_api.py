@@ -4,6 +4,7 @@ bench/tracing.py rebinds macroq functions by name to time each layer; every
 name it lists must keep resolving, or a traced benchmark run breaks.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -100,3 +101,17 @@ def test_public_surface():
                 assert hasattr(owner, part), target
                 owner = getattr(owner, part)
             assert callable(owner), target
+
+
+def test_cli_imports_no_private_package_names():
+    """The CLI goes through public functions only, so each decision has one owner."""
+    tree = ast.parse((Path(macroq.__file__).parent / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "macroq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

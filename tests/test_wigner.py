@@ -30,6 +30,7 @@ from macroq import (
     measure_C,
     measure_C_wigner,
     measure_P_wigner,
+    measure_report,
     product_state,
     thermal_state,
     wigner_from_density,
@@ -312,6 +313,19 @@ class TestWignerReport:
         vac = _vacuum(6)
         with pytest.raises(ValueError, match="single-mode"):
             wigner_measure_report(product_state(vac, vac))
+
+    def test_keeps_the_operator_report_it_was_checked_against(self):
+        cut = default_thermal_truncation(SQRT2)
+        rho = thermal_state(ModeSpec(1, cut), GaussianSpec(SQRT2))
+        report = wigner_measure_report(rho, _grid(cut, 256), provenance={"tag": "t"})
+        operator = measure_report(rho, provenance={"tag": "t"})
+        assert report.checked_against == operator
+        assert report.cross_deltas == {
+            "C": abs(report.C - operator.C) / abs(operator.C),
+            "P": abs(report.P - operator.P) / operator.P,
+            "chi2": abs(report.chi2 - operator.chi2) / abs(operator.chi2),
+        }
+        assert "checked_against" not in report.to_dict()
 
 
 class TestGridExport:
