@@ -379,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corpus", nargs="*", default=None,
                           help="extra state files to validate and include")
     p_verify.add_argument("--grid", type=int, default=256,
-                          help="points per axis for pipeline checks; grids below 256 "
-                               "points use the documented looser 5e-3 tolerance")
+                          help="points per axis for the phase-space checks (default 256)")
     p_verify.add_argument("--tol", type=float, default=1.0,
                           help="scale every verification tolerance by this factor")
     p_verify.add_argument("--json", default=None, help="also write a JSON summary file")

@@ -31,7 +31,6 @@ class Tolerances:
     # phase-space pipeline
     grid_norm_tol: float = 1e-6      # | integral of W - 1 |
     dual_pipeline_rel: float = 1e-3  # relative C/P disagreement, operator vs grid
-    dual_pipeline_rel_coarse: float = 5e-3   # documented looser bound below 256 points
     gradient_resolution_tol: float = 1e-4    # admissible change of C under step halving
 
     # displacement guard

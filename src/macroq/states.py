@@ -11,6 +11,7 @@ instead of silently contaminating the measures.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -158,9 +159,16 @@ def as_density(state: State) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def default_coherent_truncation(alpha: complex) -> int:
-    """Fock cutoff that keeps a coherent state's top-level mass negligible."""
+    """Fock cutoff that keeps a coherent state's top-level mass negligible.
+
+    At every |alpha| whose cutoff fits the default MACROQ_MAX_DIM cap of
+    4096 levels, the top level of the truncated |alpha> holds less than
+    tail_tol of its population.
+    """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     r = abs(alpha)
-    return int(math.ceil(r * r + 8.0 * r + 10.0))
+    return _cutoff(r * r + 8.0 * r + 10.0, f"alpha={alpha}")
 
 
 def default_thermal_truncation(a: float) -> int:
@@ -171,13 +179,21 @@ def default_thermal_truncation(a: float) -> int:
     tolerance; the linear rule alone under-resolves the geometric tail once
     a is around 2 or larger.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"thermal width a must be finite, got {a}")
     nbar = (a * a - 1.0) / 2.0
-    heuristic = int(math.ceil(20.0 * nbar + 20.0))
+    heuristic = _cutoff(20.0 * nbar + 20.0, f"thermal a={a}")
     if nbar <= 0.0:
         return max(heuristic, 2)
-    by_tail = int(math.ceil(1.0 + (math.log(TOL.tail_tol) + math.log1p(nbar))
-                            / (math.log(nbar) - math.log1p(nbar))))
-    return max(heuristic, by_tail, 2)
+    # log(nbar) - log1p(nbar), written so it stays nonzero for any finite nbar
+    by_tail = 1.0 - (math.log(TOL.tail_tol) + math.log1p(nbar)) / math.log1p(1.0 / nbar)
+    return max(heuristic, int(math.ceil(by_tail)), 2)
+
+
+def _cutoff(levels: float, what: str) -> int:
+    if not math.isfinite(levels):
+        raise TruncationError(f"{what}: the default Fock cutoff overflows a float")
+    return int(math.ceil(levels))
 
 
 def _coherent_amplitudes(truncation: int, alpha: complex) -> np.ndarray:
@@ -192,22 +208,11 @@ def _coherent_amplitudes(truncation: int, alpha: complex) -> np.ndarray:
     return mags * phases
 
 
-def _coherent_required_truncation(alpha: complex) -> int:
-    n = default_coherent_truncation(alpha)
-    while n < 100_000:
-        amps = _coherent_amplitudes(n, alpha)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(amps[-1]) ** 2 / norm_sq < TOL.tail_tol:
-            return n
-        n = int(n * 1.25) + 1
-    raise TruncationError(f"no admissible truncation found for alpha={alpha}")
-
-
 def _admit_coherent_tail(state: PureState, family: str, alpha: complex) -> PureState:
     if float(state.top_level_mass().max()) >= TOL.tail_tol:
         raise TruncationError(
             f"truncation {state.spec.truncation} too small for {family} alpha={alpha}: "
-            f"use at least N={_coherent_required_truncation(alpha)}"
+            f"use at least N={default_coherent_truncation(alpha)}"
         )
     return state
 

@@ -276,8 +276,7 @@ def check_pure_state_relation(tol_factor: float = 1.0) -> CheckResult:
 
 def check_dual_pipeline(grid_points: int = 256, tol_factor: float = 1.0) -> CheckResult:
     """Operator vs phase-space C, P and chi2 on the single-mode corpus."""
-    base = TOL.dual_pipeline_rel if grid_points >= 256 else TOL.dual_pipeline_rel_coarse
-    tol = base * tol_factor
+    tol = TOL.dual_pipeline_rel * tol_factor
     worst = 0.0
     worst_name = ""
     for name, rho in wigner_corpus():
@@ -410,6 +409,8 @@ def run_verification(
     tol_factor: float = 1.0,
     corpus_paths: tuple[str | Path, ...] = (),
 ) -> list[CheckResult]:
+    if not (math.isfinite(tol_factor) and tol_factor > 0):
+        raise ValueError(f"tolerance factor must be positive and finite, got {tol_factor}")
     results = [
         check_gaussian_family(tol_factor),
         check_gaussian_family_wigner(grid_points, tol_factor),

@@ -15,7 +15,10 @@ window. The independent judge of the transform, a number-basis dyad
 recurrence, lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
-C = pi * integral(|dW/dq|^2 + |dW/dp|^2) with 8th-order central differences.
+C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over one 2-D FFT,
+which treats W as periodic over the window and converges exponentially
+once W is negligible at its edge (Trefethen & Weideman, SIAM Rev. 56, 385
+(2014)).
 Grids cover a square of half-width sqrt(2N) + 5, outside which an
 N-truncated state's W has decayed far below the quadrature tolerances.
 """
@@ -43,8 +46,8 @@ class GridSpec:
     np: int = 256
 
     def __post_init__(self) -> None:
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.nq < 32 or self.np < 32:
             raise ValueError(f"grids need at least 32 points per axis, got {self.nq}x{self.np}")
 
@@ -186,11 +189,13 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     The eta step m*dq/r is the largest multiple of the refined step dq/r
     that is at most pi/half_width. W sampled that way is periodic in p with
     period 2pi/d_eta >= 2*half_width, so its images fall outside the window.
+    A stride beyond the kernel's width samples eta = 0 alone, so m is capped
+    there, which keeps it finite for tiny windows.
     """
     dq = 2.0 * gs.half_width / (gs.nq - 1)
     limit = math.pi / gs.half_width
     refine = max(1, math.ceil(dq / limit))
-    stride = max(1, math.floor(limit * refine / dq))
+    stride = max(1, math.floor(min(limit * refine / dq, 2 * refine * gs.nq)))
     return refine, stride
 
 
@@ -259,47 +264,22 @@ def measure_P_wigner(w: PhaseSpaceGrid) -> float:
     return 2.0 * np.pi * _trapezoid_2d(w.values * w.values, w.dq, w.dp)
 
 
-# 8th-order central first-derivative coefficients over offsets -4..4
-_STENCIL = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
-                     4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
-
-
-def _central_gradient(values: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """8th-order central differences; second-order one-sided near the border.
-
-    The border layers fall back to numpy's second-order edge handling; grid
-    windows are sized so W is negligible there, but the entries must still
-    be finite numbers. Grids keep at least 16 points per axis even after
-    coarsening, so the stencil always fits.
-    """
-    grad = np.gradient(values, step, axis=axis, edge_order=2)
-    moved = np.moveaxis(values, axis, 0)
-    out = np.moveaxis(grad, axis, 0)
-    width = moved.shape[0]
-    half = _STENCIL.size // 2
-    acc = np.zeros_like(moved[half:width - half])
-    for k, c in enumerate(_STENCIL):
-        if c == 0.0:
-            continue
-        acc += c * moved[k:width - 2 * half + k]
-    out[half:width - half] = acc / step
-    return grad
-
-
 def measure_C_wigner(w: PhaseSpaceGrid, *, check_resolution: bool = True) -> float:
     """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) on the grid.
 
     The resolution guard compares against the same evaluation on the
-    2x-coarsened grid: for the 8th-order stencil the observed change bounds
-    the change a further halving would make by a factor 2^8, so the guard
-    threshold is 2^8 times the admissible halving change.
+    2x-coarsened grid. The spectral C is exact to round-off on any grid
+    that resolves W, so a change beyond gradient_resolution_tol means the
+    half grid, and possibly the grid itself, is under-resolved. The guard
+    is conservative: it also refuses resolved grids whose half is aliased
+    (cat alpha=5 at 256 points).
     """
     value = _c_from_values(w.values, w.dq, w.dp)
     if check_resolution:
         coarse = w.values[::2, ::2]
         coarse_value = _c_from_values(coarse, 2.0 * w.dq, 2.0 * w.dp)
         change = abs(coarse_value - value) / abs(value)
-        limit = 2 ** 8 * TOL.gradient_resolution_tol
+        limit = TOL.gradient_resolution_tol
         if change > limit:
             raise TruncationError(
                 f"gradient integral not grid-converged: coarsening changes C by "
@@ -309,9 +289,13 @@ def measure_C_wigner(w: PhaseSpaceGrid, *, check_resolution: bool = True) -> flo
 
 
 def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
-    grad_q = _central_gradient(values, dq, 0)
-    grad_p = _central_gradient(values, dp, 1)
-    return float(np.pi * _trapezoid_2d(grad_q * grad_q + grad_p * grad_p, dq, dp))
+    """pi * integral |grad W|^2 by Parseval over one 2-D FFT of the samples."""
+    nq, np_ = values.shape
+    k_q = 2.0 * np.pi * np.fft.fftfreq(nq, d=dq)
+    k_p = 2.0 * np.pi * np.fft.fftfreq(np_, d=dp)
+    power = np.abs(np.fft.fft2(values)) ** 2
+    weighted = (k_q ** 2) @ power.sum(axis=1) + power.sum(axis=0) @ (k_p ** 2)
+    return float(np.pi * dq * dp / (nq * np_) * weighted)
 
 
 def wigner_measure_report(

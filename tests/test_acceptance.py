@@ -243,17 +243,17 @@ class TestCriterion5DualPipeline:
             d_c256, d_p256 = deltas[256]
             d_c512, d_p512 = deltas[512]
             agreement_ok &= d_c256 < 1e-3 and d_p256 < 1e-3
-            # P sits at the double-precision quadrature floor (~1e-14) on
-            # both grids, so refinement is judged on each state's overall
-            # pipeline discrepancy, which the C component dominates
-            refinement_ok &= max(d_c512, d_p512) < max(d_c256, d_p256)
+            # the spectral C and the trapezoid P are both at round-off once
+            # the grid resolves W, so refinement holds the agreement there
+            # rather than shrinking it further
+            refinement_ok &= max(d_c256, d_p256, d_c512, d_p512) < 1e-12
             rows.append(
                 f"{name}: dC 256={d_c256:.2e} 512={d_c512:.2e}, "
                 f"dP 256={d_p256:.2e} 512={d_p512:.2e}")
         passed = agreement_ok and refinement_ok
         _verdict("5", passed,
-                 "256^2 agreement < 1e-3 and refinement reduces each state's "
-                 "discrepancy; " + "; ".join(rows))
+                 "256^2 agreement < 1e-3, and 256^2 and 512^2 both agree within "
+                 "1e-12; " + "; ".join(rows))
         assert agreement_ok, rows
         assert refinement_ok, rows
 

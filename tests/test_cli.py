@@ -72,6 +72,19 @@ class TestStateCommand:
         assert code == 3
         assert "use at least N=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, param, code, message", [
+        ("coherent", "alpha=inf", 2, "alpha must be finite"),
+        ("coherent", "alpha=nan", 2, "alpha must be finite"),
+        ("cat", "alpha=1e200", 3, "overflows"),
+        ("thermal", "a=1e200", 3, "overflows"),
+        ("thermal", "a=inf", 2, "width a must be finite"),
+    ])
+    def test_out_of_range_family_parameter(self, tmp_path, capsys, family, param, code,
+                                           message):
+        assert run("state", family, param, "--out", str(tmp_path / "x.json")) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestMeasureCommand:
     def test_thermal_operator_report(self, tmp_path, capsys):
@@ -132,6 +145,21 @@ class TestMeasureCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["operator"]["truncation"] == 115
         assert max(doc["cross_deltas"].values()) < 1e-3
+
+    @pytest.mark.parametrize("alpha", ["3", "5"])
+    def test_large_cat_both_methods_at_default_grid(self, tmp_path, capsys, alpha):
+        out = tmp_path / "cat.json"
+        assert run("state", "cat", f"alpha={alpha}", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("measure", str(out), "--method", "both") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert max(doc["cross_deltas"].values()) <= 1e-12
+
+    def test_under_resolved_cat_at_default_grid_fails(self, tmp_path, capsys):
+        out = tmp_path / "cat7.json"
+        assert run("state", "cat", "alpha=7", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("measure", str(out), "--method", "both") != 0
 
     def test_coherent_structure_measure(self, tmp_path, capsys):
         out = tmp_path / "coh.json"
@@ -269,6 +297,15 @@ class TestSweepCommand:
         assert rows[0].split(",")[5] == ""
         assert "TruncationError" in rows[2].split(",")[5]
 
+    def test_overflowing_point_recorded_not_fatal(self, tmp_path, capsys):
+        out = tmp_path / "thermal.csv"
+        assert run("sweep", "--family", "thermal", "--parameter", "a",
+                   "--values", "2,1e200", "--out", str(out)) == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0].split(",")[5] == ""
+        assert rows[1].split(",")[5].startswith("TruncationError")
+
     def test_incompatible_family_parameter(self, tmp_path, capsys):
         code = run("sweep", "--family", "thermal", "--parameter", "d",
                    "--values", "1,2", "--out", str(tmp_path / "x.csv"))
@@ -340,6 +377,18 @@ class TestWignerCommand:
         capsys.readouterr()
         assert run("wigner", str(prod), "--out", str(tmp_path / "p.csv")) == 2
 
+    @pytest.mark.parametrize("half_width, code, message", [
+        ("inf", 2, "half_width must be positive and finite"),
+        ("1e-300", 3, "grid integrates to"),
+    ])
+    def test_degenerate_half_width(self, tmp_path, capsys, half_width, code, message):
+        state = tmp_path / "vac.json"
+        run("state", "fock", "n=0", "--out", str(state))
+        capsys.readouterr()
+        assert run("wigner", str(state), "--out", str(tmp_path / "w.csv"),
+                   "--half-width", half_width) == code
+        assert message in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_coarse_grid_run_passes(self, tmp_path, capsys):
@@ -347,9 +396,17 @@ class TestVerifyCommand:
         assert run("verify", "--grid", "128", "--json", str(summary_path)) == 0
         text = capsys.readouterr().out
         assert "PASS dual-pipeline" in text
+        assert "on 128^2 grids (tol 1e-03)" in text
+        assert "summary: 11/11 checks passed" in text
         assert "INFO fock-mixture-convention" in text
         doc = json.loads(summary_path.read_text())
         assert doc["failed"] == 0
+
+    @pytest.mark.parametrize("factor", ["inf", "nan", "0", "-1"])
+    def test_tolerance_factor_must_be_positive_and_finite(self, capsys, factor):
+        assert run("verify", "--tol", factor) == 2
+        err = capsys.readouterr().err
+        assert "tolerance factor must be positive and finite" in err
 
     def test_corrupted_corpus_file_fails_naming_invariant(self, tmp_path, capsys):
         state = tmp_path / "bad.json"

@@ -18,6 +18,7 @@ from macroq import (
     cat_mixture,
     cat_state,
     coherent_state,
+    default_coherent_truncation,
     default_thermal_truncation,
     fock_mixture,
     fock_state,
@@ -96,7 +97,7 @@ class TestCoherentState:
         assert np.max(np.abs(got - coherent_vector(25, 1.3 + 0.4j))) < 1e-13
 
     def test_inadequate_truncation_names_requirement(self):
-        with pytest.raises(TruncationError, match=r"use at least N="):
+        with pytest.raises(TruncationError, match=r"use at least N=30\b"):
             coherent_state(ModeSpec(1, 8), 2.0)
 
     def test_overlap_identity(self):
@@ -213,6 +214,23 @@ class TestThermalState:
         sampled = wigner_from_density(rho, gs)
         analytic = gaussian_wigner(GaussianSpec(a), gs)
         assert np.max(np.abs(sampled.values - analytic.values)) < 1e-6
+
+
+class TestDefaultTruncations:
+    def test_wide_thermal_cutoff_is_the_linear_rule(self):
+        # log(nbar) and log1p(nbar) coincide in floating point from nbar ~ 1e16
+        a = 1e9
+        nbar = (a * a - 1.0) / 2.0
+        assert default_thermal_truncation(a) == math.ceil(20.0 * nbar + 20.0)
+
+    def test_coherent_default_meets_tail_rule_up_to_dimension_cap(self):
+        # |alpha| = 60 has the largest default cutoff within 4096 levels
+        for r in np.linspace(0.05, 60.0, 25):
+            for phase in (0.0, 0.7):
+                alpha = r * np.exp(1j * phase)
+                n_levels = default_coherent_truncation(alpha)
+                assert n_levels <= 4096
+                coherent_state(ModeSpec(1, n_levels), alpha)
 
 
 class TestMix:
