@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import ModeSpec
-from .measures import measure_report, pure_state_measures
+from .measures import measure_report
 from .states import (
     DensityMatrix,
     GaussianSpec,
     PureState,
-    as_density,
     cat_mixture,
     cat_state,
     coherent_state,
@@ -130,9 +129,8 @@ def build_state(
         cut = truncation or default_thermal_truncation(a)
         state = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
     elif family == "product":
-        left = as_density(load_state(_pop(params, "left", family), require_tail=True))
-        right = as_density(load_state(_pop(params, "right", family), require_tail=True))
-        state = product_state(left, right)
+        state = product_state(load_state(_pop(params, "left", family), require_tail=True),
+                              load_state(_pop(params, "right", family), require_tail=True))
     else:
         raise ValueError(f"unknown state family {family!r}; choose from {FAMILIES}")
     if params:
@@ -163,13 +161,10 @@ def cmd_state(args: argparse.Namespace) -> int:
 def _measure_one(
     state: PureState | DensityMatrix, method: str, grid_points: int, provenance: dict
 ) -> dict:
-    if method == "operator" and isinstance(state, PureState):
-        return pure_state_measures(state, provenance=provenance).to_dict()
-    rho = as_density(state)
     if method == "operator":
-        return measure_report(rho, provenance=provenance).to_dict()
-    gs = default_grid_spec(rho.spec.truncation, grid_points)
-    grid_side = wigner_measure_report(rho, gs, provenance=provenance)
+        return measure_report(state, provenance=provenance).to_dict()
+    gs = default_grid_spec(state.spec.truncation, grid_points)
+    grid_side = wigner_measure_report(state, gs, provenance=provenance)
     if method == "wigner":
         return grid_side.to_dict()
     return {
@@ -252,8 +247,7 @@ def _run_point(args: argparse.Namespace, value):
     params = {args.parameter: repr(float(value)) if isinstance(value, float) else str(value)}
     try:
         state, _ = build_state(args.family, params, args.truncation)
-        report = measure_report(
-            as_density(state), provenance={"family": args.family, args.parameter: value})
+        report = measure_report(state, provenance={"family": args.family, args.parameter: value})
         return value, report, None
     except (StateValidationError, TruncationError, ConsistencyError, ValueError) as exc:
         return value, None, f"{type(exc).__name__}: {exc}"
@@ -266,12 +260,11 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         raise ValueError(f"--format both would write the CSV and the JSON both to {out}; "
                          "give --out a suffix other than .json")
     state = load_state(args.state, require_tail=True)
-    rho = as_density(state)
     if args.half_width is None:
-        gs = default_grid_spec(rho.spec.truncation, args.grid)
+        gs = default_grid_spec(state.spec.truncation, args.grid)
     else:
         gs = GridSpec(half_width=args.half_width, nq=args.grid, np=args.grid)
-    grid = wigner_from_density(rho, gs)
+    grid = wigner_from_density(state, gs)
     written = []
     if args.format in ("csv", "both"):
         grid.to_csv(out)

@@ -14,6 +14,7 @@ slowest-varying tensor index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from .errors import TruncationError
 
 # Dense complex matrix: 2-D complex128 ndarray, row-major.
 ComplexMatrix = np.ndarray
+
+
+def _brief(n: int) -> str:
+    """n in full up to 12 digits, else as a 4-digit mantissa and its power of ten."""
+    return str(n) if n < 10 ** 12 else f"{Decimal(n):.3e}"
 
 
 @dataclass(frozen=True)
@@ -43,10 +49,11 @@ class ModeSpec:
         if self.truncation < 2:
             raise ValueError(f"truncation must be >= 2, got {self.truncation}")
         budget = max_dimension()
-        if self.total_dim > budget:
+        # N >= 2, so M >= bits(budget) exceeds it without forming N^M
+        if self.num_modes >= budget.bit_length() or self.total_dim > budget:
             raise TruncationError(
-                f"total dimension {self.truncation}^{self.num_modes} = "
-                f"{self.total_dim} exceeds the budget of {budget} "
+                f"total dimension N^M for N={_brief(self.truncation)}, "
+                f"M={_brief(self.num_modes)} exceeds the budget of {budget} "
                 f"(override with MACROQ_MAX_DIM)"
             )
 

@@ -59,7 +59,7 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec
-from .states import DensityMatrix, PureState, purity
+from .states import DensityMatrix, PureState, State, purity
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -271,13 +271,15 @@ def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSp
     )
 
 
-def measure_report(rho: DensityMatrix, provenance: dict | None = None) -> MeasureReport:
-    """Full operator-path report.
+def measure_report(rho: State, provenance: dict | None = None) -> MeasureReport:
+    """Full operator-path report; a pure state is measured by pure_state_measures.
 
     I comes from the ladder-operator route and (C, P) from the quadrature
     route with no shared intermediates, so the identity residual
     |I - (C - M*P)/2| is a genuine cross-check of both.
     """
+    if isinstance(rho, PureState):
+        return pure_state_measures(rho, provenance)
     return _checked_report(measure_I(rho), measure_C(rho), purity(rho), rho.spec, provenance)
 
 

@@ -198,6 +198,8 @@ def _cutoff(levels: float, what: str) -> int:
 
 def _coherent_amplitudes(truncation: int, alpha: complex) -> np.ndarray:
     """Truncated coherent expansion exp(-|a|^2/2) a^n / sqrt(n!), unnormalized."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n = np.arange(truncation)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, truncation)))))
     mags = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0) \
@@ -352,15 +354,17 @@ def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
     return DensityMatrix(spec, matrix)
 
 
-def product_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Tensor product; a's modes come first (slow index)."""
+def product_state(a: State, b: State) -> State:
+    """Tensor product; a's modes come first (slow index). Pure if both factors are."""
     if a.spec.truncation != b.spec.truncation:
         raise ValueError(
             f"product requires equal per-mode truncations, got "
             f"{a.spec.truncation} and {b.spec.truncation}"
         )
     spec = ModeSpec(a.spec.num_modes + b.spec.num_modes, a.spec.truncation)
-    return DensityMatrix(spec, np.kron(a.matrix, b.matrix))
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return PureState(spec, np.kron(a.amplitudes, b.amplitudes))
+    return DensityMatrix(spec, np.kron(as_density(a).matrix, as_density(b).matrix))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -239,7 +239,7 @@ def note_fock_mixture_convention(d: int = 5) -> CheckResult:
 
 def check_identity(tol_factor: float = 1.0) -> CheckResult:
     """I = (C - M*P)/2 from independently evaluated traces, full corpus."""
-    tol = 1e-9 * tol_factor
+    tol = TOL.identity_tol * tol_factor
     worst = 0.0
     worst_name = ""
     for name, rho in identity_corpus():
@@ -256,7 +256,7 @@ def check_identity(tol_factor: float = 1.0) -> CheckResult:
 
 def check_pure_state_relation(tol_factor: float = 1.0) -> CheckResult:
     """|I - (chi2/4 - M/2)| on seeded random pure states, one and two modes."""
-    tol = 1e-10 * tol_factor
+    tol = TOL.pure_relation_tol * tol_factor
     rng = np.random.default_rng(RANDOM_SEED)
     worst = 0.0
     for _ in range(50):
@@ -296,7 +296,7 @@ def check_dual_pipeline(grid_points: int = 256, tol_factor: float = 1.0) -> Chec
 
 def check_three_two_term(tol_factor: float = 1.0) -> CheckResult:
     """Literal three-trace form of I against the cyclicity-reduced form."""
-    tol = 1e-10 * tol_factor
+    tol = TOL.three_two_term_tol * tol_factor
     rng = np.random.default_rng(RANDOM_SEED + 1)
     worst = 0.0
     states = [rho for _, rho in identity_corpus()]
@@ -395,7 +395,7 @@ def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> CheckResult:
     rho = as_density(state)
     residual = abs(measure_I(rho)
                    - (measure_C(rho) - rho.spec.num_modes * purity(rho)) / 2.0)
-    tol = 1e-9 * tol_factor
+    tol = TOL.identity_tol * tol_factor
     if residual >= tol:
         return CheckResult(
             name, False, f"identity residual {residual:.2e} exceeds {tol:.0e}")

@@ -34,7 +34,7 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError, TruncationError
 from .measures import MeasureReport, measure_report
-from .states import DensityMatrix, GaussianSpec
+from .states import GaussianSpec, State, as_density
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def _grid_from_values(gs: GridSpec, values: np.ndarray) -> PhaseSpaceGrid:
     )
 
 
-def _require_single_mode(rho: DensityMatrix, what: str) -> None:
+def _require_single_mode(rho: State, what: str) -> None:
     if rho.spec.num_modes != 1:
         raise ValueError(
             f"{what} supports single-mode states only, got M={rho.spec.num_modes}; "
@@ -227,12 +227,12 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     return raw * (d_eta / (2.0 * np.pi))
 
 
-def wigner_from_density(rho: DensityMatrix, gs: GridSpec | None = None) -> PhaseSpaceGrid:
-    """Sample W for a single-mode state by the vectorised defining integral."""
+def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGrid:
+    """Sample W for a single-mode state, pure or mixed, by the vectorised defining integral."""
     _require_single_mode(rho, "wigner_from_density")
     if gs is None:
         gs = default_grid_spec(rho.spec.truncation)
-    return _finish(_defining_integral(rho.matrix, gs), gs, "wigner_from_density")
+    return _finish(_defining_integral(as_density(rho).matrix, gs), gs, "wigner_from_density")
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
@@ -299,7 +299,7 @@ def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
 
 
 def wigner_measure_report(
-    rho: DensityMatrix,
+    rho: State,
     gs: GridSpec | None = None,
     *,
     cross_tol: float | None = None,

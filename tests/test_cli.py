@@ -56,6 +56,52 @@ class TestStateCommand:
         doc = json.loads(out.read_text())
         assert doc["spec"]["num_modes"] == 2
 
+    def test_product_kind_follows_its_factors(self, tmp_path, capsys):
+        fock = tmp_path / "fock.json"
+        coherent = tmp_path / "coherent.json"
+        thermal = tmp_path / "thermal.json"
+        run("state", "fock", "n=1", "--truncation", "26", "--out", str(fock))
+        run("state", "coherent", "alpha=1.3", "--truncation", "26", "--out", str(coherent))
+        run("state", "thermal", "a=1.2", "--truncation", "26", "--out", str(thermal))
+        capsys.readouterr()
+        pure = tmp_path / "pure.json"
+        mixed = tmp_path / "mixed.json"
+        assert run("state", "product", f"left={fock}", f"right={coherent}",
+                   "--out", str(pure)) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "pure"
+        doc = json.loads(pure.read_text())
+        assert doc["kind"] == "pure"
+        assert len(doc["data"]) == 26 * 26
+        assert run("measure", str(pure)) == 0
+        assert "pure_relation_residual" in json.loads(capsys.readouterr().out)
+
+        assert run("state", "product", f"left={thermal}", f"right={coherent}",
+                   "--out", str(mixed)) == 0
+        capsys.readouterr()
+        psi = load_state(coherent).amplitudes
+        dense = np.kron(load_state(thermal).matrix, np.outer(psi, psi.conj()))
+        prod = load_state(mixed)
+        assert json.loads(mixed.read_text())["kind"] == "mixed"
+        assert np.array_equal(prod.matrix, dense)
+
+    @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_with_explicit_truncation(self, tmp_path, capsys, family,
+                                                       alpha):
+        out = tmp_path / "x.json"
+        assert run("state", family, f"alpha={alpha}", "--truncation", "20",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "alpha must be finite" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    def test_budget_refusal_is_brief(self, tmp_path, capsys):
+        assert run("state", "coherent", "alpha=1e100", "--out", str(tmp_path / "x.json")) == 3
+        err = capsys.readouterr().err
+        assert "exceeds the budget" in err
+        assert len(err) < 200
+
     def test_unknown_family_is_usage_error(self, tmp_path, capsys):
         code = run("state", "squeezed", "r=1", "--out", str(tmp_path / "x.json"))
         capsys.readouterr()
@@ -186,6 +232,55 @@ class TestMeasureCommand:
         assert report["I"] == direct.I
         assert report["chi2"] == direct.chi2
         assert report["pure_relation_residual"] == direct.pure_relation_residual
+
+    def test_pure_file_gives_one_result_on_every_route(self, tmp_path, capsys):
+        state = tmp_path / "coherent.json"
+        csv = tmp_path / "coherent.csv"
+        run("state", "coherent", "alpha=1.3", "--out", str(state))
+        capsys.readouterr()
+        assert run("measure", str(state)) == 0
+        measured = json.loads(capsys.readouterr().out)
+        assert run("measure", str(state), "--method", "both") == 0
+        operator = json.loads(capsys.readouterr().out)["operator"]
+        assert run("sweep", "--family", "coherent", "--parameter", "alpha",
+                   "--values", "1.3", "--out", str(csv)) == 0
+        capsys.readouterr()
+        row = csv.read_text().splitlines()[1].split(",")
+        swept = dict(zip(("I", "C", "P", "chi2"), (float(x) for x in row[1:5])))
+        for key in ("I", "C", "P", "chi2"):
+            assert operator[key] == measured[key] == swept[key], key
+        assert operator["pure_relation_residual"] == measured["pure_relation_residual"]
+
+    def test_pure_sweep_and_both_use_the_vector_route(self, tmp_path, capsys, monkeypatch):
+        import macroq.measures
+
+        projector = PureState.projector
+        built = []
+
+        def counted(self):
+            built.append(self.spec)
+            return projector(self)
+
+        def refuse(rho):
+            raise AssertionError("a pure state reached the D x D traces")
+
+        monkeypatch.setattr(PureState, "projector", counted)
+        monkeypatch.setattr(macroq.measures, "measure_C", refuse)
+        csv = tmp_path / "fock.csv"
+        assert run("sweep", "--family", "fock", "--parameter", "n",
+                   "--values", "0,1,2", "--out", str(csv)) == 0
+        capsys.readouterr()
+        assert built == []
+        assert all(row.endswith(",") for row in csv.read_text().splitlines()[1:])
+        sidecar = json.loads((tmp_path / "fock.json").read_text())
+        assert all("pure_relation_residual" in point["report"] for point in sidecar["points"])
+
+        state = tmp_path / "cat.json"
+        run("state", "cat", "alpha=1.5", "--out", str(state))
+        capsys.readouterr()
+        assert run("measure", str(state), "--method", "both") == 0
+        assert len(built) == 1  # once, for the transform's kernel
+        assert "pure_relation_residual" in json.loads(capsys.readouterr().out)["operator"]
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run("measure", "/nonexistent/state.json") == 2

@@ -186,6 +186,16 @@ class TestModeSpec:
             ModeSpec(2, 11)
         assert ModeSpec(2, 10).total_dim == 100
 
+    @pytest.mark.parametrize("num_modes,truncation,named", [
+        (3, 10 ** 200, "N=1.000e+200, M=3"), (10 ** 6, 2, "N=2, M=1000000"),
+    ], ids=["N=1e200", "M=1e6"])
+    def test_budget_refusal_is_brief(self, num_modes, truncation, named):
+        # N^M has 601 and 301 030 digits; the message must not spell it out
+        with pytest.raises(TruncationError, match="exceeds the budget") as info:
+            ModeSpec(num_modes, truncation)
+        assert named in str(info.value)
+        assert len(str(info.value)) < 200
+
     def test_cached_matrices_are_read_only(self):
         op = annihilation_op(ModeSpec(1, 6)).matrix
         with pytest.raises(ValueError):

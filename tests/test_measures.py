@@ -280,6 +280,12 @@ class TestPureVectorPath:
             assert report.identity_residual < 1e-12
             assert report.pure_relation_residual < 1e-10
 
+    def test_report_of_a_pure_state_takes_the_vector_path(self, monkeypatch, rng):
+        psi = random_pure_state(ModeSpec(2, 8), rng)
+        expected = pure_state_measures(psi, provenance={"tag": "t"})
+        monkeypatch.setattr(PureState, "projector", None)
+        assert measure_report(psi, provenance={"tag": "t"}) == expected
+
     def test_large_state_never_builds_projector(self, monkeypatch, rng):
         def refuse(self):
             raise AssertionError("pure_state_measures built the D x D projector")

@@ -274,6 +274,18 @@ class TestProductState:
         assert prod.spec.num_modes == 2
         assert measure_I(prod) == pytest.approx(0.0, abs=1e-12)
 
+    def test_pure_factors_give_a_pure_product(self, rng):
+        left = random_pure_state(ModeSpec(1, 13), rng)
+        right = coherent_state(ModeSpec(1, 13), 0.3)
+        prod = product_state(left, right)
+        assert isinstance(prod, PureState)
+        assert np.array_equal(prod.amplitudes, np.kron(left.amplitudes, right.amplitudes))
+        mixed = product_state(as_density(left), right)
+        assert isinstance(mixed, DensityMatrix)
+        dense = np.kron(as_density(left).matrix, as_density(right).matrix)
+        assert np.array_equal(mixed.matrix, dense)
+        assert np.allclose(mixed.matrix, prod.projector().matrix, rtol=0, atol=1e-15)
+
     def test_purity_factorizes(self, rng):
         left = random_mixed_state(ModeSpec(1, 10), rng)
         right = random_mixed_state(ModeSpec(1, 10), rng)

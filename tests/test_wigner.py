@@ -82,6 +82,12 @@ class TestKernelTransform:
         analytic = gaussian_wigner(GaussianSpec(a), gs)
         assert np.max(np.abs(sampled.values - analytic.values)) < 1e-6
 
+    def test_pure_state_is_transformed_through_its_projector(self):
+        psi = cat_state(ModeSpec(1, 25), 1.5)
+        gs = _grid(25, 128)
+        direct = wigner_from_density(psi, gs)
+        assert np.array_equal(direct.values, wigner_from_density(as_density(psi), gs).values)
+
     def test_multimode_rejected(self):
         vac = _vacuum(6)
         two_mode = product_state(vac, vac)
