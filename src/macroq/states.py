@@ -197,26 +197,38 @@ def _cutoff(levels: float, what: str) -> int:
 
 
 def _coherent_amplitudes(truncation: int, alpha: complex) -> np.ndarray:
-    """Truncated coherent expansion exp(-|a|^2/2) a^n / sqrt(n!), unnormalized."""
+    """Truncated coherent expansion exp(-|a|^2/2) a^n / sqrt(n!), unnormalized.
+
+    When |alpha| lies so far above the truncation that the largest term is
+    below exp(-300), every term would underflow in the squares a norm sums;
+    the magnitudes are then divided by the largest, so the tail check still
+    sees the mass pile up on the top level.
+    """
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    if alpha == 0:
+        return np.eye(1, truncation, 0, dtype=np.complex128).ravel()
     n = np.arange(truncation)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, truncation)))))
-    mags = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0) \
-        if alpha != 0 else np.eye(1, truncation, 0, dtype=float).ravel()
-    if alpha == 0:
-        return mags.astype(np.complex128)
-    phases = np.exp(1j * n * np.angle(alpha))
-    return mags * phases
+    log_mags = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0
+    top = log_mags.max()
+    if top < -300.0:
+        log_mags -= top
+    return np.exp(log_mags) * np.exp(1j * n * np.angle(alpha))
 
 
-def _admit_coherent_tail(state: PureState, family: str, alpha: complex) -> PureState:
-    if float(state.top_level_mass().max()) >= TOL.tail_tol:
+def _admit_coherent_tail(amps: np.ndarray, family: str, alpha: complex) -> None:
+    """Refuse a truncation whose top level holds tail_tol or more of |alpha>.
+
+    amps are the coherent component's amplitudes, unnormalized. A cat is
+    judged by its component, because the even cat's own top level is empty
+    whenever that level is odd, however short the truncation.
+    """
+    if abs(amps[-1]) ** 2 / np.vdot(amps, amps).real >= TOL.tail_tol:
         raise TruncationError(
-            f"truncation {state.spec.truncation} too small for {family} alpha={alpha}: "
+            f"truncation {amps.size} too small for {family} alpha={alpha}: "
             f"use at least N={default_coherent_truncation(alpha)}"
         )
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +265,8 @@ def coherent_state(spec: ModeSpec, alpha: complex) -> PureState:
     if spec.num_modes != 1:
         raise ValueError("coherent_state builds single-mode states; combine with product_state")
     amps = _coherent_amplitudes(spec.truncation, alpha)
-    return _admit_coherent_tail(PureState(spec, amps / np.linalg.norm(amps)), "coherent", alpha)
+    _admit_coherent_tail(amps, "coherent", alpha)
+    return PureState(spec, amps / np.linalg.norm(amps))
 
 
 def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> PureState:
@@ -266,6 +279,7 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
     if spec.num_modes != 1:
         raise ValueError("cat_state builds single-mode states; combine with product_state")
     plus = _coherent_amplitudes(spec.truncation, alpha)
+    _admit_coherent_tail(plus, "cat", alpha)
     minus = _coherent_amplitudes(spec.truncation, -alpha)
     raw = plus + np.exp(1j * relative_phase) * minus
     norm = float(np.linalg.norm(raw))
@@ -274,7 +288,7 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
             f"cat state norm vanishes (alpha={alpha}, phase={relative_phase}); "
             "the odd combination is undefined at alpha -> 0"
         )
-    return _admit_coherent_tail(PureState(spec, raw / norm), "cat", alpha)
+    return PureState(spec, raw / norm)
 
 
 def cat_mixture(spec: ModeSpec, alpha: complex) -> DensityMatrix:

@@ -6,19 +6,19 @@ Every grid comes from the defining integral
 
 vectorised (the idea of QuTiP's FFT Wigner method, Johansson, Nation & Nori,
 Comput. Phys. Commun. 183, 1760 (2012)): the position kernel Psi rho Psi^T
-is formed with two BLAS products from the oscillator eigenfunctions on a
-position grid refined from the q grid, each q row gathers its
-anti-diagonal, and one dense DFT product carries the eta samples onto the
-p grid. The eta step is the largest multiple of the position step not
-above pi/half_width, so the periodic images of W in p stay outside the
-window. The independent judge of the transform, a number-basis dyad
-recurrence, lives in the test suite.
+is formed with two batched BLAS products from the oscillator
+eigenfunctions, on the sites of a position grid refined from the q grid
+that the gather reads; each q row gathers its anti-diagonal, and one dense
+DFT product carries the eta samples onto the p grid. The eta step is the
+largest multiple of the position step not above pi/half_width, so the
+periodic images of W in p stay outside the window. The independent judge
+of the transform, a number-basis dyad recurrence, lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
-C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over one 2-D FFT,
-which treats W as periodic over the window and converges exponentially
-once W is negligible at its edge (Trefethen & Weideman, SIAM Rev. 56, 385
-(2014)).
+C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over the half
+spectrum of one real 2-D FFT, which treats W as periodic over the window
+and converges exponentially once W is negligible at its edge (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014)).
 Grids cover a square of half-width sqrt(2N) + 5, outside which an
 N-truncated state's W has decayed far below the quadrature tolerances.
 """
@@ -107,15 +107,12 @@ class PhaseSpaceGrid:
 
     def to_csv(self, path: str | Path) -> None:
         """Row-major q,p,w table at 17 significant digits."""
-        q = self.q_vector()
-        p = self.p_vector()
+        q = [f"{x:.17g}," for x in self.q_vector().tolist()]
+        p = [f"{x:.17g}," for x in self.p_vector().tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("q,p,w\n")
-            for i in range(self.nq):
-                qi = q[i]
-                row = self.values[i]
-                for j in range(self.np):
-                    fh.write(f"{qi:.17g},{p[j]:.17g},{row[j]:.17g}\n")
+            for qi, row in zip(q, self.values.tolist()):
+                fh.write("".join([f"{qi}{pj}{w:.17g}\n" for pj, w in zip(p, row)]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,7 +176,8 @@ def _finish(raw: np.ndarray, gs: GridSpec, what: str) -> PhaseSpaceGrid:
 # ---------------------------------------------------------------------------
 
 # eta columns gathered and transformed at a time: keeps the transient arrays
-# of the transform at a few (nq x block) beside the position kernel itself
+# of the transform at a few (nq x block) beside the position kernel and the
+# phase table of one row per eta >= 0
 _ETA_BLOCK = 256
 
 
@@ -202,28 +200,52 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
 def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     """(1/2pi) sum_j d_eta <q_i + eta_j/2| rho |q_i - eta_j/2> exp(-i eta_j p_k).
 
-    The position kernel <x_a|rho|x_b> = Psi rho Psi^T is sampled on
-    x_a = -h + a*dq/(2r), so q_i sits at a = 2ri and q_i +- eta_j/2 at
-    a = 2ri +- mj. Each block of eta columns is gathered from the kernel's
-    anti-diagonals (pairs that leave the window count as zero) and carried
-    onto the p grid by one dense DFT product.
+    The position kernel <x_a|rho|x_b> = Psi rho Psi^T lives on
+    x_a = -h + a*dq/(2r), where q_i sits at a = 2ri and q_i +- eta_j/2 at
+    a, b = 2ri +- mj. Every such a and b is a multiple of g = gcd(2r, m),
+    and a/g and b/g differ by 2jm/g, so they share parity. The kernel is
+    therefore formed only on the sites s = a/g, as its even-even and
+    odd-odd blocks (the odd sites padded to the even count), followed by
+    one zero sentinel that stands in for every pair leaving the window.
+    That is half of the full kernel when g = 1 and an eighth when g = 2.
+    Each block of eta columns is gathered from the blocks' anti-diagonals
+    and carried onto the p grid by one dense DFT product, whose phases come
+    from one table of exp(-i eta_j p) for j >= 0, conjugated for -j.
     """
     refine, stride = _eta_sampling(gs)
     size = 2 * refine * (gs.nq - 1) + 1
-    psi = _hermite_functions(np.linspace(-gs.half_width, gs.half_width, size), mat.shape[0])
-    flat = ((psi @ mat) @ psi.T).ravel()
+    lattice = math.gcd(2 * refine, stride)
+    sites = np.linspace(-gs.half_width, gs.half_width, size)[::lattice]
+    half = (sites.size + 1) // 2
+    x = np.zeros(2 * half)
+    x[:sites.size] = sites
+    psi = _hermite_functions(x.reshape(half, 2).T.ravel(), mat.shape[0])
+    psi = psi.reshape(2, half, mat.shape[0])
+    flat = np.empty(2 * half * half + 1, dtype=np.complex128)
+    np.matmul(psi @ mat, psi.transpose(0, 2, 1), out=flat[:-1].reshape(2, half, half))
+    flat[-1] = 0.0
     d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
     centre = 2 * refine * np.arange(gs.nq)
     room = np.minimum(centre, size - 1 - centre)[:, None]
-    p = gs.p_vector()
+    site = (centre // lattice)[:, None]
+    step = stride // lattice
     reach = (size - 1) // (2 * stride)
+    theta = np.outer(np.arange(reach + 1), gs.p_vector())
+    theta *= -d_eta
+    phases = np.empty(theta.shape, dtype=np.complex128)
+    phases.real = np.cos(theta)
+    phases.imag = np.sin(theta)
     raw = np.zeros((gs.nq, gs.np), dtype=np.complex128)
     for first in range(-reach, reach + 1, _ETA_BLOCK):
         j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))
-        inside = stride * np.abs(j) <= room
-        index = centre[:, None] * (size + 1) + stride * (size - 1) * j
-        column = np.where(inside, flat[np.where(inside, index, 0)], 0.0)
-        raw += column @ np.exp(-1j * d_eta * np.outer(j, p))
+        # site s_a = s_i + j*m/g of q_i + eta_j/2 sits in block s_a % 2 at row
+        # s_a // 2, and its partner s_a - 2j*m/g at column s_a // 2 - j*m/g
+        s_a = site + step * j
+        index = (s_a & 1) * (half * half) + (s_a >> 1) * (half + 1) - step * j
+        column = flat[np.where(stride * np.abs(j) <= room, index, flat.size - 1)]
+        table = phases[np.abs(j)]
+        np.conjugate(table, out=table, where=(j < 0)[:, None])
+        raw += column @ table
     return raw * (d_eta / (2.0 * np.pi))
 
 
@@ -289,12 +311,21 @@ def measure_C_wigner(w: PhaseSpaceGrid, *, check_resolution: bool = True) -> flo
 
 
 def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
-    """pi * integral |grad W|^2 by Parseval over one 2-D FFT of the samples."""
+    """pi * integral |grad W|^2 by Parseval over the half spectrum of the real samples.
+
+    The spectrum of real W is Hermitian, so each half-spectrum column
+    k_p > 0 stands for itself and -k_p; the zero column, and the Nyquist
+    column of an even axis, stand for themselves alone.
+    """
     nq, np_ = values.shape
     k_q = 2.0 * np.pi * np.fft.fftfreq(nq, d=dq)
-    k_p = 2.0 * np.pi * np.fft.fftfreq(np_, d=dp)
-    power = np.abs(np.fft.fft2(values)) ** 2
-    weighted = (k_q ** 2) @ power.sum(axis=1) + power.sum(axis=0) @ (k_p ** 2)
+    k_p = 2.0 * np.pi * np.fft.rfftfreq(np_, d=dp)
+    count = np.full(k_p.size, 2.0)
+    count[0] = 1.0
+    if np_ % 2 == 0:
+        count[-1] = 1.0
+    power = np.abs(np.fft.rfft2(values)) ** 2
+    weighted = (k_q ** 2) @ (power @ count) + power.sum(axis=0) @ (count * k_p ** 2)
     return float(np.pi * dq * dp / (nq * np_) * weighted)
 
 

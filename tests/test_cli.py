@@ -96,6 +96,17 @@ class TestStateCommand:
         assert "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
+    def test_alpha_far_above_truncation_names_it(self, tmp_path, capsys, family):
+        # every amplitude of |alpha=100> underflows at N=20 unless rescaled
+        out = tmp_path / "x.json"
+        assert run("state", family, "alpha=100", "--truncation", "20",
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "truncation 20 too small" in err and "use at least N=10810" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_refusal_is_brief(self, tmp_path, capsys):
         assert run("state", "coherent", "alpha=1e100", "--out", str(tmp_path / "x.json")) == 3
         err = capsys.readouterr().err

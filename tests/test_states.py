@@ -133,6 +133,13 @@ class TestCatState:
         with pytest.raises(ValueError, match="norm"):
             cat_state(ModeSpec(1, 12), 0.0, math.pi)
 
+    @pytest.mark.parametrize("alpha", [8.0, 10.0])
+    def test_inadequate_truncation_judged_on_component(self, alpha):
+        # at N=20 the even cat's top level 19 is empty, so its own tail says
+        # nothing; at alpha=10 its norm fell below the odd-cat guard before
+        with pytest.raises(TruncationError, match=r"too small for cat .* use at least N="):
+            cat_state(ModeSpec(1, 20), alpha)
+
     def test_odd_cat_has_only_odd_levels(self):
         psi = cat_state(ModeSpec(1, 20), 1.0, math.pi).amplitudes
         assert np.max(np.abs(psi[0::2])) < 1e-15

@@ -37,7 +37,13 @@ from macroq import (
     wigner_measure_report,
 )
 from macroq.config import TOL
-from macroq.wigner import PhaseSpaceGrid, _eta_sampling, default_grid_spec
+from macroq.wigner import (
+    PhaseSpaceGrid,
+    _c_from_values,
+    _defining_integral,
+    _eta_sampling,
+    default_grid_spec,
+)
 
 from oracles import even_cat_wigner, oscillator_eigenfunctions, wigner_dyad_recurrence
 
@@ -112,8 +118,15 @@ class TestKernelTransform:
 class TestEtaSampling:
     """Each branch of the eta-step choice, and a non-square grid, against the oracle."""
 
+    # The kernel is formed on the sites that are multiples of g = gcd(2r, m),
+    # split by parity: g = 1 with m odd, g = 2 with an even and an odd site
+    # count, g = 8, and r > 1, on odd and even point counts.
     @pytest.mark.parametrize("make, nq, np_, refine, stride", [
         (lambda: _vacuum(), 33, 33, 2, 1),
+        (lambda: thermal_state(ModeSpec(1, default_thermal_truncation(2.0)), GaussianSpec(2.0)),
+         256, 256, 1, 1),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 256, 256, 1, 2),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 257, 257, 1, 2),
         (lambda: as_density(fock_state(ModeSpec(1, 12), 5)), 512, 512, 1, 8),
         (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5 * np.exp(0.7j))), 64, 96, 2, 1),
     ])
@@ -124,6 +137,34 @@ class TestEtaSampling:
         grid = wigner_from_density(rho, gs)
         assert grid.values.shape == (nq, np_)
         assert _oracle_gap(rho, grid) < 1e-10
+
+    @pytest.mark.parametrize("half_width, nq, lattice, reach", [
+        (0.8, 32, 2, 0),
+        (2.5, 32, 1, 4),
+        (2.5, 33, 2, 4),
+        (7.0, 32, 1, 62),
+    ])
+    def test_eta_sum_pair_by_pair(self, half_width, nq, lattice, reach):
+        # Windows too small for W, judged on the transform's own eta sum: the
+        # kernel is large at their edges, so a pair leaving the window must
+        # read zero and nothing else. reach = 0 keeps eta = 0 alone.
+        a = 2.0
+        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+        gs = GridSpec(half_width, nq=nq, np=40)
+        refine, stride = _eta_sampling(gs)
+        assert math.gcd(2 * refine, stride) == lattice
+        assert refine * (nq - 1) // stride == reach
+        d_eta = stride * 2.0 * half_width / (refine * (nq - 1))
+        eta = d_eta * np.arange(-reach - 1, reach + 2)
+        p = gs.p_vector()
+        expected = np.zeros((nq, 40), dtype=complex)
+        for i, qi in enumerate(gs.q_vector()):
+            e = eta[abs(qi) + np.abs(eta) / 2 <= half_width * (1 + 1e-9)]
+            left = oscillator_eigenfunctions(qi + e / 2, rho.spec.truncation)
+            right = oscillator_eigenfunctions(qi - e / 2, rho.spec.truncation)
+            kernel = np.einsum("jn,nm,jm->j", left, rho.matrix, right)
+            expected[i] = kernel @ np.exp(-1j * np.outer(e, p)) * d_eta / (2.0 * np.pi)
+        assert np.max(np.abs(_defining_integral(rho.matrix, gs) - expected)) < 1e-12
 
     def test_eta_step_keeps_images_outside_window(self):
         for points in (32, 33, 64, 128, 256, 257, 512, 1024):
@@ -158,7 +199,7 @@ class TestEtaSampling:
         finally:
             tracemalloc.stop()
         assert grid.normalization() == pytest.approx(1.0, abs=TOL.grid_norm_tol)
-        assert peak <= 64 * 2 ** 20
+        assert peak <= 48 * 2 ** 20
 
 
 class TestDirectTransform:
@@ -284,6 +325,18 @@ class TestGridMeasures:
             assert coarse_low <= errs[0] < coarse_high, errs
             assert max(errs[1:]) < 1e-12, errs
 
+    @pytest.mark.parametrize("shape", [(64, 64), (65, 65), (64, 65), (48, 81)])
+    def test_half_spectrum_matches_full_spectrum(self, shape):
+        # random samples carry power up to Nyquist, where a wrong column weight shows
+        values = np.random.default_rng(sum(shape)).standard_normal(shape)
+        dq, dp = 0.11, 0.07
+        k_q = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=dq)
+        k_p = 2.0 * np.pi * np.fft.fftfreq(shape[1], d=dp)
+        power = np.abs(np.fft.fft2(values)) ** 2
+        full = np.pi * dq * dp / values.size * np.sum(
+            (k_q[:, None] ** 2 + k_p[None, :] ** 2) * power)
+        assert _c_from_values(values, dq, dp) == pytest.approx(full, rel=1e-12)
+
     def test_marginal_recovers_position_density(self):
         states = [
             _vacuum(),
@@ -362,6 +415,18 @@ class TestGridExport:
         assert q0 == grid.q_vector()[0]
         assert p0 == grid.p_vector()[0]
         assert w0 == grid.values[0, 0]
+
+    def test_csv_matches_per_element_writer(self, tmp_path):
+        values = np.random.default_rng(5).standard_normal((33, 47)) * 1e-3
+        grid = PhaseSpaceGrid(-3.7, 3.7, -2.9, 2.9, 33, 47, values)
+        path = tmp_path / "grid.csv"
+        grid.to_csv(path)
+        q, p = grid.q_vector(), grid.p_vector()
+        reference = ["q,p,w\n"]
+        for i in range(grid.nq):
+            for j in range(grid.np):
+                reference.append(f"{q[i]:.17g},{p[j]:.17g},{grid.values[i, j]:.17g}\n")
+        assert path.read_bytes() == "".join(reference).encode()
 
     def test_json_envelope(self, tmp_path):
         grid = wigner_from_density(_vacuum(), _grid(12, 33))
