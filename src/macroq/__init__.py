@@ -27,7 +27,6 @@ from .measures import (
     measure_C,
     measure_I,
     measure_I_forms,
-    measure_chi2,
     measure_report,
     pure_state_measures,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "measure_I",
     "measure_I_forms",
     "measure_C",
-    "measure_chi2",
     "measure_report",
     "pure_state_measures",
     "PureState",

@@ -129,8 +129,8 @@ def build_state(
         cut = truncation or default_thermal_truncation(a)
         state = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
     elif family == "product":
-        state = product_state(load_state(_pop(params, "left", family), require_tail=True),
-                              load_state(_pop(params, "right", family), require_tail=True))
+        state = product_state(load_state(_pop(params, "left", family)),
+                              load_state(_pop(params, "right", family)))
     else:
         raise ValueError(f"unknown state family {family!r}; choose from {FAMILIES}")
     if params:
@@ -175,7 +175,7 @@ def _measure_one(
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    state = load_state(args.state, require_tail=True)
+    state = load_state(args.state)
     provenance = {"state_file": str(args.state)}
     result = _measure_one(state, args.method, args.grid, provenance)
     print(json.dumps(result, sort_keys=True, indent=2))
@@ -259,7 +259,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.format == "both" and json_path == out:
         raise ValueError(f"--format both would write the CSV and the JSON both to {out}; "
                          "give --out a suffix other than .json")
-    state = load_state(args.state, require_tail=True)
+    state = load_state(args.state)
     if args.half_width is None:
         gs = default_grid_spec(state.spec.truncation, args.grid)
     else:

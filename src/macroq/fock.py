@@ -145,6 +145,8 @@ def _single_mode_displacement(truncation: int, beta: complex) -> ComplexMatrix:
     exp(G) = v diag(exp(-iw)) v^dagger; the eigendecomposition exponential is
     backward stable for normal matrices and unitary to rounding.
     """
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     a = _single_mode_matrix(truncation, "a")
     gen = beta * a.conj().T - np.conj(beta) * a
     w, v = np.linalg.eigh(1j * gen)

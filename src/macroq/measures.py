@@ -38,7 +38,8 @@ The redundancies are checked, not assumed:
 - Every trace is complex and its imaginary residue is checked: products
   like sum(X * Y^T) are real only for Hermitian rho, so a corrupted matrix
   shows up there.
-- chi2 must be positive, and pure states must satisfy I = chi2/4 - M/2.
+- Every report, operator, pure or grid, refuses chi2 = 2C/P <= 0, and pure
+  states must also satisfy I = chi2/4 - M/2.
 
 Pure states are measured from their amplitude vector and never become a
 D x D projector. For rho = |psi><psi| with s = <psi|psi>, Tr[rho^2 n] =
@@ -239,17 +240,9 @@ def measure_C(rho: DensityMatrix) -> float:
     return total
 
 
-def measure_chi2(rho: DensityMatrix) -> float:
-    """Purity-normalized structure measure 2C/P; strictly positive."""
-    value = 2.0 * measure_C(rho) / purity(rho)
-    if value <= 0.0:
-        raise ConsistencyError(f"chi2 must be positive, got {value!r}")
-    return value
-
-
 def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSpec,
                     provenance: dict | None) -> MeasureReport:
-    """Operator report once the identity |I - (C - M*P)/2| has held."""
+    """Every report, operator, pure or grid: |I - (C - M*P)/2| held, chi2 = 2C/P > 0."""
     m = spec.num_modes
     residual = abs(i_value - (c_value - m * p_value) / 2.0)
     if residual >= TOL.identity_tol:
@@ -258,11 +251,14 @@ def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSp
             f"(I={i_value!r}, C={c_value!r}, P={p_value!r}); "
             "truncation is inadequate or the build is broken"
         )
+    chi2 = 2.0 * c_value / p_value
+    if chi2 <= 0.0:
+        raise ConsistencyError(f"chi2 must be positive, got {chi2!r}")
     return MeasureReport(
         I=i_value,
         C=c_value,
         P=p_value,
-        chi2=2.0 * c_value / p_value,
+        chi2=chi2,
         num_modes=m,
         truncation=spec.truncation,
         identity_residual=residual,

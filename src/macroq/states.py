@@ -293,10 +293,14 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
 
 def cat_mixture(spec: ModeSpec, alpha: complex) -> DensityMatrix:
     """Equal statistical mixture of the |alpha> and |-alpha> projectors."""
-    plus = coherent_state(spec, alpha)
-    minus = coherent_state(spec, -alpha)
-    matrix = 0.5 * (np.outer(plus.amplitudes, plus.amplitudes.conj())
-                    + np.outer(minus.amplitudes, minus.amplitudes.conj()))
+    if spec.num_modes != 1:
+        raise ValueError("cat_mixture builds single-mode states; combine with product_state")
+    plus = _coherent_amplitudes(spec.truncation, alpha)
+    _admit_coherent_tail(plus, "cat-mixture", alpha)
+    minus = _coherent_amplitudes(spec.truncation, -alpha)
+    plus /= np.linalg.norm(plus)
+    minus /= np.linalg.norm(minus)
+    matrix = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
     return DensityMatrix(spec, matrix)
 
 
@@ -409,6 +413,7 @@ def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix
     spec = rho.spec
     _check_mode(spec, mode)
     n_total = spec.truncation
+    u = _single_mode_displacement(n_total, beta)
     guard = n_total - math.ceil(4.0 * abs(beta) * math.sqrt(n_total))
     if guard <= 0:
         raise TruncationError(
@@ -421,7 +426,6 @@ def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix
             f"state holds {upper:.2e} of its population above level {guard}; "
             f"displacement by beta={beta} needs more truncation headroom"
         )
-    u = _single_mode_displacement(n_total, beta)
     axis = (n_total ** (mode - 1), n_total, n_total ** (spec.num_modes - mode))
     moved = np.einsum("ij,ajbcld,lk->aibckd", u, rho.matrix.reshape(axis + axis),
                       u.conj().T, optimize=True)
@@ -491,8 +495,12 @@ def save_state(state: State, path: str | Path, metadata: dict | None = None) -> 
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_state(path: str | Path, *, require_tail: bool = False) -> State:
-    """Read a JSON state document back, revalidating every invariant."""
+def load_state(path: str | Path) -> State:
+    """Read a JSON state document back, revalidating every invariant.
+
+    The tail rule applies too: a state whose top Fock level holds tail_tol
+    or more of its population is refused as inadequately truncated.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -518,6 +526,5 @@ def load_state(path: str | Path, *, require_tail: bool = False) -> State:
         state = DensityMatrix(spec, raw[:, :, 0] + 1j * raw[:, :, 1])
     else:
         raise StateValidationError(f"{path}: unknown state kind {kind!r}")
-    if require_tail:
-        _require_tail(state, str(path))
+    _require_tail(state, str(path))
     return state

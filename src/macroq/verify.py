@@ -20,7 +20,7 @@ import numpy as np
 from .config import TOL
 from .errors import MacroqError
 from .fock import ModeSpec
-from .measures import measure_I, measure_C, measure_chi2, measure_I_forms, measure_report
+from .measures import measure_I, measure_I_forms, measure_report
 from .states import (
     DensityMatrix,
     GaussianSpec,
@@ -184,9 +184,9 @@ def check_fock_mixture_degeneracy(tol_factor: float = 1.0) -> CheckResult:
     worst_i = 0.0
     worst_chi = 0.0
     for d in FOCK_MIXTURE_SIZES:
-        rho = fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=True)
-        worst_i = max(worst_i, abs(measure_I(rho)))
-        worst_chi = max(worst_chi, abs(measure_chi2(rho) - 2.0))
+        report = measure_report(fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=True))
+        worst_i = max(worst_i, abs(report.I))
+        worst_chi = max(worst_chi, abs(report.chi2 - 2.0))
     passed = worst_i < i_tol and worst_chi < chi_tol
     return CheckResult(
         "fock-mixture-degeneracy", passed,
@@ -201,9 +201,10 @@ def check_cat_mixture_values(tol_factor: float = 1.0) -> CheckResult:
     worst_i = 0.0
     worst_chi = 0.0
     for alpha in CAT_MIXTURE_ALPHAS:
-        rho = cat_mixture(ModeSpec(1, default_coherent_truncation(alpha)), alpha)
-        worst_i = max(worst_i, abs(measure_I(rho) - cat_mixture_I_exact(alpha)))
-        worst_chi = max(worst_chi, abs(measure_chi2(rho) - cat_mixture_chi2_exact(alpha)))
+        spec = ModeSpec(1, default_coherent_truncation(alpha))
+        report = measure_report(cat_mixture(spec, alpha))
+        worst_i = max(worst_i, abs(report.I - cat_mixture_I_exact(alpha)))
+        worst_chi = max(worst_chi, abs(report.chi2 - cat_mixture_chi2_exact(alpha)))
     passed = worst_i < i_tol and worst_chi < chi_tol
     return CheckResult(
         "cat-mixture-values", passed,
@@ -215,8 +216,9 @@ def check_cat_mixture_values(tol_factor: float = 1.0) -> CheckResult:
 def note_cat_mixture_asymptotics() -> CheckResult:
     lines = []
     for alpha in CAT_MIXTURE_ALPHAS:
-        rho = cat_mixture(ModeSpec(1, default_coherent_truncation(alpha)), alpha)
-        lines.append(f"alpha={alpha}: I={measure_I(rho):.6e}, chi2={measure_chi2(rho):.9f}")
+        spec = ModeSpec(1, default_coherent_truncation(alpha))
+        report = measure_report(cat_mixture(spec, alpha))
+        lines.append(f"alpha={alpha}: I={report.I:.6e}, chi2={report.chi2:.9f}")
     detail = (
         "cat-mixture coherence follows I = -|alpha|^2 exp(-4|alpha|^2), which "
         "vanishes (and chi2 -> 2) only asymptotically in alpha; "
@@ -243,8 +245,10 @@ def check_identity(tol_factor: float = 1.0) -> CheckResult:
     worst = 0.0
     worst_name = ""
     for name, rho in identity_corpus():
-        residual = abs(measure_I(rho)
-                       - (measure_C(rho) - rho.spec.num_modes * purity(rho)) / 2.0)
+        try:
+            residual = measure_report(rho).identity_residual
+        except MacroqError as exc:
+            return CheckResult("measure-identity", False, f"{name}: {exc}")
         if residual > worst:
             worst, worst_name = residual, name
     passed = worst < tol
@@ -260,13 +264,11 @@ def check_pure_state_relation(tol_factor: float = 1.0) -> CheckResult:
     rng = np.random.default_rng(RANDOM_SEED)
     worst = 0.0
     for _ in range(50):
-        psi = random_pure_state(ModeSpec(1, 12), rng)
-        rho = as_density(psi)
-        worst = max(worst, abs(measure_I(rho) - (measure_chi2(rho) / 4.0 - 0.5)))
+        report = measure_report(as_density(random_pure_state(ModeSpec(1, 12), rng)))
+        worst = max(worst, abs(report.I - (report.chi2 / 4.0 - 0.5)))
     for _ in range(10):
-        psi = random_pure_state(ModeSpec(2, 8), rng)
-        rho = as_density(psi)
-        worst = max(worst, abs(measure_I(rho) - (measure_chi2(rho) / 4.0 - 1.0)))
+        report = measure_report(as_density(random_pure_state(ModeSpec(2, 8), rng)))
+        worst = max(worst, abs(report.I - (report.chi2 / 4.0 - 1.0)))
     passed = worst < tol
     return CheckResult(
         "pure-state-relation", passed,
@@ -324,12 +326,11 @@ def check_displacement_invariance(tol_factor: float = 1.0) -> CheckResult:
     worst_i = 0.0
     worst_chi = 0.0
     for rho in states:
-        i_ref = measure_I(rho)
-        chi_ref = measure_chi2(rho)
+        ref = measure_report(rho)
         for beta in betas:
-            moved = displaced(rho, beta)
-            worst_i = max(worst_i, abs(measure_I(moved) - i_ref))
-            worst_chi = max(worst_chi, abs(measure_chi2(moved) - chi_ref))
+            moved = measure_report(displaced(rho, beta))
+            worst_i = max(worst_i, abs(moved.I - ref.I))
+            worst_chi = max(worst_chi, abs(moved.chi2 - ref.chi2))
     passed = worst_i < i_tol and worst_chi < chi_tol
     return CheckResult(
         "displacement-invariance", passed,
@@ -365,14 +366,15 @@ def check_chi2_positivity(tol_factor: float = 1.0) -> CheckResult:
     del tol_factor
     saw_negative_i = False
     for name, rho in identity_corpus():
-        chi2 = measure_chi2(rho)
-        if chi2 <= 0.0:
-            return CheckResult("chi2-positivity", False, f"chi2 = {chi2!r} at {name!r}")
-        if measure_I(rho) < 0.0:
+        try:
+            report = measure_report(rho)
+        except MacroqError as exc:
+            return CheckResult("chi2-positivity", False, f"{name}: {exc}")
+        if report.I < 0.0:
             saw_negative_i = True
     for a in (1.2, 2.0, 5.0):
         rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        chi2 = measure_chi2(rho)
+        chi2 = measure_report(rho).chi2
         if not 0.0 < chi2 < 2.0:
             return CheckResult(
                 "chi2-positivity", False, f"thermal a={a}: chi2 = {chi2!r} outside (0, 2)")
@@ -386,15 +388,17 @@ def check_chi2_positivity(tol_factor: float = 1.0) -> CheckResult:
 
 
 def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> CheckResult:
-    """Validate a user-supplied state file and run the identity on it."""
+    """Load and measure a user-supplied state file as `macroq measure` does.
+
+    The tail rule applies, a pure file takes the pure route, and every
+    refusal becomes a FAIL line carrying its message.
+    """
     name = f"corpus:{Path(path).name}"
     try:
         state = load_state(path)
+        residual = measure_report(state).identity_residual
     except MacroqError as exc:
         return CheckResult(name, False, str(exc))
-    rho = as_density(state)
-    residual = abs(measure_I(rho)
-                   - (measure_C(rho) - rho.spec.num_modes * purity(rho)) / 2.0)
     tol = TOL.identity_tol * tol_factor
     if residual >= tol:
         return CheckResult(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConsistencyError, TruncationError
-from .measures import MeasureReport, measure_report
+from .measures import MeasureReport, _checked_report, measure_report
 from .states import GaussianSpec, State, as_density
 
 
@@ -338,11 +338,12 @@ def wigner_measure_report(
 ) -> MeasureReport:
     """Phase-space-path report, cross-checked against the operator path.
 
-    C and P come from the grid; I is reconstructed through I = (C - M*P)/2
-    and chi2 = 2C/P. The same state is first measured through the operator
-    traces, and the two pipelines must agree on C, P and chi2 within the
-    relative tolerance, otherwise a ConsistencyError carries both sets of
-    values. The operator report is kept as the result's checked_against.
+    C and P come from the grid; I is reconstructed through I = (C - M*P)/2,
+    and the report is built as the operator one is, refusing chi2 <= 0. The
+    same state is first measured through the operator traces, and the two
+    pipelines must agree on C, P and chi2 within the relative tolerance,
+    otherwise a ConsistencyError carries both sets of values. The operator
+    report is kept as the result's checked_against.
     """
     _require_single_mode(rho, "wigner_measure_report")
     if gs is None:
@@ -352,31 +353,21 @@ def wigner_measure_report(
     grid = wigner_from_density(rho, gs)
     c_value = measure_C_wigner(grid, check_resolution=False)
     p_value = measure_P_wigner(grid)
-    i_value = (c_value - p_value) / 2.0
-    chi2 = 2.0 * c_value / p_value
+    report = _checked_report((c_value - p_value) / 2.0, c_value, p_value, rho.spec, provenance)
     deltas = {
-        "C": abs(c_value - operator.C) / abs(operator.C),
-        "P": abs(p_value - operator.P) / operator.P,
-        "chi2": abs(chi2 - operator.chi2) / abs(operator.chi2),
+        "C": abs(report.C - operator.C) / abs(operator.C),
+        "P": abs(report.P - operator.P) / operator.P,
+        "chi2": abs(report.chi2 - operator.chi2) / abs(operator.chi2),
     }
     worst = max(deltas, key=deltas.get)
     if deltas[worst] > tol:
         raise ConsistencyError(
             "operator and phase-space pipelines disagree: "
-            f"grid C={c_value!r} P={p_value!r} chi2={chi2!r} vs "
+            f"grid C={report.C!r} P={report.P!r} chi2={report.chi2!r} vs "
             f"operator C={operator.C!r} P={operator.P!r} chi2={operator.chi2!r} "
             f"(relative deltas {deltas}, tolerance {tol})"
         )
-    return MeasureReport(
-        I=i_value,
-        C=c_value,
-        P=p_value,
-        chi2=chi2,
-        num_modes=1,
-        truncation=rho.spec.truncation,
-        identity_residual=0.0,
-        method="wigner",
-        cross_deltas=deltas,
-        provenance=provenance or {},
-        checked_against=operator,
-    )
+    report.method = "wigner"
+    report.cross_deltas = deltas
+    report.checked_against = operator
+    return report

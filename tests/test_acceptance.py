@@ -32,7 +32,6 @@ from macroq import (
     measure_I,
     measure_I_forms,
     measure_P_wigner,
-    measure_chi2,
     measure_report,
     product_state,
     purity,
@@ -99,7 +98,7 @@ class TestCriterion2MixtureDegeneracy:
         for d in (1, 2, 3, 5, 8):
             rho = fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=True)
             worst_i = max(worst_i, abs(measure_I(rho)))
-            worst_chi = max(worst_chi, abs(measure_chi2(rho) - 2.0))
+            worst_chi = max(worst_chi, abs(measure_report(rho).chi2 - 2.0))
         passed = worst_i < 1e-12 and worst_chi < 1e-10
         _verdict("2 (fock mixtures)", passed,
                  f"max |I| = {worst_i:.2e} (tol 1e-12), "
@@ -137,7 +136,7 @@ class TestCriterion2MixtureDegeneracy:
         for alpha in (0.5, 1.0, 2.0, 3.0):
             rho = cat_mixture(ModeSpec(1, default_coherent_truncation(alpha)), alpha)
             i_val = measure_I(rho)
-            chi_dev = measure_chi2(rho) - 2.0
+            chi_dev = measure_report(rho).chi2 - 2.0
             residue = -cat_mixture_I(alpha)
             if not -(residue + slack) <= i_val <= slack:
                 failures.append(f"I={i_val:.3e} outside [-{residue:.3e}, 0] at alpha={alpha}")
@@ -183,7 +182,7 @@ class TestCriterion2MixtureDegeneracy:
                 abs(i_val - cat_mixture_I(alpha)),
                 abs(i_val - brute_force_I(rho.matrix, 1, cut)),
             )
-            worst_chi = max(worst_chi, abs(measure_chi2(rho) - cat_mixture_chi2(alpha)))
+            worst_chi = max(worst_chi, abs(measure_report(rho).chi2 - cat_mixture_chi2(alpha)))
         passed = worst_i < 1e-11 and worst_chi < 1e-9
         _verdict("2 (cat mixtures, exact oracle)", passed,
                  f"max |I - exact| = {worst_i:.2e}, max |chi2 - exact| = {worst_chi:.2e}")
@@ -212,10 +211,10 @@ class TestCriterion4PureStateEquivalence:
         worst = 0.0
         for _ in range(50):
             rho = as_density(random_pure_state(ModeSpec(1, 12), rng))
-            worst = max(worst, abs(measure_I(rho) - (measure_chi2(rho) / 4.0 - 0.5)))
+            worst = max(worst, abs(measure_I(rho) - (measure_report(rho).chi2 / 4.0 - 0.5)))
         for _ in range(10):
             rho = as_density(random_pure_state(ModeSpec(2, 8), rng))
-            worst = max(worst, abs(measure_I(rho) - (measure_chi2(rho) / 4.0 - 1.0)))
+            worst = max(worst, abs(measure_I(rho) - (measure_report(rho).chi2 / 4.0 - 1.0)))
         passed = worst < 1e-10
         _verdict("4", passed,
                  f"max |I - (chi2/4 - M/2)| = {worst:.2e} over 60 random "
@@ -268,11 +267,11 @@ class TestCriterion6PropertySuite:
         worst_i = 0.0
         worst_chi = 0.0
         for rho in states:
-            i_ref, chi_ref = measure_I(rho), measure_chi2(rho)
+            i_ref, chi_ref = measure_I(rho), measure_report(rho).chi2
             for beta in (0.3, 1.0, 0.5 + 0.5j):
                 moved = displaced(rho, beta)
                 worst_i = max(worst_i, abs(measure_I(moved) - i_ref))
-                worst_chi = max(worst_chi, abs(measure_chi2(moved) - chi_ref))
+                worst_chi = max(worst_chi, abs(measure_report(moved).chi2 - chi_ref))
         passed = worst_i < 1e-7 and worst_chi < 1e-6
         _verdict("6 (displacement)", passed,
                  f"max |dI| = {worst_i:.2e} (tol 1e-7), "
@@ -292,7 +291,7 @@ class TestCriterion6PropertySuite:
         assert passed
 
     def test_chi2_positive_on_corpus(self):
-        values = [measure_chi2(rho) for _, rho in identity_corpus()]
+        values = [measure_report(rho).chi2 for _, rho in identity_corpus()]
         passed = all(v > 0.0 for v in values)
         _verdict("6 (chi2 positivity)", passed,
                  f"min chi2 = {min(values):.3e} over the corpus")

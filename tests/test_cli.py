@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from macroq import (
+    DensityMatrix,
     GaussianSpec,
     ModeSpec,
     PureState,
@@ -104,6 +105,7 @@ class TestStateCommand:
                    "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert "truncation 20 too small" in err and "use at least N=10810" in err
+        assert f"for {family} alpha=" in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -532,6 +534,35 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run("verify", "--grid", "128", "--corpus", str(state)) == 0
         assert "PASS corpus:good.json" in capsys.readouterr().out
+
+    def test_corpus_file_judged_by_the_tail_rule(self, tmp_path, capsys):
+        state = tmp_path / "tail.json"
+        populations = np.full(12, (1.0 - 1e-10) / 11)
+        populations[-1] = 1e-10
+        save_state(DensityMatrix(ModeSpec(1, 12), np.diag(populations)), state)
+        assert run("measure", str(state)) == 3
+        message = capsys.readouterr().err.removeprefix("truncation/resource error: ")
+        assert "top Fock level holds 1.00e-10 of the population" in message
+        assert run("verify", "--grid", "128", "--corpus", str(state)) == 1
+        assert f"FAIL corpus:tail.json: {message}" in capsys.readouterr().out
+
+    def test_pure_corpus_file_measured_from_vector(self, tmp_path, capsys, monkeypatch, rng):
+        state = tmp_path / "pure.json"
+        psi = random_pure_state(ModeSpec(2, 20), rng)
+        save_state(psi, state)
+        projector = PureState.projector
+
+        def refuse_file_state(self):
+            # the built-in checks project their own small states; the file must not be
+            if self.spec == psi.spec:
+                raise AssertionError("verify built the D x D projector of a pure file")
+            return projector(self)
+
+        monkeypatch.setattr(PureState, "projector", refuse_file_state)
+        assert run("verify", "--grid", "128", "--corpus", str(state)) == 0
+        residual = pure_state_measures(psi).identity_residual
+        assert f"PASS corpus:pure.json: valid PureState, identity residual {residual:.2e}" \
+            in capsys.readouterr().out
 
 
 class TestDeterminism:

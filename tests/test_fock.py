@@ -13,8 +13,10 @@ from macroq import (
     ModeSpec,
     TruncationError,
     annihilation_op,
+    as_density,
     coherent_state,
     creation_op,
+    displaced,
     displacement_op,
     number_op,
     quadrature_p,
@@ -217,6 +219,13 @@ class TestDisplacementOperator:
         identity = np.eye(n_levels ** num_modes)
         assert np.max(np.abs(op.matrix @ op.matrix.conj().T - identity)) < 1e-13
         assert not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, math.nan * 1j])
+    def test_non_finite_beta_is_named(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            displacement_op(ModeSpec(1, 10), beta)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            displaced(as_density(coherent_state(ModeSpec(1, 30), 0.5)), beta)
 
 
 class TestRuntimeDependencies:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import macroq.fock
+import macroq.measures
+import macroq.wigner
 from macroq import (
     ConsistencyError,
     DensityMatrix,
@@ -19,6 +21,7 @@ from macroq import (
     cat_mixture,
     cat_state,
     coherent_state,
+    default_grid_spec,
     default_thermal_truncation,
     displaced,
     fock_mixture,
@@ -26,7 +29,6 @@ from macroq import (
     measure_C,
     measure_I,
     measure_I_forms,
-    measure_chi2,
     measure_report,
     product_state,
     pure_state_measures,
@@ -34,6 +36,7 @@ from macroq import (
     random_mixed_state,
     random_pure_state,
     thermal_state,
+    wigner_measure_report,
 )
 
 from oracles import (
@@ -161,21 +164,45 @@ class TestMeasureC:
 class TestMeasureChi2:
     def test_coherent_state(self):
         rho = as_density(coherent_state(ModeSpec(1, 30), 2.0))
-        assert measure_chi2(rho) == pytest.approx(2.0, abs=1e-8)
+        assert measure_report(rho).chi2 == pytest.approx(2.0, abs=1e-8)
 
     def test_thermal_sqrt2(self):
-        assert measure_chi2(_thermal(SQRT2)) == pytest.approx(1.0, abs=1e-8)
+        assert measure_report(_thermal(SQRT2)).chi2 == pytest.approx(1.0, abs=1e-8)
 
     def test_cat_mixture_closed_form(self):
         for alpha in (0.5, 1.0, 3.0):
             rho = cat_mixture(ModeSpec(1, 44), alpha)
-            assert measure_chi2(rho) == pytest.approx(cat_mixture_chi2(alpha), abs=1e-9)
+            assert measure_report(rho).chi2 == pytest.approx(cat_mixture_chi2(alpha), abs=1e-9)
 
     def test_thermal_family_range(self):
         for a in (1.2, 2.0, 5.0):
-            chi2 = measure_chi2(_thermal(a))
+            chi2 = measure_report(_thermal(a)).chi2
             assert chi2 == pytest.approx(thermal_chi2(a), rel=1e-9)
             assert 0.0 < chi2 < 2.0
+
+    # Each report kind refuses chi2 <= 0 after the identity has held: I is
+    # made consistent with C = 0, so only the positivity check can object.
+    def test_mixed_report_refuses_nonpositive_chi2(self, monkeypatch):
+        monkeypatch.setattr(macroq.measures, "measure_C", lambda rho: 0.0)
+        monkeypatch.setattr(macroq.measures, "measure_I",
+                            lambda rho: -rho.spec.num_modes * purity(rho) / 2.0)
+        with pytest.raises(ConsistencyError, match="chi2 must be positive"):
+            measure_report(_thermal(2.0))
+
+    def test_pure_report_refuses_nonpositive_chi2(self, monkeypatch):
+        def forms(amps, spec, norm_sq):
+            value = -spec.num_modes * norm_sq * norm_sq / 2.0
+            return value, value
+
+        monkeypatch.setattr(macroq.measures, "_pure_C", lambda amps, spec, norm_sq: 0.0)
+        monkeypatch.setattr(macroq.measures, "_pure_I_forms", forms)
+        with pytest.raises(ConsistencyError, match="chi2 must be positive"):
+            measure_report(coherent_state(ModeSpec(1, 19), 1.0))
+
+    def test_grid_report_refuses_nonpositive_chi2(self, monkeypatch):
+        monkeypatch.setattr(macroq.wigner, "measure_C_wigner", lambda grid, **kw: 0.0)
+        with pytest.raises(ConsistencyError, match="chi2 must be positive"):
+            wigner_measure_report(fock_mixture(ModeSpec(1, 12), 3), default_grid_spec(12, 64))
 
 
 class TestMeasureReport:
@@ -304,7 +331,7 @@ class TestMixedPathBounds:
     @pytest.mark.parametrize("a", [6.0, 8.0, 12.0])
     def test_thermal_chi2_without_cancellation(self, a):
         # C is a sum of squared commutator norms, not a difference of traces
-        assert abs(measure_chi2(_thermal(a)) / thermal_chi2(a) - 1.0) < 1e-13
+        assert abs(measure_report(_thermal(a)).chi2 / thermal_chi2(a) - 1.0) < 1e-13
 
     def test_report_scratch_memory(self, rng):
         rho = random_mixed_state(ModeSpec(1, 512), rng)
@@ -334,11 +361,11 @@ class TestDisplacement:
     def test_invariance_for_interior_state(self):
         rho = as_density(coherent_state(ModeSpec(1, 40), 0.5))
         i_ref = measure_I(rho)
-        chi_ref = measure_chi2(rho)
+        chi_ref = measure_report(rho).chi2
         for beta in (0.4, 0.5 + 0.5j):
             moved = displaced(rho, beta)
             assert measure_I(moved) == pytest.approx(i_ref, abs=1e-7)
-            assert measure_chi2(moved) == pytest.approx(chi_ref, abs=1e-6)
+            assert measure_report(moved).chi2 == pytest.approx(chi_ref, abs=1e-6)
 
     @pytest.mark.parametrize("mode", [1, 2])
     def test_axiswise_matches_embedded_conjugation(self, mode, rng):

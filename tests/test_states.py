@@ -123,11 +123,11 @@ class TestCatState:
         assert brute_force_I(rho.matrix, 1, 30) == pytest.approx(expected, abs=1e-9)
 
     def test_even_cat_structure_measure(self):
-        from macroq import measure_chi2
+        from macroq import measure_report
 
         rho = as_density(cat_state(ModeSpec(1, 30), 2.0))
-        assert measure_chi2(rho) == pytest.approx(4 * even_cat_I(2.0) + 2.0, abs=1e-8)
-        assert measure_chi2(rho) == pytest.approx(17.989268795825076, abs=1e-8)
+        assert measure_report(rho).chi2 == pytest.approx(4 * even_cat_I(2.0) + 2.0, abs=1e-8)
+        assert measure_report(rho).chi2 == pytest.approx(17.989268795825076, abs=1e-8)
 
     def test_odd_cat_at_zero_rejected(self):
         with pytest.raises(ValueError, match="norm"):
@@ -166,11 +166,11 @@ class TestCatMixture:
 
 class TestFockMixture:
     def test_single_level_with_vacuum_is_vacuum(self):
-        from macroq import measure_chi2
+        from macroq import measure_report
 
         rho = fock_mixture(ModeSpec(1, 12), 1, include_vacuum=True)
         assert measure_I(rho) == pytest.approx(0.0, abs=1e-15)
-        assert measure_chi2(rho) == pytest.approx(2.0, abs=1e-12)
+        assert measure_report(rho).chi2 == pytest.approx(2.0, abs=1e-12)
 
     def test_vacuum_anchored_range_has_zero_coherence(self):
         rho = fock_mixture(ModeSpec(1, 12), 5, include_vacuum=True)
