@@ -478,6 +478,8 @@ def save_state(state: State, path: str | Path, metadata: dict | None = None) -> 
 
     The document is one line (json's C encoder; an indented layout would
     force the pure-Python one), with sorted keys so writes are deterministic.
+    A matrix is written one row at a time from a float view of its entries,
+    so no list of every entry nor the whole text is held at once.
     """
     if isinstance(state, PureState):
         kind = "pure"
@@ -485,14 +487,23 @@ def save_state(state: State, path: str | Path, metadata: dict | None = None) -> 
     else:
         kind = "mixed"
         values = state.matrix
-    doc = {
+    # [re, im] pairs as a view of the complex entries; "data" sorts first
+    pairs = np.ascontiguousarray(values).view(np.float64).reshape(*values.shape, 2)
+    rest = json.dumps({
         "format_version": FORMAT_VERSION,
         "spec": {"num_modes": state.spec.num_modes, "truncation": state.spec.truncation},
         "kind": kind,
-        "data": np.stack((values.real, values.imag), axis=-1).tolist(),
         "metadata": metadata or {},
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    }, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write('{"data": ')
+        if kind == "pure":
+            fh.write(json.dumps(pairs.tolist()))
+        else:
+            for i, row in enumerate(pairs):
+                fh.write((", " if i else "[") + json.dumps(row.tolist()))
+            fh.write("]")
+        fh.write(", " + rest[1:] + "\n")
 
 
 def load_state(path: str | Path) -> State:

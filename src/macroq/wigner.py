@@ -8,8 +8,11 @@ vectorised (the idea of QuTiP's FFT Wigner method, Johansson, Nation & Nori,
 Comput. Phys. Commun. 183, 1760 (2012)): the position kernel Psi rho Psi^T
 is formed with two batched BLAS products from the oscillator
 eigenfunctions, on the sites of a position grid refined from the q grid
-that the gather reads; each q row gathers its anti-diagonal, and one dense
-DFT product carries the eta samples onto the p grid. The eta step is the
+that the gather reads; each q row gathers its anti-diagonal. The eta sum
+is split by parity into a cosine and a sine transform, each one real
+matrix product evaluated on the columns p >= 0 only; the columns p < 0 are
+their mirror, W(q, -p) = C + i S where W(q, p) = C - i S. The imaginary part
+of W is formed in full and checked, never assumed zero. The eta step is the
 largest multiple of the position step not above pi/half_width, so the
 periodic images of W in p stay outside the window. The independent judge
 of the transform, a number-basis dyad recurrence, lives in the test suite.
@@ -175,9 +178,8 @@ def _finish(raw: np.ndarray, gs: GridSpec, what: str) -> PhaseSpaceGrid:
 # transforms
 # ---------------------------------------------------------------------------
 
-# eta columns gathered and transformed at a time: keeps the transient arrays
-# of the transform at a few (nq x block) beside the position kernel and the
-# phase table of one row per eta >= 0
+# eta pairs gathered and transformed at a time: keeps the transient arrays
+# of the transform at a few (block x nq) beside the position kernel
 _ETA_BLOCK = 256
 
 
@@ -208,9 +210,16 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     odd-odd blocks (the odd sites padded to the even count), followed by
     one zero sentinel that stands in for every pair leaving the window.
     That is half of the full kernel when g = 1 and an eighth when g = 2.
-    Each block of eta columns is gathered from the blocks' anti-diagonals
-    and carried onto the p grid by one dense DFT product, whose phases come
-    from one table of exp(-i eta_j p) for j >= 0, conjugated for -j.
+
+    The eta sum is regrouped by parity: with S_j = K_j + K_-j (S_0 = K_0)
+    and D_j = K_j - K_-j it is sum_j S_j cos(eta_j p) - i sum_j D_j sin(eta_j p)
+    over j >= 0, an even and an odd function of p. Both are taken only on
+    the columns p >= 0 of the symmetric p grid, and W(q, -p) = C + i S fills
+    the rest (on an odd count the p = 0 column is computed, not mirrored).
+    Each block of eta pairs is gathered from the blocks' anti-diagonals as
+    (eta, q), so the cosine and sine sums are real products on the float
+    views of the complex S and D columns. Nothing assumes rho Hermitian: the
+    imaginary part is formed in full and left for _finish to judge.
     """
     refine, stride = _eta_sampling(gs)
     size = 2 * refine * (gs.nq - 1) + 1
@@ -226,27 +235,48 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     flat[-1] = 0.0
     d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
     centre = 2 * refine * np.arange(gs.nq)
-    room = np.minimum(centre, size - 1 - centre)[:, None]
-    site = (centre // lattice)[:, None]
+    room = np.minimum(centre, size - 1 - centre)
+    site = centre // lattice
     step = stride // lattice
     reach = (size - 1) // (2 * stride)
-    theta = np.outer(np.arange(reach + 1), gs.p_vector())
-    theta *= -d_eta
-    phases = np.empty(theta.shape, dtype=np.complex128)
-    phases.real = np.cos(theta)
-    phases.imag = np.sin(theta)
-    raw = np.zeros((gs.nq, gs.np), dtype=np.complex128)
-    for first in range(-reach, reach + 1, _ETA_BLOCK):
-        j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))
+    cut = gs.np // 2
+    p = gs.p_vector()[cut:]
+    scale = d_eta / (2.0 * np.pi)
+    for first in range(0, reach + 1, _ETA_BLOCK):
+        j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))[:, None]
+        inside = stride * j <= room
         # site s_a = s_i + j*m/g of q_i + eta_j/2 sits in block s_a % 2 at row
-        # s_a // 2, and its partner s_a - 2j*m/g at column s_a // 2 - j*m/g
-        s_a = site + step * j
-        index = (s_a & 1) * (half * half) + (s_a >> 1) * (half + 1) - step * j
-        column = flat[np.where(stride * np.abs(j) <= room, index, flat.size - 1)]
-        table = phases[np.abs(j)]
-        np.conjugate(table, out=table, where=(j < 0)[:, None])
-        raw += column @ table
-    return raw * (d_eta / (2.0 * np.pi))
+        # s_a // 2, and its partner s_a - 2j*m/g at column s_a // 2 - j*m/g;
+        # -j swaps the two, and K_0 is read once
+        shift = step * j
+        s_a = site + shift
+        ahead = flat[np.where(inside, (s_a & 1) * (half * half) + (s_a >> 1) * (half + 1)
+                              - shift, flat.size - 1)]
+        s_a = site - shift
+        behind = flat[np.where(inside & (j > 0), (s_a & 1) * (half * half)
+                               + (s_a >> 1) * (half + 1) + shift, flat.size - 1)]
+        summed = ahead + behind
+        diff = np.subtract(ahead, behind, out=ahead)
+        theta = np.outer(j * d_eta, p)
+        cos = np.cos(theta)
+        cos *= scale
+        sin = np.sin(theta)
+        sin *= scale
+        # rows 2i and 2i + 1 of each product are Re and Im at q_i
+        if first:
+            even += summed.view(np.float64).T @ cos
+            odd += diff.view(np.float64).T @ sin
+        else:
+            even = summed.view(np.float64).T @ cos
+            odd = diff.view(np.float64).T @ sin
+    # W = C - i S on the columns p >= 0 and C + i S on their mirrors -p
+    raw = np.empty((gs.nq, gs.np), dtype=np.complex128)
+    np.add(even[0::2], odd[1::2], out=raw.real[:, cut:])
+    np.subtract(even[1::2], odd[0::2], out=raw.imag[:, cut:])
+    mirrored = slice(gs.np % 2, None)
+    np.subtract(even[0::2, mirrored], odd[1::2, mirrored], out=raw.real[:, cut - 1::-1])
+    np.add(even[1::2, mirrored], odd[0::2, mirrored], out=raw.imag[:, cut - 1::-1])
+    return raw
 
 
 def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGrid:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,38 @@ class TestSerialization:
         assert np.array_equal(getattr(loaded, field), getattr(state, field))
         save_state(loaded, path, metadata={"note": "round trip"})
         assert path.read_text() == text
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_document_is_the_sorted_key_dump(self, kind, tmp_path, rng):
+        # the streamed writer must give exactly json.dumps of the whole document
+        spec = ModeSpec(2, 5)
+        if kind == "pure":
+            state = random_pure_state(spec, rng)
+            values = state.amplitudes
+        else:
+            state = random_mixed_state(spec, rng)
+            values = state.matrix
+        metadata = {"note": "byte for byte", "points": [1, 2.5]}
+        path = tmp_path / f"{kind}.json"
+        save_state(state, path, metadata=metadata)
+        doc = {
+            "format_version": 1,
+            "spec": {"num_modes": 2, "truncation": 5},
+            "kind": kind,
+            "data": np.stack((values.real, values.imag), axis=-1).tolist(),
+            "metadata": metadata,
+        }
+        assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_write_peak_memory_is_below_two_matrices(self, tmp_path):
+        state = thermal_state(ModeSpec(1, default_thermal_truncation(6.0)), GaussianSpec(6.0))
+        tracemalloc.start()
+        try:
+            save_state(state, tmp_path / "thermal.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state.matrix.nbytes
 
     def test_indented_layout_still_loads(self, tmp_path, rng):
         # files in the indented layout (same keys and [re, im] pairs, one

@@ -42,6 +42,7 @@ from macroq.wigner import (
     _c_from_values,
     _defining_integral,
     _eta_sampling,
+    _finish,
     default_grid_spec,
 )
 
@@ -56,6 +57,23 @@ def _vacuum(n_levels=12):
 
 def _grid(n_levels, points):
     return default_grid_spec(n_levels, points)
+
+
+def _eta_sum_pair_by_pair(mat, gs):
+    """The transform's eta sum, one q row and one kernel pair at a time."""
+    refine, stride = _eta_sampling(gs)
+    d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
+    reach = refine * (gs.nq - 1) // stride
+    eta = d_eta * np.arange(-reach - 1, reach + 2)
+    p = gs.p_vector()
+    expected = np.zeros((gs.nq, gs.np), dtype=complex)
+    for i, qi in enumerate(gs.q_vector()):
+        e = eta[abs(qi) + np.abs(eta) / 2 <= gs.half_width * (1 + 1e-9)]
+        left = oscillator_eigenfunctions(qi + e / 2, mat.shape[0])
+        right = oscillator_eigenfunctions(qi - e / 2, mat.shape[0])
+        kernel = np.einsum("jn,nm,jm->j", left, mat, right)
+        expected[i] = kernel @ np.exp(-1j * np.outer(e, p)) * d_eta / (2.0 * np.pi)
+    return expected
 
 
 def _oracle_gap(rho, grid):
@@ -138,33 +156,42 @@ class TestEtaSampling:
         assert grid.values.shape == (nq, np_)
         assert _oracle_gap(rho, grid) < 1e-10
 
-    @pytest.mark.parametrize("half_width, nq, lattice, reach", [
-        (0.8, 32, 2, 0),
-        (2.5, 32, 1, 4),
-        (2.5, 33, 2, 4),
-        (7.0, 32, 1, 62),
+    @pytest.mark.parametrize("half_width, nq, np_, lattice, reach", [
+        (0.8, 32, 40, 2, 0),
+        (2.5, 32, 41, 1, 4),
+        (2.5, 33, 32, 2, 4),
+        (7.0, 32, 40, 1, 62),
+        (7.0, 64, 41, 2, 31),
     ])
-    def test_eta_sum_pair_by_pair(self, half_width, nq, lattice, reach):
+    def test_eta_sum_pair_by_pair(self, half_width, nq, np_, lattice, reach):
         # Windows too small for W, judged on the transform's own eta sum: the
         # kernel is large at their edges, so a pair leaving the window must
-        # read zero and nothing else. reach = 0 keeps eta = 0 alone.
+        # read zero and nothing else. reach = 0 keeps eta = 0 alone. An odd
+        # p count computes its p = 0 column; every other column p < 0 is the
+        # mirror of one at p > 0.
         a = 2.0
         rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        gs = GridSpec(half_width, nq=nq, np=40)
+        gs = GridSpec(half_width, nq=nq, np=np_)
         refine, stride = _eta_sampling(gs)
         assert math.gcd(2 * refine, stride) == lattice
         assert refine * (nq - 1) // stride == reach
-        d_eta = stride * 2.0 * half_width / (refine * (nq - 1))
-        eta = d_eta * np.arange(-reach - 1, reach + 2)
-        p = gs.p_vector()
-        expected = np.zeros((nq, 40), dtype=complex)
-        for i, qi in enumerate(gs.q_vector()):
-            e = eta[abs(qi) + np.abs(eta) / 2 <= half_width * (1 + 1e-9)]
-            left = oscillator_eigenfunctions(qi + e / 2, rho.spec.truncation)
-            right = oscillator_eigenfunctions(qi - e / 2, rho.spec.truncation)
-            kernel = np.einsum("jn,nm,jm->j", left, rho.matrix, right)
-            expected[i] = kernel @ np.exp(-1j * np.outer(e, p)) * d_eta / (2.0 * np.pi)
+        expected = _eta_sum_pair_by_pair(rho.matrix, gs)
         assert np.max(np.abs(_defining_integral(rho.matrix, gs) - expected)) < 1e-12
+
+    def test_imaginary_residue_is_formed_and_refused(self):
+        # DensityMatrix would refuse this matrix; the raw transform must carry
+        # its anti-Hermitian part into Im W, and _finish must refuse that.
+        a = 2.0
+        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+        # complex noise, so S and D have real and imaginary parts on both sides of p = 0
+        noise = np.random.default_rng(11).standard_normal((2,) + rho.matrix.shape)
+        mat = rho.matrix + 1e-6 * (noise[0] + 1j * noise[1])
+        gs = GridSpec(default_grid_spec(rho.spec.truncation).half_width, nq=48, np=33)
+        raw = _defining_integral(mat, gs)
+        assert np.max(np.abs(raw - _eta_sum_pair_by_pair(mat, gs))) < 1e-12
+        assert np.max(np.abs(raw.imag)) > TOL.imag_residue_tol
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            _finish(raw, gs, "non-Hermitian input")
 
     def test_eta_step_keeps_images_outside_window(self):
         for points in (32, 33, 64, 128, 256, 257, 512, 1024):
