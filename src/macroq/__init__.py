@@ -17,8 +17,6 @@ from .fock import (
     ModeSpec,
     annihilation_op,
     creation_op,
-    displacement_op,
-    number_op,
     quadrature_p,
     quadrature_q,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "creation_op",
     "quadrature_q",
     "quadrature_p",
-    "number_op",
-    "displacement_op",
     "ComplexMatrix",
     "MeasureReport",
     "measure_I",

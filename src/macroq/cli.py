@@ -129,6 +129,9 @@ def build_state(
         cut = truncation or default_thermal_truncation(a)
         state = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
     elif family == "product":
+        if truncation is not None:
+            raise ValueError("--truncation does not apply to product; "
+                             "the product takes its factors' truncation")
         state = product_state(load_state(_pop(params, "left", family)),
                               load_state(_pop(params, "right", family)))
     else:
@@ -374,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", type=int, default=256,
                           help="points per axis for the phase-space checks (default 256)")
     p_verify.add_argument("--tol", type=float, default=1.0,
-                          help="scale every verification tolerance by this factor")
+                          help="scale the suite's check tolerances by this factor; "
+                               "the refusals inside every report (identity residual, "
+                               "the two forms of I, chi2 > 0) keep their own")
     p_verify.add_argument("--json", default=None, help="also write a JSON summary file")
     p_verify.set_defaults(func=cmd_verify)
 

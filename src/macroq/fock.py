@@ -89,8 +89,6 @@ def _single_mode_matrix(truncation: int, label: str) -> ComplexMatrix:
         out = (a + a.conj().T) / np.sqrt(2.0)
     elif label == "p":
         out = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    elif label == "n":
-        out = np.diag(np.arange(truncation, dtype=np.complex128))
     else:  # pragma: no cover - internal labels only
         raise ValueError(f"unknown operator label {label!r}")
     out.flags.writeable = False
@@ -133,11 +131,6 @@ def quadrature_p(spec: ModeSpec, mode: int = 1) -> ModeOperator:
     return _build(spec, mode, "p")
 
 
-def number_op(spec: ModeSpec, mode: int = 1) -> ModeOperator:
-    """Occupation-number operator diag(0, 1, ..., N-1) on the given mode."""
-    return _build(spec, mode, "n")
-
-
 def _single_mode_displacement(truncation: int, beta: complex) -> ComplexMatrix:
     """N x N exponential of the generator G = beta a^dagger - conj(beta) a.
 
@@ -151,18 +144,3 @@ def _single_mode_displacement(truncation: int, beta: complex) -> ComplexMatrix:
     gen = beta * a.conj().T - np.conj(beta) * a
     w, v = np.linalg.eigh(1j * gen)
     return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def displacement_op(spec: ModeSpec, beta: complex, mode: int = 1) -> ModeOperator:
-    """Truncated displacement exp(beta a^dagger - conj(beta) a).
-
-    The single-mode N x N generator is exponentiated through its Hermitian
-    eigendecomposition, so the result is unitary to rounding, and then
-    embedded in the full space. It displaces faithfully only for states
-    supported well inside the truncated space; callers must keep the
-    displaced support away from the top levels.
-    """
-    _check_mode(spec, mode)
-    op = _single_mode_displacement(spec.truncation, beta)
-    matrix = _embedded_matrix(op, spec.num_modes, mode)
-    return ModeOperator(spec=spec, matrix=matrix, label="D", mode=mode)

@@ -278,6 +278,8 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
     """
     if spec.num_modes != 1:
         raise ValueError("cat_state builds single-mode states; combine with product_state")
+    if not math.isfinite(relative_phase):
+        raise ValueError(f"relative_phase must be finite, got {relative_phase}")
     plus = _coherent_amplitudes(spec.truncation, alpha)
     _admit_coherent_tail(plus, "cat", alpha)
     minus = _coherent_amplitudes(spec.truncation, -alpha)

@@ -391,13 +391,14 @@ def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> CheckResult:
     """Load and measure a user-supplied state file as `macroq measure` does.
 
     The tail rule applies, a pure file takes the pure route, and every
-    refusal becomes a FAIL line carrying its message.
+    refusal, an unreadable file included, becomes a FAIL line carrying its
+    message.
     """
     name = f"corpus:{Path(path).name}"
     try:
         state = load_state(path)
         residual = measure_report(state).identity_residual
-    except MacroqError as exc:
+    except (MacroqError, OSError) as exc:
         return CheckResult(name, False, str(exc))
     tol = TOL.identity_tol * tol_factor
     if residual >= tol:

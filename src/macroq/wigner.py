@@ -316,28 +316,34 @@ def measure_P_wigner(w: PhaseSpaceGrid) -> float:
     return 2.0 * np.pi * _trapezoid_2d(w.values * w.values, w.dq, w.dp)
 
 
-def measure_C_wigner(w: PhaseSpaceGrid, *, check_resolution: bool = True) -> float:
+def measure_C_wigner(w: PhaseSpaceGrid) -> float:
     """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) on the grid.
 
-    The resolution guard compares against the same evaluation on the
-    2x-coarsened grid. The spectral C is exact to round-off on any grid
-    that resolves W, so a change beyond gradient_resolution_tol means the
-    half grid, and possibly the grid itself, is under-resolved. The guard
-    is conservative: it also refuses resolved grids whose half is aliased
-    (cat alpha=5 at 256 points).
+    Refused with TruncationError when the grid is under-resolved, as
+    _coarsening_change judges it.
     """
     value = _c_from_values(w.values, w.dq, w.dp)
-    if check_resolution:
-        coarse = w.values[::2, ::2]
-        coarse_value = _c_from_values(coarse, 2.0 * w.dq, 2.0 * w.dp)
-        change = abs(coarse_value - value) / abs(value)
-        limit = TOL.gradient_resolution_tol
-        if change > limit:
-            raise TruncationError(
-                f"gradient integral not grid-converged: coarsening changes C by "
-                f"{change:.2e} relative (limit {limit:.2e}); use a finer grid"
-            )
+    _coarsening_change(w, value)
     return value
+
+
+def _coarsening_change(w: PhaseSpaceGrid, value: float) -> float:
+    """Relative change in C on the 2x-coarsened grid; TruncationError past the limit.
+
+    The spectral C is exact to round-off on any grid that resolves W, so a
+    change beyond gradient_resolution_tol means the half grid, and possibly
+    the grid itself, is under-resolved. The guard is conservative: it also
+    refuses resolved grids whose half is aliased (cat alpha=5 at 256 points).
+    """
+    coarse_value = _c_from_values(w.values[::2, ::2], 2.0 * w.dq, 2.0 * w.dp)
+    change = abs(coarse_value - value) / abs(value)
+    limit = TOL.gradient_resolution_tol
+    if change > limit:
+        raise TruncationError(
+            f"gradient integral not converged on the {w.nq}x{w.np} grid: coarsening "
+            f"changes C by {change:.2e} relative (limit {limit:.2e}); use a finer grid"
+        )
+    return change
 
 
 def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
@@ -371,17 +377,17 @@ def wigner_measure_report(
     C and P come from the grid; I is reconstructed through I = (C - M*P)/2,
     and the report is built as the operator one is, refusing chi2 <= 0. The
     same state is first measured through the operator traces, and the two
-    pipelines must agree on C, P and chi2 within the relative tolerance,
-    otherwise a ConsistencyError carries both sets of values. The operator
-    report is kept as the result's checked_against.
+    pipelines must agree on C, P and chi2 within the relative tolerance.
+    A disagreement carries both sets of values and is judged by the
+    coarsening guard: TruncationError on an under-resolved grid, otherwise
+    ConsistencyError. The operator report is kept as the result's
+    checked_against.
     """
     _require_single_mode(rho, "wigner_measure_report")
-    if gs is None:
-        gs = default_grid_spec(rho.spec.truncation)
     operator = measure_report(rho, provenance=provenance)
     tol = TOL.dual_pipeline_rel if cross_tol is None else cross_tol
     grid = wigner_from_density(rho, gs)
-    c_value = measure_C_wigner(grid, check_resolution=False)
+    c_value = _c_from_values(grid.values, grid.dq, grid.dp)
     p_value = measure_P_wigner(grid)
     report = _checked_report((c_value - p_value) / 2.0, c_value, p_value, rho.spec, provenance)
     deltas = {
@@ -389,13 +395,20 @@ def wigner_measure_report(
         "P": abs(report.P - operator.P) / operator.P,
         "chi2": abs(report.chi2 - operator.chi2) / abs(operator.chi2),
     }
-    worst = max(deltas, key=deltas.get)
-    if deltas[worst] > tol:
-        raise ConsistencyError(
+    if max(deltas.values()) > tol:
+        disagreement = (
             "operator and phase-space pipelines disagree: "
             f"grid C={report.C!r} P={report.P!r} chi2={report.chi2!r} vs "
             f"operator C={operator.C!r} P={operator.P!r} chi2={operator.chi2!r} "
             f"(relative deltas {deltas}, tolerance {tol})"
+        )
+        try:
+            change = _coarsening_change(grid, c_value)
+        except TruncationError as exc:
+            raise TruncationError(f"{disagreement}; {exc}") from None
+        raise ConsistencyError(
+            f"{disagreement}; the {grid.nq}x{grid.np} grid is resolved "
+            f"(coarsening changes C by {change:.2e})"
         )
     report.method = "wigner"
     report.cross_deltas = deltas

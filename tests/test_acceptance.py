@@ -233,7 +233,7 @@ class TestCriterion5DualPipeline:
             for points in (256, 512):
                 grid = wigner_from_density(
                     rho, default_grid_spec(rho.spec.truncation, points))
-                c_val = measure_C_wigner(grid, check_resolution=False)
+                c_val = measure_C_wigner(grid)
                 p_val = measure_P_wigner(grid)
                 deltas[points] = (
                     abs(c_val - operator.C) / abs(operator.C),

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from macroq import (
+    TOL,
     DensityMatrix,
     GaussianSpec,
     ModeSpec,
@@ -18,6 +20,7 @@ from macroq import (
     save_state,
     thermal_state,
 )
+from macroq import wigner
 from macroq.cli import main
 
 from oracles import cat_mixture_I, thermal_chi2
@@ -95,6 +98,25 @@ class TestStateCommand:
         err = capsys.readouterr().err
         assert "alpha must be finite" in err
         assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_non_finite_cat_phase(self, tmp_path, capsys, phi):
+        out = tmp_path / "x.json"
+        assert run("state", "cat", "alpha=1", f"phi={phi}", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"relative_phase must be finite, got {phi}" in err
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert not out.exists()
+
+    def test_product_refuses_truncation(self, tmp_path, capsys):
+        factor = tmp_path / "f.json"
+        out = tmp_path / "prod.json"
+        run("state", "fock", "n=1", "--out", str(factor))
+        capsys.readouterr()
+        assert run("state", "product", f"left={factor}", f"right={factor}",
+                   "--truncation", "5", "--out", str(out)) == 2
+        assert "the product takes its factors' truncation" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
@@ -218,7 +240,10 @@ class TestMeasureCommand:
         out = tmp_path / "cat7.json"
         assert run("state", "cat", "alpha=7", "--out", str(out)) == 0
         capsys.readouterr()
-        assert run("measure", str(out), "--method", "both") != 0
+        assert run("measure", str(out), "--method", "both") == 3
+        err = capsys.readouterr().err
+        assert "relative deltas" in err
+        assert "on the 256x256 grid: coarsening changes C by 2.53e-01" in err
 
     def test_coherent_structure_measure(self, tmp_path, capsys):
         out = tmp_path / "coh.json"
@@ -315,8 +340,20 @@ class TestMeasureCommand:
         capsys.readouterr()
         code = run("measure", str(out), "--method", "wigner", "--grid", "64")
         err = capsys.readouterr().err
-        assert code == 4
-        assert "disagree" in err
+        # the 64-point grid under-resolves the fringes: a truncation error, not a bug
+        assert code == 3
+        assert "disagree" in err and "relative deltas" in err
+        assert "on the 64x64 grid" in err
+
+    def test_unexplained_gap_on_resolved_grid_exit_code(self, tmp_path, capsys,
+                                                        monkeypatch):
+        out = tmp_path / "cat.json"
+        run("state", "cat", "alpha=1.5", "--out", str(out))
+        capsys.readouterr()
+        monkeypatch.setattr(wigner, "TOL", dataclasses.replace(TOL, dual_pipeline_rel=1e-18))
+        assert run("measure", str(out), "--method", "both") == 4
+        err = capsys.readouterr().err
+        assert "disagree" in err and "the 256x256 grid is resolved" in err
 
     def test_round_trip_matches_in_process_values(self, tmp_path, capsys):
         out = tmp_path / "thermal.json"
@@ -563,6 +600,16 @@ class TestVerifyCommand:
         residual = pure_state_measures(psi).identity_residual
         assert f"PASS corpus:pure.json: valid PureState, identity residual {residual:.2e}" \
             in capsys.readouterr().out
+
+    def test_missing_corpus_file_is_a_fail_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run("verify", "--grid", "128", "--corpus", str(missing)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("PASS ") for line in lines) == 11
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL corpus:missing.json: ")
+        assert "No such file or directory" in fails[0]
 
 
 class TestDeterminism:

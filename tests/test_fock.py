@@ -17,13 +17,13 @@ from macroq import (
     coherent_state,
     creation_op,
     displaced,
-    displacement_op,
-    number_op,
     quadrature_p,
     quadrature_q,
 )
 
-from oracles import embed, expm_reference, ladder_matrix
+from macroq.fock import _single_mode_displacement
+
+from oracles import expm_reference, ladder_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,21 +110,12 @@ class TestQuadratures:
 
 
 class TestNumberOperator:
-    def test_diagonal(self):
-        n = number_op(ModeSpec(1, 4)).matrix
-        assert np.array_equal(n, np.diag([0.0, 1.0, 2.0, 3.0]))
-
     def test_equals_creation_times_annihilation(self):
         # sqrt(n)*sqrt(n) rounds one ulp away from n for some n, so the
         # agreement is exact arithmetic up to that last bit
         spec = ModeSpec(1, 8)
         product = creation_op(spec).matrix @ annihilation_op(spec).matrix
-        assert np.max(np.abs(number_op(spec).matrix - product)) < 1e-14
-
-    def test_trace_is_arithmetic_series(self):
-        n_levels = 9
-        n = number_op(ModeSpec(1, n_levels)).matrix
-        assert np.trace(n).real == n_levels * (n_levels - 1) / 2
+        assert np.max(np.abs(np.diag(np.arange(8)) - product)) < 1e-14
 
 
 class TestCommutators:
@@ -153,7 +144,7 @@ class TestCommutators:
         q = quadrature_q(spec).matrix
         p = quadrature_p(spec).matrix
         lhs = q @ q + p @ p
-        rhs = 2.0 * number_op(spec).matrix + np.eye(n_levels)
+        rhs = 2.0 * np.diag(np.arange(n_levels)) + np.eye(n_levels)
         block = slice(0, n_levels - 1)
         assert np.max(np.abs(lhs[block, block] - rhs[block, block])) < 1e-12
 
@@ -205,25 +196,18 @@ class TestModeSpec:
 
 
 class TestDisplacementOperator:
-    @pytest.mark.parametrize("num_modes, n_levels, mode, beta", [
-        (1, 40, 1, 0.5 + 0.5j),
-        (2, 12, 1, 0.3),
-        (2, 12, 2, 0.3j),
-    ])
-    def test_matches_taylor_oracle_and_is_unitary(self, num_modes, n_levels, mode, beta):
-        op = displacement_op(ModeSpec(num_modes, n_levels), beta, mode)
+    @pytest.mark.parametrize("n_levels, beta", [(40, 0.5 + 0.5j), (12, 0.3), (12, 0.3j)])
+    def test_matches_taylor_oracle_and_is_unitary(self, n_levels, beta):
+        # test_measures.py's test_axiswise_matches_embedded_conjugation judges
+        # the two-mode embedding through displaced
+        op = _single_mode_displacement(n_levels, beta)
         a = ladder_matrix(n_levels)
-        gen = beta * a.conj().T - np.conj(beta) * a
-        expected = embed(expm_reference(gen), mode, num_modes, n_levels)
-        assert np.max(np.abs(op.matrix - expected)) < 1e-13
-        identity = np.eye(n_levels ** num_modes)
-        assert np.max(np.abs(op.matrix @ op.matrix.conj().T - identity)) < 1e-13
-        assert not op.matrix.flags.writeable
+        expected = expm_reference(beta * a.conj().T - np.conj(beta) * a)
+        assert np.max(np.abs(op - expected)) < 1e-13
+        assert np.max(np.abs(op @ op.conj().T - np.eye(n_levels))) < 1e-13
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, math.nan * 1j])
     def test_non_finite_beta_is_named(self, beta):
-        with pytest.raises(ValueError, match="beta must be finite"):
-            displacement_op(ModeSpec(1, 10), beta)
         with pytest.raises(ValueError, match="beta must be finite"):
             displaced(as_density(coherent_state(ModeSpec(1, 30), 0.5)), beta)
 
@@ -233,9 +217,8 @@ class TestRuntimeDependencies:
         script = (
             "import sys\n"
             "import macroq\n"
-            "from macroq import ModeSpec, as_density, coherent_state, displaced, displacement_op\n"
+            "from macroq import ModeSpec, as_density, coherent_state, displaced\n"
             "displaced(as_density(coherent_state(ModeSpec(1, 30), 0.5)), 0.3)\n"
-            "displacement_op(ModeSpec(2, 6), 0.2j, mode=2)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")

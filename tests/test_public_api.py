@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "default_grid_spec",
     "default_thermal_truncation",
     "displaced",
-    "displacement_op",
     "fock_mixture",
     "fock_state",
     "gaussian_wigner",
@@ -54,7 +53,6 @@ PUBLIC_NAMES = [
     "measure_P_wigner",
     "measure_report",
     "mix",
-    "number_op",
     "product_state",
     "pure_state_measures",
     "purity",
@@ -89,17 +87,31 @@ def test_public_surface():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("macroq.linalg")
 
+    # install the tracer as a traced run does: it reads each method from its
+    # class's own __dict__ and rebinds every module reference to each function
     tracing = _load_tracing()
-    for module in tracing.MACROQ_MODULES:
-        importlib.import_module(module)
+    modules = [importlib.import_module(name) for name in tracing.MACROQ_MODULES]
+    targets = {}
     for table in tracing.LAYER_SPANS.values():
         for target in table:
             module, attr = target.split(":")
             owner = importlib.import_module(module)
-            for part in attr.split("."):
-                assert hasattr(owner, part), target
-                owner = getattr(owner, part)
-            assert callable(owner), target
+            *cls, name = attr.split(".")
+            targets[target] = (getattr(owner, cls[0]) if cls else owner, name)
+    before = [dict(vars(module)) for module in modules]
+    originals = {target: vars(owner)[name] for target, (owner, name) in targets.items()}
+    assert all(callable(original) for original in originals.values())
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for target, (owner, name) in targets.items():
+            assert vars(owner)[name] is not originals[target], target
+    finally:
+        tracer.uninstall()
+    for target, (owner, name) in targets.items():
+        assert vars(owner)[name] is originals[target], target
+    for module, names in zip(modules, before):
+        assert all(vars(module)[key] is value for key, value in names.items()), module
 
 
 def test_cli_imports_no_private_package_names():

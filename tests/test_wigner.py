@@ -347,7 +347,7 @@ class TestGridMeasures:
             errs = []
             for points in (65, 129, 257):
                 grid = wigner_from_density(rho, _grid(rho.spec.truncation, points))
-                value = measure_C_wigner(grid, check_resolution=False)
+                value = _c_from_values(grid.values, grid.dq, grid.dp)
                 errs.append(abs(value - reference) / reference)
             assert coarse_low <= errs[0] < coarse_high, errs
             assert max(errs[1:]) < 1e-12, errs
@@ -407,9 +407,19 @@ class TestWignerReport:
         assert max(report.cross_deltas.values()) < 1e-3
 
     def test_disagreement_raises_with_both_values(self):
+        # 64 points under-resolve the fringes (coarsening changes C by 0.35)
         rho = as_density(cat_state(ModeSpec(1, 25), 1.5))
-        with pytest.raises(ConsistencyError, match="pipelines disagree"):
+        with pytest.raises(TruncationError, match="pipelines disagree") as info:
             wigner_measure_report(rho, _grid(25, 64))
+        assert "operator C=" in str(info.value)
+        assert "on the 64x64 grid" in str(info.value)
+
+    def test_unexplained_gap_on_resolved_grid_is_a_consistency_error(self):
+        # at 256 points coarsening changes C by about 1e-16, so only a bug is left
+        rho = as_density(cat_state(ModeSpec(1, 25), 1.5))
+        with pytest.raises(ConsistencyError, match="pipelines disagree") as info:
+            wigner_measure_report(rho, _grid(25, 256), cross_tol=1e-18)
+        assert "the 256x256 grid is resolved" in str(info.value)
 
     def test_multimode_rejected(self):
         vac = _vacuum(6)
