@@ -54,7 +54,6 @@ from .wigner import (
     GridSpec,
     PhaseSpaceGrid,
     default_grid_spec,
-    gaussian_wigner,
     measure_C_wigner,
     measure_P_wigner,
     wigner_from_density,
@@ -108,7 +107,6 @@ __all__ = [
     "PhaseSpaceGrid",
     "default_grid_spec",
     "wigner_from_density",
-    "gaussian_wigner",
     "measure_P_wigner",
     "measure_C_wigner",
     "wigner_measure_report",

@@ -103,30 +103,30 @@ def build_state(
     meta: dict = {"family": family, "params": dict(params)}
     if family == "fock":
         n = int(_pop(params, "n", family))
-        cut = truncation or max(12, n + 2)
+        cut = max(12, n + 2) if truncation is None else truncation
         state: PureState | DensityMatrix = fock_state(ModeSpec(1, cut), n)
     elif family == "coherent":
         alpha = _parse_complex(_pop(params, "alpha", family))
-        cut = truncation or default_coherent_truncation(alpha)
+        cut = default_coherent_truncation(alpha) if truncation is None else truncation
         state = coherent_state(ModeSpec(1, cut), alpha)
     elif family == "cat":
         alpha = _parse_complex(_pop(params, "alpha", family))
         phi = float(_pop(params, "phi", family, "0"))
-        cut = truncation or default_coherent_truncation(alpha)
+        cut = default_coherent_truncation(alpha) if truncation is None else truncation
         state = cat_state(ModeSpec(1, cut), alpha, phi)
     elif family == "cat-mixture":
         alpha = _parse_complex(_pop(params, "alpha", family))
-        cut = truncation or default_coherent_truncation(alpha)
+        cut = default_coherent_truncation(alpha) if truncation is None else truncation
         state = cat_mixture(ModeSpec(1, cut), alpha)
     elif family == "fock-mixture":
         d = int(_pop(params, "d", family))
         include_vacuum = _parse_bool(_pop(params, "include_vacuum", family, "true"))
         top = d - 1 if include_vacuum else d
-        cut = truncation or max(12, top + 2)
+        cut = max(12, top + 2) if truncation is None else truncation
         state = fock_mixture(ModeSpec(1, cut), d, include_vacuum)
     elif family == "thermal":
         a = float(_pop(params, "a", family))
-        cut = truncation or default_thermal_truncation(a)
+        cut = default_thermal_truncation(a) if truncation is None else truncation
         state = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
     elif family == "product":
         if truncation is not None:
@@ -278,12 +278,12 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     peak = np.unravel_index(np.argmax(np.abs(grid.values)), grid.values.shape)
     summary = {
         "written": written,
-        "nq": grid.nq,
-        "np": grid.np,
+        "nq": gs.nq,
+        "np": gs.np,
         "half_width": gs.half_width,
         "normalization": grid.normalization(),
         "extreme_value": float(grid.values[peak]),
-        "extreme_at": [float(grid.q_vector()[peak[0]]), float(grid.p_vector()[peak[1]])],
+        "extreme_at": [float(gs.q_vector()[peak[0]]), float(gs.p_vector()[peak[1]])],
     }
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK

@@ -30,6 +30,16 @@ def _brief(n: int) -> str:
     return str(n) if n < 10 ** 12 else f"{Decimal(n):.3e}"
 
 
+def _store_integers(spec: object, what: str, names: tuple[str, ...]) -> None:
+    """Refuse bool and non-integer fields of a frozen spec; store NumPy integers as int."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} {name} must be an integer, got {value!r}")
+        # a NumPy integer would wrap in products such as total_dim
+        object.__setattr__(spec, name, int(value))
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     """Number of modes and per-mode Fock truncation; fixes every dimension."""
@@ -38,12 +48,7 @@ class ModeSpec:
     truncation: int
 
     def __post_init__(self) -> None:
-        for name in ("num_modes", "truncation"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"mode spec {name} must be an integer, got {value!r}")
-            # a NumPy integer would wrap in total_dim instead of exceeding the budget
-            object.__setattr__(self, name, int(value))
+        _store_integers(self, "mode spec", ("num_modes", "truncation"))
         if self.num_modes < 1:
             raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
         if self.truncation < 2:

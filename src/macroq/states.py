@@ -241,7 +241,7 @@ def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
     Each occupation must stay at least one level below the truncation so the
     guard level is empty.
     """
-    levels = (n,) if isinstance(n, int) else tuple(n)
+    levels = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
     if len(levels) != spec.num_modes:
         raise ValueError(
             f"got {len(levels)} occupation numbers for {spec.num_modes} modes"
@@ -360,8 +360,8 @@ def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
     if not components:
         raise ValueError("mix requires at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights < 0.0):
-        raise ValueError("mixture weights must be nonnegative")
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(f"mixture weights must be finite and nonnegative, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, expected 1")
     spec = components[0][1].spec

@@ -36,8 +36,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConsistencyError, TruncationError
+from .fock import _store_integers
 from .measures import MeasureReport, _checked_report, measure_report
-from .states import GaussianSpec, State, as_density
+from .states import State, as_density
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        _store_integers(self, "grid", ("nq", "np"))
         if self.nq < 32 or self.np < 32:
             raise ValueError(f"grids need at least 32 points per axis, got {self.nq}x{self.np}")
 
@@ -60,6 +62,14 @@ class GridSpec:
     def p_vector(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.np)
 
+    @property
+    def dq(self) -> float:
+        return 2.0 * self.half_width / (self.nq - 1)
+
+    @property
+    def dp(self) -> float:
+        return 2.0 * self.half_width / (self.np - 1)
+
 
 def default_grid_spec(truncation: int, points: int = 256) -> GridSpec:
     """Window sized to the truncated state's support radius sqrt(2N), buffered."""
@@ -68,21 +78,12 @@ def default_grid_spec(truncation: int, points: int = 256) -> GridSpec:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Sampled real W(q_i, p_j) on a rectangular window."""
+    """Sampled real W(q_i, p_j) on the window of its GridSpec."""
 
-    q_min: float
-    q_max: float
-    p_min: float
-    p_max: float
-    nq: int
-    np: int
+    spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.q_min < self.q_max and self.p_min < self.p_max):
-            raise ValueError("grid bounds must be ordered")
-        if self.nq < 32 or self.np < 32:
-            raise ValueError("grids need at least 32 points per axis")
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.shape != (self.nq, self.np):
             raise ValueError(f"values shape {vals.shape} does not match {self.nq}x{self.np}")
@@ -91,22 +92,23 @@ class PhaseSpaceGrid:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    # read-throughs to the spec, for callers that take counts and axes off the grid
+    @property
+    def nq(self) -> int:
+        return self.spec.nq
+
+    @property
+    def np(self) -> int:
+        return self.spec.np
+
     def q_vector(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.nq)
+        return self.spec.q_vector()
 
     def p_vector(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.np)
-
-    @property
-    def dq(self) -> float:
-        return (self.q_max - self.q_min) / (self.nq - 1)
-
-    @property
-    def dp(self) -> float:
-        return (self.p_max - self.p_min) / (self.np - 1)
+        return self.spec.p_vector()
 
     def normalization(self) -> float:
-        return _trapezoid_2d(self.values, self.dq, self.dp)
+        return _trapezoid_2d(self.values, self.spec.dq, self.spec.dp)
 
     def to_csv(self, path: str | Path) -> None:
         """Row-major q,p,w table at 17 significant digits."""
@@ -118,15 +120,10 @@ class PhaseSpaceGrid:
                 fh.write("".join([f"{qi}{pj}{w:.17g}\n" for pj, w in zip(p, row)]))
 
     def to_json_dict(self) -> dict:
+        h = self.spec.half_width
         return {
-            "grid_spec": {
-                "q_min": self.q_min,
-                "q_max": self.q_max,
-                "p_min": self.p_min,
-                "p_max": self.p_max,
-                "nq": self.nq,
-                "np": self.np,
-            },
+            "grid_spec": {"q_min": -h, "q_max": h, "p_min": -h, "p_max": h,
+                          "nq": self.nq, "np": self.np},
             "values": self.values.tolist(),
         }
 
@@ -139,14 +136,6 @@ def _trapezoid_2d(values: np.ndarray, dq: float, dp: float) -> float:
     wp[0] *= 0.5
     wp[-1] *= 0.5
     return float(wq @ values @ wp)
-
-
-def _grid_from_values(gs: GridSpec, values: np.ndarray) -> PhaseSpaceGrid:
-    return PhaseSpaceGrid(
-        q_min=-gs.half_width, q_max=gs.half_width,
-        p_min=-gs.half_width, p_max=gs.half_width,
-        nq=gs.nq, np=gs.np, values=values,
-    )
 
 
 def _require_single_mode(rho: State, what: str) -> None:
@@ -164,7 +153,7 @@ def _finish(raw: np.ndarray, gs: GridSpec, what: str) -> PhaseSpaceGrid:
             f"{what}: imaginary residue {residue:.2e} in the transform "
             f"(allowed {TOL.imag_residue_tol:.0e})"
         )
-    grid = _grid_from_values(gs, raw.real)
+    grid = PhaseSpaceGrid(gs, raw.real)
     norm = grid.normalization()
     if abs(norm - 1.0) > TOL.grid_norm_tol:
         raise TruncationError(
@@ -192,10 +181,9 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     A stride beyond the kernel's width samples eta = 0 alone, so m is capped
     there, which keeps it finite for tiny windows.
     """
-    dq = 2.0 * gs.half_width / (gs.nq - 1)
     limit = math.pi / gs.half_width
-    refine = max(1, math.ceil(dq / limit))
-    stride = max(1, math.floor(min(limit * refine / dq, 2 * refine * gs.nq)))
+    refine = max(1, math.ceil(gs.dq / limit))
+    stride = max(1, math.floor(min(limit * refine / gs.dq, 2 * refine * gs.nq)))
     return refine, stride
 
 
@@ -299,21 +287,13 @@ def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def gaussian_wigner(g: GaussianSpec, gs: GridSpec) -> PhaseSpaceGrid:
-    """Analytic isotropic Gaussian profile exp(-(q^2+p^2)/a^2) / (pi a^2)."""
-    q = gs.q_vector()
-    p = gs.p_vector()
-    values = np.exp(-(q[:, None] ** 2 + p[None, :] ** 2) / (g.a * g.a)) / (np.pi * g.a * g.a)
-    return _grid_from_values(gs, values)
-
-
 # ---------------------------------------------------------------------------
 # grid measures
 # ---------------------------------------------------------------------------
 
 def measure_P_wigner(w: PhaseSpaceGrid) -> float:
     """Purity from the square integral, 2pi * integral(W^2)."""
-    return 2.0 * np.pi * _trapezoid_2d(w.values * w.values, w.dq, w.dp)
+    return 2.0 * np.pi * _trapezoid_2d(w.values * w.values, w.spec.dq, w.spec.dp)
 
 
 def measure_C_wigner(w: PhaseSpaceGrid) -> float:
@@ -322,7 +302,7 @@ def measure_C_wigner(w: PhaseSpaceGrid) -> float:
     Refused with TruncationError when the grid is under-resolved, as
     _coarsening_change judges it.
     """
-    value = _c_from_values(w.values, w.dq, w.dp)
+    value = _c_from_values(w.values, w.spec.dq, w.spec.dp)
     _coarsening_change(w, value)
     return value
 
@@ -335,12 +315,12 @@ def _coarsening_change(w: PhaseSpaceGrid, value: float) -> float:
     the grid itself, is under-resolved. The guard is conservative: it also
     refuses resolved grids whose half is aliased (cat alpha=5 at 256 points).
     """
-    coarse_value = _c_from_values(w.values[::2, ::2], 2.0 * w.dq, 2.0 * w.dp)
+    coarse_value = _c_from_values(w.values[::2, ::2], 2.0 * w.spec.dq, 2.0 * w.spec.dp)
     change = abs(coarse_value - value) / abs(value)
     limit = TOL.gradient_resolution_tol
     if change > limit:
         raise TruncationError(
-            f"gradient integral not converged on the {w.nq}x{w.np} grid: coarsening "
+            f"gradient integral not converged on the {w.spec.nq}x{w.spec.np} grid: coarsening "
             f"changes C by {change:.2e} relative (limit {limit:.2e}); use a finer grid"
         )
     return change
@@ -387,7 +367,7 @@ def wigner_measure_report(
     operator = measure_report(rho, provenance=provenance)
     tol = TOL.dual_pipeline_rel if cross_tol is None else cross_tol
     grid = wigner_from_density(rho, gs)
-    c_value = _c_from_values(grid.values, grid.dq, grid.dp)
+    c_value = _c_from_values(grid.values, grid.spec.dq, grid.spec.dp)
     p_value = measure_P_wigner(grid)
     report = _checked_report((c_value - p_value) / 2.0, c_value, p_value, rho.spec, provenance)
     deltas = {
@@ -407,7 +387,7 @@ def wigner_measure_report(
         except TruncationError as exc:
             raise TruncationError(f"{disagreement}; {exc}") from None
         raise ConsistencyError(
-            f"{disagreement}; the {grid.nq}x{grid.np} grid is resolved "
+            f"{disagreement}; the {grid.spec.nq}x{grid.spec.np} grid is resolved "
             f"(coarsening changes C by {change:.2e})"
         )
     report.method = "wigner"

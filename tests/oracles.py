@@ -145,6 +145,13 @@ def even_cat_wigner(alpha: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (lobes + fringes) / (2.0 * math.pi * (1.0 + math.exp(-2.0 * alpha * alpha)))
 
 
+def gaussian_wigner(a: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Isotropic Gaussian profile exp(-(q^2+p^2)/a^2) / (pi a^2), the thermal W of width a."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return np.exp(-(q[:, None] ** 2 + p[None, :] ** 2) / (a * a)) / (np.pi * a * a)
+
+
 # closed forms for the analytic families ------------------------------------
 
 def thermal_I(a: float) -> float:

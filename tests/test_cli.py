@@ -119,6 +119,14 @@ class TestStateCommand:
         assert "the product takes its factors' truncation" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("truncation", ["0", "-3"])
+    def test_non_positive_truncation_is_refused(self, tmp_path, capsys, truncation):
+        # 0 is an explicit truncation like any other, not "use the default"
+        out = tmp_path / "x.json"
+        assert run("state", "fock", "n=1", "--truncation", truncation, "--out", str(out)) == 2
+        assert f"truncation must be >= 2, got {truncation}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
     def test_alpha_far_above_truncation_names_it(self, tmp_path, capsys, family):
         # every amplitude of |alpha=100> underflows at N=20 unless rescaled
@@ -450,6 +458,16 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()[1:]
         assert rows[0].split(",")[5] == ""
         assert rows[1].split(",")[5].startswith("TruncationError")
+
+    @pytest.mark.parametrize("truncation", ["0", "-3"])
+    def test_non_positive_truncation_fails_every_point(self, tmp_path, capsys, truncation):
+        out = tmp_path / "thermal.csv"
+        assert run("sweep", "--family", "thermal", "--parameter", "a", "--values", "1.5,2",
+                   "--truncation", truncation, "--out", str(out)) == 3
+        assert "every sweep point failed" in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == [
+            f"ValueError: truncation must be >= 2; got {truncation}"] * 2
 
     def test_incompatible_family_parameter(self, tmp_path, capsys):
         code = run("sweep", "--family", "thermal", "--parameter", "d",

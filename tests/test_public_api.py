@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "displaced",
     "fock_mixture",
     "fock_state",
-    "gaussian_wigner",
     "load_state",
     "max_dimension",
     "measure_C",
@@ -80,7 +79,7 @@ def _load_tracing():
     return module
 
 
-def test_public_surface():
+def test_public_surface(tmp_path):
     assert sorted(macroq.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(macroq, name), name
@@ -106,8 +105,16 @@ def test_public_surface():
         tracer.install()
         for target, (owner, name) in targets.items():
             assert vars(owner)[name] is not originals[target], target
+        # the wrappers read the grid's counts and methods, so run one of each
+        rho = macroq.fock_state(macroq.ModeSpec(1, 6), 1)
+        half_width = macroq.default_grid_spec(6).half_width
+        grid = macroq.wigner_from_density(rho, macroq.GridSpec(half_width, 33, 40))
+        grid.to_csv(tmp_path / "grid.csv")
     finally:
         tracer.uninstall()
+    spans = {span.name: span for span in tracer.spans}
+    assert spans["wigner.transform"].attrs == {"cell_dyads": 33 * 40 * 6 ** 2}
+    assert "wigner.export" in spans
     for target, (owner, name) in targets.items():
         assert vars(owner)[name] is originals[target], target
     for module, names in zip(modules, before):

@@ -23,7 +23,6 @@ from macroq import (
     default_thermal_truncation,
     fock_mixture,
     fock_state,
-    gaussian_wigner,
     load_state,
     measure_I,
     mix,
@@ -42,6 +41,7 @@ from oracles import (
     cat_mixture_purity,
     coherent_vector,
     even_cat_I,
+    gaussian_wigner,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -72,6 +72,13 @@ class TestFockState:
     def test_rejects_guard_level(self):
         with pytest.raises(ValueError, match="guard"):
             fock_state(ModeSpec(1, 5), 4)
+
+    def test_numpy_integer_is_one_occupation(self):
+        spec = ModeSpec(1, 12)
+        for n in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert np.array_equal(fock_state(spec, n).amplitudes, fock_state(spec, 2).amplitudes)
+        with pytest.raises(ValueError, match="guard"):
+            fock_state(ModeSpec(1, 5), np.int64(4))
 
 
 class TestCoherentState:
@@ -222,8 +229,8 @@ class TestThermalState:
         rho = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
         gs = GridSpec(half_width=math.sqrt(2 * cut) + 5, nq=128, np=128)
         sampled = wigner_from_density(rho, gs)
-        analytic = gaussian_wigner(GaussianSpec(a), gs)
-        assert np.max(np.abs(sampled.values - analytic.values)) < 1e-6
+        analytic = gaussian_wigner(a, gs.q_vector(), gs.p_vector())
+        assert np.max(np.abs(sampled.values - analytic)) < 1e-6
 
 
 class TestDefaultTruncations:
@@ -269,6 +276,9 @@ class TestMix:
             mix([(0.7, rho), (0.2, rho)])
         with pytest.raises(ValueError, match="nonnegative"):
             mix([(1.5, rho), (-0.5, rho)])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"finite and nonnegative, got \[(nan|inf)\]"):
+                mix([(bad, rho)])
 
     def test_spec_mismatch_rejected(self):
         a = as_density(fock_state(ModeSpec(1, 8), 0))

@@ -5,6 +5,7 @@ judge of the vectorised defining integral (wigner_from_density);
 closed-form Gaussians and cat states anchor it.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -26,7 +27,6 @@ from macroq import (
     default_thermal_truncation,
     fock_mixture,
     fock_state,
-    gaussian_wigner,
     measure_C,
     measure_C_wigner,
     measure_P_wigner,
@@ -46,7 +46,12 @@ from macroq.wigner import (
     default_grid_spec,
 )
 
-from oracles import even_cat_wigner, oscillator_eigenfunctions, wigner_dyad_recurrence
+from oracles import (
+    even_cat_wigner,
+    gaussian_wigner,
+    oscillator_eigenfunctions,
+    wigner_dyad_recurrence,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,6 +62,11 @@ def _vacuum(n_levels=12):
 
 def _grid(n_levels, points):
     return default_grid_spec(n_levels, points)
+
+
+def _gaussian_grid(a, gs):
+    """The analytic Gaussian profile sampled on gs, as a grid the measures take."""
+    return PhaseSpaceGrid(gs, gaussian_wigner(a, gs.q_vector(), gs.p_vector()))
 
 
 def _eta_sum_pair_by_pair(mat, gs):
@@ -103,8 +113,8 @@ class TestKernelTransform:
         rho = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
         gs = _grid(cut, 128)
         sampled = wigner_from_density(rho, gs)
-        analytic = gaussian_wigner(GaussianSpec(a), gs)
-        assert np.max(np.abs(sampled.values - analytic.values)) < 1e-6
+        analytic = gaussian_wigner(a, gs.q_vector(), gs.p_vector())
+        assert np.max(np.abs(sampled.values - analytic)) < 1e-6
 
     def test_pure_state_is_transformed_through_its_projector(self):
         psi = cat_state(ModeSpec(1, 25), 1.5)
@@ -245,7 +255,7 @@ class TestDirectTransform:
         gs = _grid(19, 81)
         grid = wigner_from_density(rho, gs)
         peak = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-        cell = grid.dq
+        cell = grid.spec.dq
         assert abs(grid.q_vector()[peak[0]] - SQRT2) <= cell
         assert abs(grid.p_vector()[peak[1]] - 0.0) <= cell
 
@@ -265,15 +275,15 @@ class TestDirectTransform:
 class TestGaussianProfile:
     def test_origin_values(self):
         gs = GridSpec(half_width=10.0, nq=65, np=65)
-        assert gaussian_wigner(GaussianSpec(1.0), gs).values[32, 32] == pytest.approx(
-            1.0 / np.pi, rel=1e-12)
-        assert gaussian_wigner(GaussianSpec(2.0), gs).values[32, 32] == pytest.approx(
+        q, p = gs.q_vector(), gs.p_vector()
+        assert gaussian_wigner(1.0, q, p)[32, 32] == pytest.approx(1.0 / np.pi, rel=1e-12)
+        assert gaussian_wigner(2.0, q, p)[32, 32] == pytest.approx(
             1.0 / (4.0 * np.pi), rel=1e-12)
 
     def test_normalization_on_wide_window(self):
         for a in (1.0, 2.0):
             gs = GridSpec(half_width=5.0 * a + 1.0, nq=256, np=256)
-            grid = gaussian_wigner(GaussianSpec(a), gs)
+            grid = _gaussian_grid(a, gs)
             assert grid.normalization() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -284,7 +294,7 @@ class TestGridMeasures:
 
     def test_gaussian_purity(self):
         gs = GridSpec(half_width=12.0, nq=256, np=256)
-        grid = gaussian_wigner(GaussianSpec(SQRT2), gs)
+        grid = _gaussian_grid(SQRT2, gs)
         assert measure_P_wigner(grid) == pytest.approx(0.5, abs=1e-6)
 
     def test_two_level_mixture_purity(self):
@@ -294,12 +304,12 @@ class TestGridMeasures:
 
     def test_gaussian_structure_functional(self):
         gs = GridSpec(half_width=12.0, nq=256, np=256)
-        grid = gaussian_wigner(GaussianSpec(SQRT2), gs)
+        grid = _gaussian_grid(SQRT2, gs)
         assert measure_C_wigner(grid) == pytest.approx(0.25, abs=1e-4)
 
     def test_vacuum_structure_functional(self):
         gs = GridSpec(half_width=10.0, nq=256, np=256)
-        grid = gaussian_wigner(GaussianSpec(1.0), gs)
+        grid = _gaussian_grid(1.0, gs)
         assert measure_C_wigner(grid) == pytest.approx(1.0, abs=1e-4)
 
     def test_cat_mixture_ratio_tracks_operator_value(self):
@@ -347,7 +357,7 @@ class TestGridMeasures:
             errs = []
             for points in (65, 129, 257):
                 grid = wigner_from_density(rho, _grid(rho.spec.truncation, points))
-                value = _c_from_values(grid.values, grid.dq, grid.dp)
+                value = _c_from_values(grid.values, grid.spec.dq, grid.spec.dp)
                 errs.append(abs(value - reference) / reference)
             assert coarse_low <= errs[0] < coarse_high, errs
             assert max(errs[1:]) < 1e-12, errs
@@ -373,7 +383,7 @@ class TestGridMeasures:
             gs = _grid(rho.spec.truncation, 257)
             grid = wigner_from_density(rho, gs)
             row = grid.values[gs.nq // 2]  # q = 0 lives at the middle sample
-            dp = grid.dp
+            dp = grid.spec.dp
             weights = np.full(row.size, dp)
             weights[0] *= 0.5
             weights[-1] *= 0.5
@@ -455,7 +465,7 @@ class TestGridExport:
 
     def test_csv_matches_per_element_writer(self, tmp_path):
         values = np.random.default_rng(5).standard_normal((33, 47)) * 1e-3
-        grid = PhaseSpaceGrid(-3.7, 3.7, -2.9, 2.9, 33, 47, values)
+        grid = PhaseSpaceGrid(GridSpec(3.7, 33, 47), values)
         path = tmp_path / "grid.csv"
         grid.to_csv(path)
         q, p = grid.q_vector(), grid.p_vector()
@@ -466,17 +476,30 @@ class TestGridExport:
         assert path.read_bytes() == "".join(reference).encode()
 
     def test_json_envelope(self, tmp_path):
-        grid = wigner_from_density(_vacuum(), _grid(12, 33))
+        grid = wigner_from_density(_vacuum(), default_grid_spec(12, 33))
         doc = grid.to_json_dict()
-        assert doc["grid_spec"]["nq"] == 33
+        h = math.sqrt(24.0) + 5.0
+        assert doc["grid_spec"] == {"q_min": -h, "q_max": h, "p_min": -h, "p_max": h,
+                                    "nq": 33, "np": 33}
         parsed = json.loads(json.dumps(doc))
         assert np.array_equal(np.array(parsed["values"]), grid.values)
 
     def test_grid_invariants(self):
-        with pytest.raises(ValueError, match="ordered"):
-            PhaseSpaceGrid(1.0, -1.0, -1.0, 1.0, 33, 33, np.zeros((33, 33)))
+        assert [f.name for f in dataclasses.fields(PhaseSpaceGrid)] == ["spec", "values"]
+        for half_width in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="half_width must be positive and finite"):
+                GridSpec(half_width=half_width, nq=33, np=33)
         with pytest.raises(ValueError, match="at least 32"):
             GridSpec(half_width=5.0, nq=8, np=8)
+        for counts, name in (((64.5, 64), "nq"), ((64, 64.0), "np"), ((True, 64), "nq"),
+                             ((64, np.bool_(True)), "np"), (("64", 64), "nq")):
+            with pytest.raises(ValueError, match=f"grid {name} must be an integer"):
+                GridSpec(6.0, *counts)
+        gs = GridSpec(6.0, np.int64(40), np.int32(33))
+        assert (type(gs.nq), type(gs.np)) == (int, int)
+        assert gs == GridSpec(6.0, 40, 33)
+        assert wigner_from_density(_vacuum(), gs).values.shape == (40, 33)
+        with pytest.raises(ValueError, match=r"values shape \(33, 40\) does not match 40x33"):
+            PhaseSpaceGrid(gs, np.zeros((33, 40)))
         with pytest.raises(ValueError, match="non-finite"):
-            PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 33, 33,
-                           np.full((33, 33), np.nan))
+            PhaseSpaceGrid(GridSpec(1.0, 33, 33), np.full((33, 33), np.nan))
