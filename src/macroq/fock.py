@@ -30,14 +30,18 @@ def _brief(n: int) -> str:
     return str(n) if n < 10 ** 12 else f"{Decimal(n):.3e}"
 
 
+def _integer(value: object, what: str) -> int:
+    """value as an int; bool and non-integers are refused, NumPy integers kept."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    # a NumPy integer would wrap in products such as total_dim
+    return int(value)
+
+
 def _store_integers(spec: object, what: str, names: tuple[str, ...]) -> None:
     """Refuse bool and non-integer fields of a frozen spec; store NumPy integers as int."""
     for name in names:
-        value = getattr(spec, name)
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{what} {name} must be an integer, got {value!r}")
-        # a NumPy integer would wrap in products such as total_dim
-        object.__setattr__(spec, name, int(value))
+        object.__setattr__(spec, name, _integer(getattr(spec, name), f"{what} {name}"))
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,14 @@ Two quantities drive everything:
 with n_m = a_m^dagger a_m, plus the purity P = Tr[rho^2]. They satisfy
 I = (C - M*P)/2 and the structure measure is chi2 = 2C/P. At finite
 truncation the identity carries a corner defect proportional to the
-population of each mode's top Fock level (the truncated ladder commutator
-is not quite the identity there), which is why states are required to keep
+population of each mode's top Fock level, which is why states must keep
 that level empty to within the tail tolerance.
 
-No mode operator is ever built. For mode m, rho's row (or column) index is
-viewed as (L, N, R) with L = N^(m-1) and R = N^(M-m); a and a^dagger are
-shifts on the middle axis, so applying one to either side of rho is one
-shifted slice scaled by sqrt(k), written into a scratch buffer that the
-caller allocates once and reuses across modes, and every trace Tr[XY] is
-sum(X * Y^T). A report costs O(M D^2) instead of O(M D^3).
+No mode operator and no D x D product or buffer is ever formed. For mode m
+with stride s = N^(M-m), a and a^dagger shift rho's row or column index by
+s with weights sqrt(n), and every trace Tr[XY] = sum_ij X_ij Y_ji is summed
+over pairs of B x B tiles as X_IJ o (Y_JI)^T. A report costs O(M D^2) time
+and O(D + B^2) memory beyond rho.
 
 The redundancies are checked, not assumed:
 
@@ -25,29 +23,27 @@ The redundancies are checked, not assumed:
   on the row index and Tr[rho n rho] on the column index of rho_ij rho_ji,
   and by the cyclicity-reduced two-trace form; both share the hop term
   Tr[(rho a)(rho a^dagger)], evaluated once per mode.
-- C is evaluated in its commutator form. By cyclicity on the truncated
-  space, Tr[rho^2 X^2 - rho X rho X] = -(1/2) Tr[[X, rho]^2] exactly. Per
-  mode, [a, rho] and [a^dagger, rho] are formed in three reused D x D
-  buffers; their sum is sqrt(2) [q, rho] and their difference
-  i sqrt(2) [p, rho], and the q and p traces are taken separately. For
-  Hermitian rho each trace is a squared Frobenius norm of fixed sign, so C
-  is a sum of same-sign terms rather than a difference of two O(P) traces,
-  whose cancellation cost about 1e-11 relative in thermal chi2 at a = 8.
-- P is sum_ij rho_ij rho_ji. Neither C nor P shares an intermediate with I,
-  so the identity residual |I - (C - M*P)/2| is a real cross-check.
-- Every trace is complex and its imaginary residue is checked: products
-  like sum(X * Y^T) are real only for Hermitian rho, so a corrupted matrix
-  shows up there.
+- C is evaluated in its commutator form, Tr[rho^2 X^2 - rho X rho X] =
+  -(1/2) Tr[[X, rho]^2] by cyclicity. Per tile, the sum and difference of
+  [a, rho] and [a^dagger, rho] are sqrt(2) [q, rho] and i sqrt(2) [p, rho].
+  For Hermitian rho each trace is a squared Frobenius norm, so C is a sum
+  of same-sign terms, not a difference of two O(P) traces whose
+  cancellation cost about 1e-11 relative in thermal chi2 at a = 8.
+- P is sum_ij rho_ij rho_ji. I, C and P each walk their own tiles and share
+  no intermediate, so the identity residual |I - (C - M*P)/2| is a real
+  cross-check.
+- Every trace is complex and its imaginary residue is checked: these sums
+  are real only for Hermitian rho, so a corrupted matrix shows up there.
 - Every report, operator, pure or grid, refuses chi2 = 2C/P <= 0, and pure
   states must also satisfy I = chi2/4 - M/2.
 
-Pure states are measured from their amplitude vector and never become a
-D x D projector. For rho = |psi><psi| with s = <psi|psi>, Tr[rho^2 n] =
-Tr[rho n rho] = s <n> (from the |psi|^2 marginals), Tr[rho a rho a^dagger]
-= <a><a^dagger> (each from its own slice), Tr[rho^2 X^2 - rho X rho X] =
-s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. That costs O(M D), and
-keeping s rather than assuming 1 keeps each value equal to the projector's
-trace.
+Pure states are measured from their amplitude vector, shifted by the same
+rule, and never become a D x D projector. For rho = |psi><psi| with
+s = <psi|psi>, Tr[rho^2 n] = Tr[rho n rho] = s <n> (from the |psi|^2
+marginals), Tr[rho a rho a^dagger] = <a><a^dagger>, Tr[rho^2 X^2 -
+rho X rho X] = s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. That costs
+O(M D), and keeping s rather than assuming 1 keeps each value equal to the
+projector's trace.
 """
 
 from __future__ import annotations
@@ -60,7 +56,8 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec
-from .states import DensityMatrix, PureState, State, purity
+from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _mirrored_sum,
+                     _spans, _tile, _tile_pairs, purity)
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -89,21 +86,12 @@ class MeasureReport:
     checked_against: MeasureReport | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        out = {
-            "I": self.I,
-            "C": self.C,
-            "P": self.P,
-            "chi2": self.chi2,
-            "num_modes": self.num_modes,
-            "truncation": self.truncation,
-            "identity_residual": self.identity_residual,
-            "method": self.method,
-            "convention_note": self.convention_note,
-        }
-        if self.pure_relation_residual is not None:
-            out["pure_relation_residual"] = self.pure_relation_residual
-        if self.cross_deltas is not None:
-            out["cross_deltas"] = self.cross_deltas
+        out = {name: getattr(self, name) for name in (
+            "I", "C", "P", "chi2", "num_modes", "truncation", "identity_residual", "method",
+            "convention_note", "pure_relation_residual", "cross_deltas")}
+        for name in ("pure_relation_residual", "cross_deltas"):
+            if out[name] is None:
+                del out[name]
         if self.provenance:
             out["provenance"] = self.provenance
         return out
@@ -114,46 +102,40 @@ class MeasureReport:
 
 def _real_after_residue_check(value: complex, what: str) -> float:
     if abs(value.imag) > TOL.imag_residue_tol:
-        raise ConsistencyError(
-            f"{what} has imaginary residue {value.imag:.2e} "
-            f"(allowed {TOL.imag_residue_tol:.0e})"
-        )
+        raise ConsistencyError(f"{what} has imaginary residue {value.imag:.2e} "
+                               f"(allowed {TOL.imag_residue_tol:.0e})")
     return value.real
 
 
 _S = 1.0 / np.sqrt(2.0)
 
 
-def _ladder(view: np.ndarray, out: np.ndarray, raising: bool) -> None:
-    """a (or a^dagger if raising) applied along axis 1 of an (A, N, B) view, into out.
+def _shifts(spec: ModeSpec, mode: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Stride s = N^(M-m) and weights of mode m's ladder shifts, n = n_m(i):
 
-    out is caller-owned scratch that is reused, so the edge row the shift
-    leaves uncovered is zeroed here rather than trusted to be zero.
+    (a x)_i = lo_i x_{i+s} with lo = sqrt(n+1), 0 at n = N-1; (a^dagger x)_i =
+    hi_i x_{i-s} with hi = sqrt(n); (X a)_j = hi_j X_{j-s}; (X a^dagger)_j =
+    lo_j X_{j+s}. Past either edge the weight is 0: i + s >= D only at n = N-1.
     """
-    root = np.sqrt(np.arange(1.0, view.shape[1]))[:, None]
-    if raising:
-        np.multiply(view[:, :-1], root, out=out[:, 1:])
-        out[:, 0] = 0.0
-    else:
-        np.multiply(view[:, 1:], root, out=out[:, :-1])
-        out[:, -1] = 0.0
+    levels = spec.truncation
+    stride = levels ** (spec.num_modes - mode)
+    n = np.arange(spec.total_dim) // stride % levels
+    lo = np.sqrt(n + 1.0)
+    lo[n == levels - 1] = 0.0
+    return stride, lo, np.sqrt(n.astype(np.float64))
 
 
-def _left(mat: np.ndarray, spec: ModeSpec, mode: int, raising: bool, out: np.ndarray) -> None:
-    """out = X @ mat for X = a_m (a_m^dagger if raising); mat may be a matrix or a vector."""
-    shape = (spec.truncation ** (mode - 1), spec.truncation, -1)
-    _ladder(mat.reshape(shape), out.reshape(shape), raising)
+def _shift(src: np.ndarray, start: int, step: int, weight: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = weight[start + k] * src[start + k + step] along axis 0, 0 where src ends.
 
-
-def _right(mat: np.ndarray, spec: ModeSpec, mode: int, raising: bool, out: np.ndarray) -> None:
-    """out = mat @ X, which is X^T on the column index; a^T = a^dagger swaps the direction."""
-    shape = (-1, spec.truncation, spec.truncation ** (spec.num_modes - mode))
-    _ladder(mat.reshape(shape), out.reshape(shape), not raising)
-
-
-def _tr(x: np.ndarray, y: np.ndarray) -> complex:
-    """Tr[x y] without the product: sum_ij x_ij y_ji."""
-    return complex(np.einsum("ij,ji->", x, y))
+    Tile rows take src = rho[:, cols]; tile columns src = rho[rows].T, out = tile.T.
+    """
+    first = min(max(-step - start, 0), len(out))
+    stop = max(min(len(src) - step - start, len(out)), first)
+    np.multiply(src[start + first + step:start + stop + step], weight[start + first:start + stop],
+                out=out[first:stop])
+    out[:first] = 0.0
+    out[stop:] = 0.0
 
 
 def _occupation(weights: np.ndarray, spec: ModeSpec, mode: int) -> complex:
@@ -171,72 +153,96 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     between them is the caller's check.
     """
     spec = rho.spec
-    mat = rho.matrix
-    down = np.empty_like(mat)
-    up = np.empty_like(mat)
-    overlap = np.multiply(mat, mat.T, out=down)  # rho_ij rho_ji
-    by_row = overlap.sum(axis=1)  # (rho^2)_ii
-    by_col = overlap.sum(axis=0)
-    three = 0.0 + 0.0j
-    two = 0.0 + 0.0j
+    mat = _density_matrix(rho)
+    dim = len(mat)
+    scratch = np.empty(min(dim, _TILE) ** 2, dtype=np.complex128)
+    by_row = np.zeros(dim, dtype=np.complex128)  # (rho^2)_ii
+    by_col = np.zeros(dim, dtype=np.complex128)
+    for rows, cols in _tile_pairs(dim):
+        overlap = np.multiply(mat[rows, cols], mat[cols, rows].T,
+                              out=_tile(scratch, rows, cols))  # rho_ij rho_ji
+        across, down = overlap.sum(axis=1), overlap.sum(axis=0)
+        by_row[rows] += across
+        by_col[cols] += down
+        if rows != cols:  # the mirror tile's overlap is this one transposed
+            by_row[cols] += down
+            by_col[rows] += across
+    three = two = 0.0 + 0.0j
     for mode in range(1, spec.num_modes + 1):
         sq_n = _occupation(by_row, spec, mode)  # Tr[rho^2 n]
         n_mid = _occupation(by_col, spec, mode)  # Tr[rho n rho]
-        _right(mat, spec, mode, False, down)  # rho a
-        _right(mat, spec, mode, True, up)  # rho a^dagger
-        hop = _tr(down, up)
+        # Tr[(rho a)(rho a^dagger)] = sum_ij hi_j rho_{i,j-s} lo_i rho_{j,i+s};
+        # with j -> j + s and hi_{j+s} = lo_j it is sum_ij lo_i lo_j A_ij B_ji
+        # over the corners A = rho[:D-s, :D-s] and B = rho[s:, s:]
+        stride, lo, _ = _shifts(spec, mode)
+        near, far, lo = mat[:-stride, :-stride], mat[stride:, stride:], lo[:-stride]
+        hop = 0.0 + 0.0j
+        for rows in _spans(0, dim - stride):
+            for cols in _spans(0, dim - stride):
+                pair = np.multiply(near[rows, cols], far[cols, rows].T,
+                                   out=_tile(scratch, rows, cols))
+                hop += complex(lo[rows] @ pair @ lo[cols])
         three += 0.5 * sq_n + 0.5 * n_mid - hop
         two += sq_n - hop
-    return (
-        _real_after_residue_check(three, "measure I"),
-        _real_after_residue_check(two, "measure I (two-term form)"),
-    )
+    return (_real_after_residue_check(three, "measure I"),
+            _real_after_residue_check(two, "measure I (two-term form)"))
 
 
 def _agreeing_I(three: float, two: float) -> float:
     """The three-term value, once the two-term form has confirmed it."""
     if abs(three - two) > TOL.three_two_term_tol:
-        raise ConsistencyError(
-            f"three-term and two-term evaluations of I disagree: "
-            f"{three!r} vs {two!r}"
-        )
+        raise ConsistencyError("three-term and two-term evaluations of I disagree: "
+                               f"{three!r} vs {two!r}")
     return three
 
 
 def measure_I(rho: DensityMatrix) -> float:
     """Negativity-capable coherence measure from the number/ladder traces.
 
-    The three-term form is evaluated literally, then re-derived in the
-    two-term form; the two must agree or the computation is rejected. The
-    three-term value is the one reported.
+    The literal three-term value is reported once the two-term form agrees.
     """
     return _agreeing_I(*measure_I_forms(rho))
+
+
+def _commutator_tiles(mat: np.ndarray, rows: slice, cols: slice, shifts: tuple,
+                      scratch: np.ndarray) -> np.ndarray:
+    """sqrt(2) [q_m, rho] and i sqrt(2) [p_m, rho] on one tile, stacked, from 3 scratch tiles."""
+    stride, lo, hi = shifts
+    tiles = _tile(scratch, rows, cols)
+    work, lower, upper = tiles
+    _shift(mat[:, cols], rows.start, stride, lo, lower)  # a rho
+    _shift(mat[rows].T, cols.start, -stride, hi, work.T)  # rho a
+    lower -= work  # [a, rho]
+    _shift(mat[:, cols], rows.start, -stride, hi, upper)  # a^dagger rho
+    _shift(mat[rows].T, cols.start, stride, lo, work.T)  # rho a^dagger
+    upper -= work  # [a^dagger, rho]
+    np.add(lower, upper, out=work)  # sqrt(2) [q, rho]
+    lower -= upper  # i sqrt(2) [p, rho]
+    return tiles[:2]
 
 
 def measure_C(rho: DensityMatrix) -> float:
     """Structure functional as sum_m -1/2 (Tr[[q_m, rho]^2] + Tr[[p_m, rho]^2]).
 
-    Per mode, [a, rho] and [a^dagger, rho] are formed by shifted slices in
-    three D x D scratch buffers allocated once per call; their sum is
-    sqrt(2) [q, rho] and their difference i sqrt(2) [p, rho].
+    Per mode and tile pair I <= J the commutator tiles K are formed at (I, J)
+    and (J, I), and each trace sums K_IJ o (K_JI)^T.
     """
     spec = rho.spec
-    mat = rho.matrix
-    lower = np.empty_like(mat)
-    upper = np.empty_like(mat)
-    work = np.empty_like(mat)
+    mat = _density_matrix(rho)
+    scratch, spare = np.empty((2, 3, min(len(mat), _TILE) ** 2), dtype=np.complex128)
     total = 0.0
     for mode in range(1, spec.num_modes + 1):
-        _left(mat, spec, mode, False, lower)  # a rho
-        _right(mat, spec, mode, False, work)  # rho a
-        lower -= work  # [a, rho]
-        _left(mat, spec, mode, True, upper)  # a^dagger rho
-        _right(mat, spec, mode, True, work)  # rho a^dagger
-        upper -= work  # [a^dagger, rho]
-        np.add(lower, upper, out=work)  # sqrt(2) [q, rho]
-        lower -= upper  # i sqrt(2) [p, rho]
-        total += -0.25 * _real_after_residue_check(_tr(work, work), "measure C")
-        total += 0.25 * _real_after_residue_check(_tr(lower, lower), "measure C")
+        stride, lo, hi = _shifts(spec, mode)
+        shifts = (stride, lo[:, None], hi[:, None])
+
+        def term(rows: slice, cols: slice) -> np.ndarray:
+            tiles = _commutator_tiles(mat, rows, cols, shifts, scratch)
+            mirror = tiles if rows == cols else _commutator_tiles(mat, cols, rows, shifts, spare)
+            return np.einsum("kij,kji->k", tiles, mirror)
+
+        q_sq, p_sq = _mirrored_sum(len(mat), term)
+        total += -0.25 * _real_after_residue_check(complex(q_sq), "measure C")
+        total += 0.25 * _real_after_residue_check(complex(p_sq), "measure C")
     return total
 
 
@@ -254,66 +260,44 @@ def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSp
     chi2 = 2.0 * c_value / p_value
     if chi2 <= 0.0:
         raise ConsistencyError(f"chi2 must be positive, got {chi2!r}")
-    return MeasureReport(
-        I=i_value,
-        C=c_value,
-        P=p_value,
-        chi2=chi2,
-        num_modes=m,
-        truncation=spec.truncation,
-        identity_residual=residual,
-        method="operator",
-        provenance=provenance or {},
-    )
+    return MeasureReport(I=i_value, C=c_value, P=p_value, chi2=chi2, num_modes=m,
+                         truncation=spec.truncation, identity_residual=residual,
+                         method="operator", provenance=provenance or {})
 
 
 def measure_report(rho: State, provenance: dict | None = None) -> MeasureReport:
-    """Full operator-path report; a pure state is measured by pure_state_measures.
-
-    I comes from the ladder-operator route and (C, P) from the quadrature
-    route with no shared intermediates, so the identity residual
-    |I - (C - M*P)/2| is a genuine cross-check of both.
-    """
+    """Full operator-path report; a pure state is measured by pure_state_measures."""
     if isinstance(rho, PureState):
         return pure_state_measures(rho, provenance)
     return _checked_report(measure_I(rho), measure_C(rho), purity(rho), rho.spec, provenance)
 
 
 def _pure_I_forms(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[float, float]:
-    """Three- and two-term I of rho = |psi><psi| from the vector.
-
-    Tr[rho^2 n] = Tr[rho n rho] = |psi|^2 <n> and Tr[rho a rho a^dagger] =
-    <a><a^dagger>, so the three-term form is |psi|^2 <n> - <a><a^dagger>
-    with <a^dagger> from its own slice, and the two-term form is
-    |psi|^2 <n> - |<a>|^2.
-    """
+    """Three-term |psi|^2 <n> - <a><a^dagger> and two-term |psi|^2 <n> - |<a>|^2 forms of I."""
     prob = amps.real ** 2 + amps.imag ** 2
     shifted = np.empty_like(amps)
-    three = 0.0 + 0.0j
-    two = 0.0 + 0.0j
+    three = two = 0.0 + 0.0j
     for mode in range(1, spec.num_modes + 1):
         sq_n = norm_sq * _occupation(prob, spec, mode)
-        _left(amps, spec, mode, False, shifted)
+        stride, lo, hi = _shifts(spec, mode)
+        _shift(amps, 0, stride, lo, shifted)  # a psi
         mean_a = complex(np.vdot(amps, shifted))
-        _left(amps, spec, mode, True, shifted)
+        _shift(amps, 0, -stride, hi, shifted)  # a^dagger psi
         mean_adag = complex(np.vdot(amps, shifted))
         three += sq_n - mean_a * mean_adag
         two += sq_n - abs(mean_a) ** 2
-    return (
-        _real_after_residue_check(three, "measure I"),
-        _real_after_residue_check(two, "measure I (two-term form)"),
-    )
+    return (_real_after_residue_check(three, "measure I"),
+            _real_after_residue_check(two, "measure I (two-term form)"))
 
 
 def _pure_C(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> float:
     """C of rho = |psi><psi| as sum over X = q_m, p_m of |psi|^2 |X psi|^2 - <X>^2."""
-    lower = np.empty_like(amps)
-    upper = np.empty_like(amps)
-    quad = np.empty_like(amps)
+    lower, upper, quad = (np.empty_like(amps) for _ in range(3))
     total = 0.0
     for mode in range(1, spec.num_modes + 1):
-        _left(amps, spec, mode, False, lower)  # a psi
-        _left(amps, spec, mode, True, upper)  # a^dagger psi
+        stride, lo, hi = _shifts(spec, mode)
+        _shift(amps, 0, stride, lo, lower)  # a psi
+        _shift(amps, 0, -stride, hi, upper)  # a^dagger psi
         for combine, scale in ((np.add, _S), (np.subtract, -1j * _S)):  # q psi, then p psi
             combine(lower, upper, out=quad)
             quad *= scale
@@ -323,29 +307,21 @@ def _pure_C(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> float:
 
 
 def pure_state_measures(psi: PureState, provenance: dict | None = None) -> MeasureReport:
-    """Report for a pure state, asserting I = chi2/4 - M/2 on top.
+    """Report for a pure state from its amplitude vector, asserting I = chi2/4 - M/2 on top.
 
-    The traces of rho = |psi><psi| are evaluated from the amplitude vector
-    in O(M D), keeping its squared norm, so no D x D projector is built. The
-    relation follows from P = 1 and holds to rounding for any state that
-    leaves the guard level empty; a violation beyond tolerance means
-    inadequate truncation or a broken build.
+    The relation follows from P = 1 and holds to rounding for any state that
+    leaves the guard level empty; a violation means inadequate truncation or
+    a broken build.
     """
     spec = psi.spec
     amps = psi.amplitudes
     norm_sq = float(np.vdot(amps, amps).real)
-    report = _checked_report(
-        _agreeing_I(*_pure_I_forms(amps, spec, norm_sq)),
-        _pure_C(amps, spec, norm_sq),
-        norm_sq * norm_sq,
-        spec,
-        provenance,
-    )
+    report = _checked_report(_agreeing_I(*_pure_I_forms(amps, spec, norm_sq)),
+                             _pure_C(amps, spec, norm_sq), norm_sq * norm_sq, spec, provenance)
     m = spec.num_modes
     residual = abs(report.I - (report.chi2 / 4.0 - m / 2.0))
     if residual >= TOL.pure_relation_tol:
-        raise ConsistencyError(
-            f"pure-state relation violated: |I - (chi2/4 - M/2)| = {residual:.2e}"
-        )
+        raise ConsistencyError(f"pure-state relation violated: |I - (chi2/4 - M/2)| = "
+                               f"{residual:.2e}")
     report.pure_relation_residual = residual
     return report

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,34 @@ import numpy as np
 
 from .config import TOL
 from .errors import StateValidationError, TruncationError
-from .fock import ComplexMatrix, ModeSpec, _check_mode, _single_mode_displacement
+from .fock import ComplexMatrix, ModeSpec, _check_mode, _integer, _single_mode_displacement
+
+
+# Every sum over rho_ij rho_ji (the Hermiticity test, the purity and the
+# traces in measures.py) reads rho in B x B tiles: its scratch is O(B^2) and
+# each transposed read stays inside a cache-sized tile.
+_TILE = 128
+
+
+def _spans(start: int, stop: int) -> list[slice]:
+    return [slice(a, min(a + _TILE, stop)) for a in range(start, stop, _TILE)]
+
+
+def _tile_pairs(dim: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) of the tiles on and above the diagonal of a dim x dim matrix."""
+    spans = _spans(0, dim)
+    return [(rows, cols) for k, rows in enumerate(spans) for cols in spans[k:]]
+
+
+def _mirrored_sum(dim: int, term: Callable[[slice, slice], complex | np.ndarray]):
+    """Sum of term(rows, cols) over all tile pairs, for a term with term(J, I) = term(I, J)."""
+    return sum(term(rows, cols) * (1.0 if rows == cols else 2.0) for rows, cols in _tile_pairs(dim))
+
+
+def _tile(scratch: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Contiguous rows x cols tiles at the start of each flat entry of scratch."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    return scratch[..., :shape[0] * shape[1]].reshape(scratch.shape[:-1] + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +108,8 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(mat.view(np.float64))):
             raise StateValidationError("density matrix contains non-finite entries")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        herm_dev = max(float(np.max(np.abs(mat[rows, cols] - mat[cols, rows].conj().T)))
+                       for rows, cols in _tile_pairs(dim))
         if herm_dev > TOL.herm_tol:
             raise StateValidationError(
                 f"Hermiticity violated: max |rho - rho^dagger| = {herm_dev:.2e}"
@@ -145,6 +174,14 @@ def _require_tail(state: State, what: str) -> None:
             f"{what}: top Fock level holds {worst:.2e} of the population "
             f"(allowed {TOL.tail_tol:.0e}); increase the truncation"
         )
+
+
+def _density_matrix(rho: State) -> np.ndarray:
+    """The matrix of a DensityMatrix; a PureState is refused by name."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"the operator traces take a DensityMatrix, got {type(rho).__name__}; "
+                        "measure_report takes either kind, and as_density gives the projector")
+    return rho.matrix
 
 
 def as_density(state: State) -> DensityMatrix:
@@ -241,7 +278,7 @@ def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
     Each occupation must stay at least one level below the truncation so the
     guard level is empty.
     """
-    levels = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
+    levels = tuple(_integer(lev, "occupation") for lev in (n if np.ndim(n) else (n,)))
     if len(levels) != spec.num_modes:
         raise ValueError(
             f"got {len(levels)} occupation numbers for {spec.num_modes} modes"
@@ -393,7 +430,9 @@ def purity(rho: DensityMatrix) -> float:
     Not |rho|^2: that is real by construction and would hide a non-Hermitian
     corruption that this sum exposes.
     """
-    value = complex(np.sum(rho.matrix * rho.matrix.T))
+    mat = _density_matrix(rho)
+    value = complex(_mirrored_sum(len(mat), lambda rows, cols: np.einsum(
+        "ij,ji->", mat[rows, cols], mat[cols, rows])))
     if abs(value.imag) > TOL.imag_residue_tol:
         raise StateValidationError(
             f"purity has imaginary residue {value.imag:.2e}; input is corrupted"

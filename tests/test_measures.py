@@ -54,6 +54,7 @@ from oracles import (
 )
 
 SQRT2 = math.sqrt(2.0)
+TILE = macroq.states._TILE
 
 
 def _thermal(a: float):
@@ -63,7 +64,12 @@ def _thermal(a: float):
 class TestSliceTracesAgainstOracle:
     """The slice-product traces against the dense brute-force products."""
 
-    @pytest.mark.parametrize("num_modes,truncation", [(1, 12), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("num_modes,truncation", [
+        (1, 12), (2, 5), (3, 3),
+        # tiles: D = B, a one-row last tile, D not a multiple of B, and
+        # mode strides that cross tile boundaries mid-mode
+        (1, TILE), (1, TILE + 1), (1, 2 * TILE + 44), (2, 13), (3, 7), (2, 23),
+    ])
     def test_every_trace_matches(self, num_modes, truncation, rng):
         rho = random_mixed_state(ModeSpec(num_modes, truncation), rng)
         self._check_traces(rho, num_modes, truncation)
@@ -99,6 +105,45 @@ class TestSliceTracesAgainstOracle:
         assert report.identity_residual < 1e-9
         pure = pure_state_measures(random_pure_state(ModeSpec(2, 5), rng))
         assert pure.pure_relation_residual < 1e-10
+
+
+class TestTiledTraces:
+    """Residue checks and refusals where a tile pair, not one tile, holds the fault."""
+
+    @staticmethod
+    def _corrupted_off_diagonal_tile():
+        # (|3> + |B+5>)/sqrt(2); the corruption sits in tile (2, 1), its mirror
+        # entry rho[3, B+5] = 1/2 in tile (1, 2)
+        spec = ModeSpec(1, TILE + 8)
+        amps = np.zeros(spec.total_dim, dtype=complex)
+        amps[[3, TILE + 5]] = 1.0 / SQRT2
+        rho = as_density(PureState(spec, amps))
+        corrupted = rho.matrix.copy()
+        corrupted[TILE + 5, 3] += 1e-4j
+        object.__setattr__(rho, "matrix", corrupted)
+        return rho
+
+    @pytest.mark.parametrize("trace,error,what", [
+        (measure_I, ConsistencyError, "measure I"),
+        (measure_C, ConsistencyError, "measure C"),
+        (purity, StateValidationError, "purity"),
+    ])
+    def test_residue_in_off_diagonal_tile_detected(self, trace, error, what):
+        with pytest.raises(error, match=f"{what} has imaginary residue"):
+            trace(self._corrupted_off_diagonal_tile())
+
+    def test_non_hermitian_off_diagonal_tile_refused(self):
+        spec = ModeSpec(1, TILE + 8)
+        mat = np.eye(spec.total_dim, dtype=complex) / spec.total_dim
+        mat[TILE + 5, 3] = 1e-3
+        with pytest.raises(StateValidationError, match="Hermiticity violated"):
+            DensityMatrix(spec, mat)
+
+    @pytest.mark.parametrize("trace", [measure_I, measure_I_forms, measure_C, purity])
+    def test_pure_state_refused_by_name(self, trace):
+        psi = coherent_state(ModeSpec(1, 20), 1.0)
+        with pytest.raises(TypeError, match="DensityMatrix.*measure_report.*as_density"):
+            trace(psi)
 
 
 class TestMeasureI:
@@ -334,10 +379,9 @@ class TestMixedPathBounds:
         assert abs(measure_report(_thermal(a)).chi2 / thermal_chi2(a) - 1.0) < 1e-13
 
     def test_report_scratch_memory(self, rng):
-        rho = random_mixed_state(ModeSpec(1, 512), rng)
-        # three D x D complex scratch buffers (12 MiB at D = 512) plus slack
-        bound = 3.25 * 16 * rho.spec.total_dim ** 2
-        assert _peak_bytes(measure_report, rho) <= bound
+        # rho is 16 MiB at D = 1024; the traces hold O(B^2) tiles, not D x D copies
+        rho = random_mixed_state(ModeSpec(2, 32), rng)
+        assert _peak_bytes(measure_report, rho) < 4 * 2 ** 20
 
 
 class TestIdentity:

@@ -80,6 +80,20 @@ class TestFockState:
         with pytest.raises(ValueError, match="guard"):
             fock_state(ModeSpec(1, 5), np.int64(4))
 
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, "1", None])
+    def test_non_integer_occupation_refused(self, n):
+        with pytest.raises(ValueError, match=r"occupation must be an integer, got "):
+            fock_state(ModeSpec(1, 12), n)
+
+    @pytest.mark.parametrize("n", [(1, 2.0), (True, 1), [1, 0.5]])
+    def test_non_integer_occupation_in_tuple_refused(self, n):
+        with pytest.raises(ValueError, match=r"occupation must be an integer, got "):
+            fock_state(ModeSpec(2, 4), n)
+
+    def test_numpy_integer_occupations_in_tuple(self):
+        psi = fock_state(ModeSpec(2, 4), (np.int64(1), np.uint8(2)))
+        assert np.array_equal(psi.amplitudes, fock_state(ModeSpec(2, 4), (1, 2)).amplitudes)
+
 
 class TestCoherentState:
     def test_zero_amplitude_is_vacuum(self):
