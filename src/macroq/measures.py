@@ -57,7 +57,7 @@ from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec
 from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _mirrored_sum,
-                     _spans, _tile, _tile_pairs, purity)
+                     _real_after_residue_check, _spans, _tile, _tile_pairs, purity)
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -98,13 +98,6 @@ class MeasureReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _real_after_residue_check(value: complex, what: str) -> float:
-    if abs(value.imag) > TOL.imag_residue_tol:
-        raise ConsistencyError(f"{what} has imaginary residue {value.imag:.2e} "
-                               f"(allowed {TOL.imag_residue_tol:.0e})")
-    return value.real
 
 
 _S = 1.0 / np.sqrt(2.0)

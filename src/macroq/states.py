@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TOL
-from .errors import StateValidationError, TruncationError
+from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import ComplexMatrix, ModeSpec, _check_mode, _integer, _single_mode_displacement
 
 
@@ -52,25 +52,40 @@ def _tile(scratch: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     return scratch[..., :shape[0] * shape[1]].reshape(scratch.shape[:-1] + shape)
 
 
+def _real_after_residue_check(value: complex, what: str) -> float:
+    """value.real, once its imaginary part is negligible, as it is for every valid state."""
+    if abs(value.imag) > TOL.imag_residue_tol:
+        raise ConsistencyError(f"{what} has imaginary residue {value.imag:.2e} "
+                               f"(allowed {TOL.imag_residue_tol:.0e})")
+    return value.real
+
+
 # ---------------------------------------------------------------------------
 # state types
 # ---------------------------------------------------------------------------
 
+def _intake(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """values as a finite C-contiguous complex128 array of that shape, copied only if not one."""
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    if arr.shape != shape:
+        raise StateValidationError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise StateValidationError(f"{what} contains non-finite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over the truncated Fock basis."""
+    """Normalized amplitude vector over the truncated Fock basis.
+
+    A contiguous complex128 input is taken over, not copied, and made read-only.
+    """
 
     spec: ModeSpec
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size != self.spec.total_dim:
-            raise StateValidationError(
-                f"amplitude vector has size {amps.size}, expected {self.spec.total_dim}"
-            )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise StateValidationError("amplitude vector contains non-finite entries")
+        amps = _intake(self.amplitudes, (self.spec.total_dim,), "amplitude vector")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > TOL.norm_tol:
             raise StateValidationError(
@@ -94,20 +109,17 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-one Hermitian positive-semidefinite matrix on the truncated space."""
+    """Trace-one Hermitian positive-semidefinite matrix on the truncated space.
+
+    A contiguous complex128 input is taken over, not copied, and made read-only.
+    """
 
     spec: ModeSpec
     matrix: ComplexMatrix
 
     def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         dim = self.spec.total_dim
-        if mat.shape != (dim, dim):
-            raise StateValidationError(
-                f"matrix has shape {mat.shape}, expected ({dim}, {dim})"
-            )
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise StateValidationError("density matrix contains non-finite entries")
+        mat = _intake(self.matrix, (dim, dim), "density matrix")
         herm_dev = max(float(np.max(np.abs(mat[rows, cols] - mat[cols, rows].conj().T)))
                        for rows, cols in _tile_pairs(dim))
         if herm_dev > TOL.herm_tol:
@@ -272,6 +284,11 @@ def _admit_coherent_tail(amps: np.ndarray, family: str, alpha: complex) -> None:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _single_mode(spec: ModeSpec, name: str) -> None:
+    if spec.num_modes != 1:
+        raise ValueError(f"{name} builds single-mode states; combine with product_state")
+
+
 def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
     """Number state |n>, or |n1, n2, ...> for multimode specs.
 
@@ -299,8 +316,7 @@ def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
 
 def coherent_state(spec: ModeSpec, alpha: complex) -> PureState:
     """Truncated coherent state, renormalized after truncation."""
-    if spec.num_modes != 1:
-        raise ValueError("coherent_state builds single-mode states; combine with product_state")
+    _single_mode(spec, "coherent_state")
     amps = _coherent_amplitudes(spec.truncation, alpha)
     _admit_coherent_tail(amps, "coherent", alpha)
     return PureState(spec, amps / np.linalg.norm(amps))
@@ -313,8 +329,7 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
     s = <alpha|-alpha> = exp(-2|alpha|^2); the odd combination degenerates
     as alpha -> 0 and is rejected.
     """
-    if spec.num_modes != 1:
-        raise ValueError("cat_state builds single-mode states; combine with product_state")
+    _single_mode(spec, "cat_state")
     if not math.isfinite(relative_phase):
         raise ValueError(f"relative_phase must be finite, got {relative_phase}")
     plus = _coherent_amplitudes(spec.truncation, alpha)
@@ -332,8 +347,7 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
 
 def cat_mixture(spec: ModeSpec, alpha: complex) -> DensityMatrix:
     """Equal statistical mixture of the |alpha> and |-alpha> projectors."""
-    if spec.num_modes != 1:
-        raise ValueError("cat_mixture builds single-mode states; combine with product_state")
+    _single_mode(spec, "cat_mixture")
     plus = _coherent_amplitudes(spec.truncation, alpha)
     _admit_coherent_tail(plus, "cat-mixture", alpha)
     minus = _coherent_amplitudes(spec.truncation, -alpha)
@@ -351,8 +365,7 @@ def fock_mixture(spec: ModeSpec, d: int, include_vacuum: bool = True) -> Density
     give different coherence values (0 versus 1/d^2 for the negativity
     measure); see the README discussion.
     """
-    if spec.num_modes != 1:
-        raise ValueError("fock_mixture builds single-mode states")
+    _single_mode(spec, "fock_mixture")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     start = 0 if include_vacuum else 1
@@ -374,8 +387,7 @@ def thermal_state(spec: ModeSpec, g: GaussianSpec) -> DensityMatrix:
     Occupations follow nbar^n / (1+nbar)^(n+1) with nbar = (a^2 - 1)/2,
     evaluated in log space and renormalized over the retained levels.
     """
-    if spec.num_modes != 1:
-        raise ValueError("thermal_state builds single-mode states")
+    _single_mode(spec, "thermal_state")
     nbar = g.mean_occupation
     n = np.arange(spec.truncation, dtype=float)
     if nbar == 0.0:
@@ -431,13 +443,9 @@ def purity(rho: DensityMatrix) -> float:
     corruption that this sum exposes.
     """
     mat = _density_matrix(rho)
-    value = complex(_mirrored_sum(len(mat), lambda rows, cols: np.einsum(
-        "ij,ji->", mat[rows, cols], mat[cols, rows])))
-    if abs(value.imag) > TOL.imag_residue_tol:
-        raise StateValidationError(
-            f"purity has imaginary residue {value.imag:.2e}; input is corrupted"
-        )
-    return value.real
+    value = _mirrored_sum(len(mat), lambda rows, cols: np.einsum(
+        "ij,ji->", mat[rows, cols], mat[cols, rows]))
+    return _real_after_residue_check(complex(value), "purity")
 
 
 def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix:
@@ -513,23 +521,24 @@ def random_mixed_state(
 
 FORMAT_VERSION = 1
 
+# kind -> (state type, rank of its array, layout of its data)
+_KINDS = {"pure": (PureState, 1, "[re, im] pairs"),
+          "mixed": (DensityMatrix, 2, "rows of [re, im] pairs")}
+
 
 def save_state(state: State, path: str | Path, metadata: dict | None = None) -> None:
     """Write the JSON state document; values round-trip at double precision.
 
     The document is one line (json's C encoder; an indented layout would
     force the pure-Python one), with sorted keys so writes are deterministic.
-    A matrix is written one row at a time from a float view of its entries,
-    so no list of every entry nor the whole text is held at once.
+    The data are written one row at a time from a float view of the entries
+    (a vector's rows are its pairs), so no list of every entry nor the whole
+    text is held at once.
     """
-    if isinstance(state, PureState):
-        kind = "pure"
-        values = state.amplitudes
-    else:
-        kind = "mixed"
-        values = state.matrix
+    kind, values = (("pure", state.amplitudes) if isinstance(state, PureState)
+                    else ("mixed", state.matrix))
     # [re, im] pairs as a view of the complex entries; "data" sorts first
-    pairs = np.ascontiguousarray(values).view(np.float64).reshape(*values.shape, 2)
+    pairs = values.view(np.float64).reshape(*values.shape, 2)
     rest = json.dumps({
         "format_version": FORMAT_VERSION,
         "spec": {"num_modes": state.spec.num_modes, "truncation": state.spec.truncation},
@@ -538,13 +547,9 @@ def save_state(state: State, path: str | Path, metadata: dict | None = None) -> 
     }, sort_keys=True)
     with open(path, "w") as fh:
         fh.write('{"data": ')
-        if kind == "pure":
-            fh.write(json.dumps(pairs.tolist()))
-        else:
-            for i, row in enumerate(pairs):
-                fh.write((", " if i else "[") + json.dumps(row.tolist()))
-            fh.write("]")
-        fh.write(", " + rest[1:] + "\n")
+        for i, row in enumerate(pairs):
+            fh.write((", " if i else "[") + json.dumps(row.tolist()))
+        fh.write("], " + rest[1:] + "\n")
 
 
 def load_state(path: str | Path) -> State:
@@ -568,15 +573,11 @@ def load_state(path: str | Path) -> State:
         raw = np.asarray(doc["data"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateValidationError(f"{path}: malformed state document ({exc})") from exc
-    if kind == "pure":
-        if raw.ndim != 2 or raw.shape[1] != 2:
-            raise StateValidationError(f"{path}: pure data must be [re, im] pairs")
-        state: State = PureState(spec, raw[:, 0] + 1j * raw[:, 1])
-    elif kind == "mixed":
-        if raw.ndim != 3 or raw.shape[2] != 2:
-            raise StateValidationError(f"{path}: mixed data must be rows of [re, im] pairs")
-        state = DensityMatrix(spec, raw[:, :, 0] + 1j * raw[:, :, 1])
-    else:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise StateValidationError(f"{path}: unknown state kind {kind!r}")
+    state_type, rank, layout = _KINDS[kind]
+    if raw.ndim != rank + 1 or raw.shape[-1] != 2:
+        raise StateValidationError(f"{path}: {kind} data must be {layout}")
+    state: State = state_type(spec, raw[..., 0] + 1j * raw[..., 1])
     _require_tail(state, str(path))
     return state

@@ -126,7 +126,7 @@ class TestTiledTraces:
     @pytest.mark.parametrize("trace,error,what", [
         (measure_I, ConsistencyError, "measure I"),
         (measure_C, ConsistencyError, "measure C"),
-        (purity, StateValidationError, "purity"),
+        (purity, ConsistencyError, "purity"),
     ])
     def test_residue_in_off_diagonal_tile_detected(self, trace, error, what):
         with pytest.raises(error, match=f"{what} has imaginary residue"):
@@ -462,7 +462,7 @@ class TestConsistencyGuards:
             measure_C(self._corrupted())
 
     def test_imaginary_residue_detected_in_purity(self):
-        with pytest.raises(StateValidationError, match="purity has imaginary residue"):
+        with pytest.raises(ConsistencyError, match="purity has imaginary residue"):
             purity(self._corrupted())
 
     def test_thermal_family_signs(self):

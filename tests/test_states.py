@@ -343,6 +343,19 @@ class TestProductState:
             product_state(left, left)
 
 
+@pytest.mark.parametrize("name, build", [
+    ("coherent_state", lambda spec: coherent_state(spec, 1.0)),
+    ("cat_state", lambda spec: cat_state(spec, 1.0)),
+    ("cat_mixture", lambda spec: cat_mixture(spec, 1.0)),
+    ("fock_mixture", lambda spec: fock_mixture(spec, 2)),
+    ("thermal_state", lambda spec: thermal_state(spec, GaussianSpec(1.5))),
+])
+def test_single_mode_constructor_refuses_two_modes(name, build):
+    with pytest.raises(ValueError, match=f"^{name} builds single-mode states; "
+                                         "combine with product_state$"):
+        build(ModeSpec(2, 6))
+
+
 class TestPurity:
     def test_pure_projector(self):
         assert purity(as_density(cat_state(ModeSpec(1, 25), 1.5))) == pytest.approx(
@@ -397,6 +410,34 @@ class TestValidation:
     def test_norm_deviation_rejected(self):
         with pytest.raises(StateValidationError, match="norm"):
             PureState(ModeSpec(1, 4), np.array([1.0, 1.0, 0, 0], dtype=complex))
+
+    # a state takes over a contiguous complex128 input: no copy, made read-only
+    # only once every check has passed
+    def test_valid_input_is_stored_and_frozen(self):
+        amps = np.array([0.6, 0.8j, 0.0, 0.0])
+        assert PureState(ModeSpec(1, 4), amps).amplitudes is amps
+        mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        assert DensityMatrix(ModeSpec(1, 4), mat).matrix is mat
+        assert not amps.flags.writeable and not mat.flags.writeable
+
+    def test_refused_input_stays_writeable(self):
+        amps = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(StateValidationError, match="norm"):
+            PureState(ModeSpec(1, 4), amps)
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[0, 1] = 1e-3
+        with pytest.raises(StateValidationError, match="Hermiticity"):
+            DensityMatrix(ModeSpec(1, 4), mat)
+        assert amps.flags.writeable and mat.flags.writeable
+
+    def test_float_input_is_copied(self):
+        amps = np.array([0.6, 0.8, 0.0, 0.0])
+        mat = np.diag([0.5, 0.5, 0.0, 0.0])
+        psi, rho = PureState(ModeSpec(1, 4), amps), DensityMatrix(ModeSpec(1, 4), mat)
+        assert psi.amplitudes.dtype == rho.matrix.dtype == np.complex128
+        assert amps.flags.writeable and mat.flags.writeable
+        assert np.array_equal(amps, [0.6, 0.8, 0.0, 0.0])
+        assert np.array_equal(mat, np.diag([0.5, 0.5, 0.0, 0.0]))
 
     def test_random_pure_state_leaves_guard_level_empty(self, rng):
         psi = random_pure_state(ModeSpec(2, 6), rng)
@@ -509,6 +550,21 @@ class TestSerialization:
         doc["spec"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(StateValidationError, match=f"spec {key} must be an integer"):
+            load_state(path)
+
+    @pytest.mark.parametrize("kind, data, message", [
+        ("pure", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         "pure data must be \\[re, im\\] pairs"),
+        ("mixed", [[1.0, 0.0], [0.0, 0.0]], "mixed data must be rows of \\[re, im\\] pairs"),
+        ("pure", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "pure data must be \\[re, im\\] pairs"),
+        ("squeezed", [[1.0, 0.0], [0.0, 0.0]], "unknown state kind 'squeezed'"),
+        (["pure"], [[1.0, 0.0], [0.0, 0.0]], "unknown state kind \\['pure'\\]"),
+    ], ids=["pure-matrix", "mixed-vector", "triples", "unknown-kind", "list-kind"])
+    def test_decoder_refusals(self, tmp_path, kind, data, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"format_version": 1, "spec": {"num_modes": 1, "truncation": 2},
+                                    "kind": kind, "data": data, "metadata": {}}))
+        with pytest.raises(StateValidationError, match=f": {message}$"):
             load_state(path)
 
     def test_unknown_version_rejected(self, tmp_path):
