@@ -112,10 +112,10 @@ def _shifts(spec: ModeSpec, mode: int) -> tuple[int, np.ndarray, np.ndarray]:
     """
     levels = spec.truncation
     stride = levels ** (spec.num_modes - mode)
+    root = np.sqrt(np.arange(levels + 1.0))
+    root[levels] = 0.0  # lo at n = N-1; hi never reads it
     n = np.arange(spec.total_dim) // stride % levels
-    lo = np.sqrt(n + 1.0)
-    lo[n == levels - 1] = 0.0
-    return stride, lo, np.sqrt(n.astype(np.float64))
+    return stride, root[n + 1], root[n]
 
 
 def _shift(src: np.ndarray, start: int, step: int, weight: np.ndarray, out: np.ndarray) -> None:
@@ -222,7 +222,8 @@ def measure_C(rho: DensityMatrix) -> float:
     """
     spec = rho.spec
     mat = _density_matrix(rho)
-    scratch, spare = np.empty((2, 3, min(len(mat), _TILE) ** 2), dtype=np.complex128)
+    scratch = np.empty((3, min(len(mat), _TILE) ** 2), dtype=np.complex128)
+    spare = np.empty_like(scratch) if len(mat) > _TILE else None  # mirror tiles
     total = 0.0
     for mode in range(1, spec.num_modes + 1):
         stride, lo, hi = _shifts(spec, mode)

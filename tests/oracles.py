@@ -5,6 +5,7 @@ exact integer factorials, sharing no code with the package, so agreement
 with the package is evidence rather than tautology.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -89,6 +90,33 @@ def brute_force_purity(rho: np.ndarray) -> float:
     value = np.trace(rho @ rho)
     assert abs(value.imag) < 1e-12
     return value.real
+
+
+def connected_blocks(mat: np.ndarray) -> set[frozenset[int]]:
+    """Index sets linked by entries that are not exactly 0, on either side
+    of the diagonal, found by breadth-first search in plain Python."""
+    dim = len(mat)
+    neighbours = [set() for _ in range(dim)]
+    for i, row in enumerate(mat.tolist()):
+        for j, value in enumerate(row):
+            if value != 0:
+                neighbours[i].add(j)
+                neighbours[j].add(i)
+    seen = [False] * dim
+    blocks = set()
+    for start in range(dim):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, queue = [start], collections.deque([start])
+        while queue:
+            for j in neighbours[queue.popleft()]:
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+                    queue.append(j)
+        blocks.add(frozenset(block))
+    return blocks
 
 
 def oscillator_eigenfunctions(x: np.ndarray, count: int) -> np.ndarray:

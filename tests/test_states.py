@@ -35,11 +35,15 @@ from macroq import (
     wigner_from_density,
 )
 
+from macroq.config import TOL
+from macroq.states import _blocks
+
 from oracles import (
     brute_force_I,
     brute_force_purity,
     cat_mixture_purity,
     coherent_vector,
+    connected_blocks,
     even_cat_I,
     gaussian_wigner,
 )
@@ -451,6 +455,120 @@ class TestValidation:
         assert purity(rho) <= 1.0 + 1e-10
 
 
+def _thermal_times_cat_mixture() -> np.ndarray:
+    thermal = thermal_state(ModeSpec(1, 26), GaussianSpec(SQRT2))
+    return product_state(thermal, cat_mixture(ModeSpec(1, 26), 0.6 + 0.8j)).matrix.copy()
+
+
+def _permuted_blocks(rng) -> np.ndarray:
+    """Random Hermitian blocks of sizes 1..6, one with a negative eigenvalue,
+    scattered over the indices by a random permutation."""
+    sizes = [1, 3, 6, 2, 6, 4, 1, 3]
+    perm = rng.permutation(sum(sizes))
+    mat = np.zeros((len(perm), len(perm)), dtype=complex)
+    start = 0
+    for size in sizes:
+        vecs = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        if size == 4:  # rank 3, shifted down: smallest eigenvalue -0.1
+            vecs[:, 0] = 0.0
+        block = vecs @ vecs.conj().T - (0.1 * np.eye(size) if size == 4 else 0.0)
+        index = perm[start:start + size]
+        mat[np.ix_(index, index)] = block
+        start += size
+    return mat
+
+
+def _permuted_path(rng, dim: int) -> np.ndarray:
+    """1 + A for the adjacency A of a randomly ordered path: eigenvalues
+    1 + 2 cos(k pi / (dim + 1)), so the smallest is near -1."""
+    order = rng.permutation(dim)
+    mat = np.eye(dim, dtype=complex)
+    mat[order[:-1], order[1:]] = mat[order[1:], order[:-1]] = 1.0
+    return mat
+
+
+def _whole_matrix_verdict(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(mat - TOL.psd_floor * np.eye(len(mat)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestBlockPositivity:
+    """Positivity is checked on the connected components of rho's nonzero pattern."""
+
+    CASES = {
+        "diagonal": lambda rng: thermal_state(ModeSpec(1, default_thermal_truncation(3.0)),
+                                             GaussianSpec(3.0)).matrix,
+        "cat mixture": lambda rng: cat_mixture(ModeSpec(1, 30), 1.5).matrix,
+        "thermal x cat mixture": lambda rng: _thermal_times_cat_mixture(),
+        "permuted blocks": _permuted_blocks,
+        "zero rows": lambda rng: random_mixed_state(ModeSpec(2, 7), rng).matrix,
+        "permuted path": lambda rng: _permuted_path(rng, 512),
+        "upper-triangle entry": lambda rng: np.diag([0.4, 0.3, 0.2, 0.1, 0.0]).astype(complex)
+        + np.eye(5, k=3) * 1e-12,
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_blocks_match_breadth_first_search(self, case, rng):
+        mat = self.CASES[case](rng)
+        found = _blocks(mat)
+        assert [index.shape[1] for index in found] == sorted({index.shape[1] for index in found})
+        for index in found:
+            assert np.all(np.diff(index, axis=1) > 0)
+        assert {frozenset(row.tolist()) for index in found for row in index} == connected_blocks(mat)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_verdict_is_the_whole_matrix_choleskys(self, case, rng):
+        mat = self.CASES[case](rng)
+        mat = mat / np.trace(mat)
+        spec = ModeSpec(1, len(mat))
+        if _whole_matrix_verdict(mat):
+            DensityMatrix(spec, mat)
+        else:
+            min_eig = np.linalg.eigvalsh(mat)[0]
+            with pytest.raises(StateValidationError, match="^matrix is not positive "
+                               f"semidefinite: min eigenvalue {min_eig:.2e}$"):
+                DensityMatrix(spec, mat)
+
+    def test_refused_cases_are_exercised(self, rng):
+        verdicts = {case: _whole_matrix_verdict(build(rng)) for case, build in self.CASES.items()}
+        assert not verdicts["permuted blocks"] and not verdicts["permuted path"]
+        assert verdicts["thermal x cat mixture"] and verdicts["upper-triangle entry"]
+
+    def test_negative_eigenvalue_hidden_in_one_block(self):
+        mat = _thermal_times_cat_mixture()
+        index = np.arange(26 * 5, 26 * 6)  # thermal level 5, whole cat-mixture block
+        assert any(set(index) == set(row) for found in _blocks(mat) for row in found)
+        eigs, vecs = np.linalg.eigh(mat[np.ix_(index, index)])
+        eigs[-1] += eigs[0] + 1e-6  # keep the trace
+        eigs[0] = -1e-6
+        mat[np.ix_(index, index)] = (vecs * eigs) @ vecs.conj().T
+        full = np.linalg.eigvalsh(mat)[0]
+        by_block = min(np.linalg.eigvalsh(mat[index[:, :, None], index[:, None, :]]).min()
+                       for index in _blocks(mat))
+        assert by_block == pytest.approx(full, rel=1e-12)
+        with pytest.raises(StateValidationError,
+                           match=f"positive semidefinite: min eigenvalue {full:.2e}$"):
+            DensityMatrix(ModeSpec(2, 26), mat)
+
+    @pytest.mark.parametrize("low, accepted", [(-0.5e-8, True), (-2e-8, False)])
+    def test_psd_floor_on_a_small_block(self, low, accepted, rng):
+        # a 3 x 3 block with smallest eigenvalue low among Fock-diagonal levels
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        block = (basis * [low, 0.1, 0.2 - low]) @ basis.conj().T
+        mat = np.diag([0.3, 0.0, 0.2, 0.2, 0.0, 0.0, 0.0]).astype(complex)
+        index = np.array([1, 4, 6])
+        mat[np.ix_(index, index)] = (block + block.conj().T) / 2.0
+        assert len(_blocks(mat)) == 2 and _blocks(mat)[1].tolist() == [[1, 4, 6]]
+        if accepted:
+            DensityMatrix(ModeSpec(1, 7), mat)
+        else:
+            with pytest.raises(StateValidationError, match="min eigenvalue -2.00e-08$"):
+                DensityMatrix(ModeSpec(1, 7), mat)
+
+
 class TestSerialization:
     def test_pure_round_trip_is_exact(self, tmp_path, rng):
         state = cat_state(ModeSpec(1, 22), 1.2 + 0.3j, 0.7)
@@ -507,6 +625,30 @@ class TestSerialization:
             "metadata": metadata,
         }
         assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("kind, spec", [("pure", ModeSpec(2, 64)), ("mixed", ModeSpec(2, 17))])
+    def test_blocks_of_rows_write_the_per_row_bytes(self, kind, spec, tmp_path, rng):
+        # the data go out a block of rows per json.dumps call; the bytes must
+        # be those of one call per row (a pure state's rows are its pairs)
+        if kind == "pure":
+            state = random_pure_state(spec, rng)
+            values = state.amplitudes
+        else:
+            state = random_mixed_state(spec, rng)
+            values = state.matrix
+        metadata = {"note": "blocks"}
+        rest = json.dumps({
+            "format_version": 1,
+            "spec": {"num_modes": spec.num_modes, "truncation": spec.truncation},
+            "kind": kind,
+            "metadata": metadata,
+        }, sort_keys=True)
+        rows = np.stack((values.real, values.imag), axis=-1)
+        per_row = ('{"data": [' + ", ".join(json.dumps(row.tolist()) for row in rows)
+                   + "], " + rest[1:] + "\n")
+        path = tmp_path / f"{kind}.json"
+        save_state(state, path, metadata=metadata)
+        assert path.read_text() == per_row
 
     def test_write_peak_memory_is_below_two_matrices(self, tmp_path):
         state = thermal_state(ModeSpec(1, default_thermal_truncation(6.0)), GaussianSpec(6.0))
