@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,9 +25,9 @@ from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import ModeSpec
 from .measures import measure_report
 from .states import (
-    DensityMatrix,
     GaussianSpec,
     PureState,
+    State,
     cat_mixture,
     cat_state,
     coherent_state,
@@ -39,23 +41,14 @@ from .states import (
     thermal_state,
 )
 from .verify import run_verification
-from .wigner import GridSpec, default_grid_spec, wigner_from_density, wigner_measure_report
+from .wigner import (DEFAULT_GRID_POINTS, GridSpec, default_grid_spec, wigner_from_density,
+                     wigner_measure_report)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
 EXIT_CONSISTENCY = 4
-
-FAMILIES = ("fock", "coherent", "cat", "cat-mixture", "fock-mixture", "thermal", "product")
-
-SWEEP_PARAM_FAMILIES = {
-    "alpha": ("coherent", "cat", "cat-mixture"),
-    "a": ("thermal",),
-    "d": ("fock-mixture",),
-    "n": ("fock",),
-}
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -95,45 +88,55 @@ def _pop(params: dict[str, str], key: str, family: str, default: str | None = No
     raise ValueError(f"family {family!r} requires parameter {key}=...")
 
 
-def build_state(
-    family: str, params: dict[str, str], truncation: int | None
-) -> tuple[PureState | DensityMatrix, dict]:
+# Each single-mode family: its parameters in constructor order as (name, parser,
+# default or None if required), its default Fock cutoff from the parsed values and
+# its constructor, called by its global name at call time so that a wrapper rebound
+# onto this module sees every call. A sweep varies a family's first parameter.
+_Family = namedtuple("_Family", "params cutoff build")
+_TABLE = {
+    "fock": _Family((("n", int, None),), lambda n: max(12, n + 2),
+                    lambda spec, n: fock_state(spec, n)),
+    "coherent": _Family((("alpha", _parse_complex, None),),
+                        lambda alpha: default_coherent_truncation(alpha),
+                        lambda spec, alpha: coherent_state(spec, alpha)),
+    "cat": _Family((("alpha", _parse_complex, None), ("phi", float, "0")),
+                   lambda alpha, phi: default_coherent_truncation(alpha),
+                   lambda spec, alpha, phi: cat_state(spec, alpha, phi)),
+    "cat-mixture": _Family((("alpha", _parse_complex, None),),
+                           lambda alpha: default_coherent_truncation(alpha),
+                           lambda spec, alpha: cat_mixture(spec, alpha)),
+    "fock-mixture": _Family((("d", int, None), ("include_vacuum", _parse_bool, "true")),
+                            lambda d, include_vacuum: max(12, d + (1 if include_vacuum else 2)),
+                            lambda spec, d, include_vacuum: fock_mixture(spec, d, include_vacuum)),
+    "thermal": _Family((("a", float, None),), lambda a: default_thermal_truncation(a),
+                       lambda spec, a: thermal_state(spec, GaussianSpec(a))),
+}
+
+FAMILIES = (*_TABLE, "product")
+
+# sweep parameter -> the families whose first parameter it is
+SWEEP_PARAM_FAMILIES = {
+    name: tuple(family for family, entry in _TABLE.items() if entry.params[0][0] == name)
+    for name in dict.fromkeys(entry.params[0][0] for entry in _TABLE.values())
+}
+
+
+def build_state(family: str, params: dict[str, str], truncation: int | None) -> tuple[State, dict]:
     """Construct a state from CLI-style parameters; returns (state, metadata)."""
     params = dict(params)
     meta: dict = {"family": family, "params": dict(params)}
-    if family == "fock":
-        n = int(_pop(params, "n", family))
-        cut = max(12, n + 2) if truncation is None else truncation
-        state: PureState | DensityMatrix = fock_state(ModeSpec(1, cut), n)
-    elif family == "coherent":
-        alpha = _parse_complex(_pop(params, "alpha", family))
-        cut = default_coherent_truncation(alpha) if truncation is None else truncation
-        state = coherent_state(ModeSpec(1, cut), alpha)
-    elif family == "cat":
-        alpha = _parse_complex(_pop(params, "alpha", family))
-        phi = float(_pop(params, "phi", family, "0"))
-        cut = default_coherent_truncation(alpha) if truncation is None else truncation
-        state = cat_state(ModeSpec(1, cut), alpha, phi)
-    elif family == "cat-mixture":
-        alpha = _parse_complex(_pop(params, "alpha", family))
-        cut = default_coherent_truncation(alpha) if truncation is None else truncation
-        state = cat_mixture(ModeSpec(1, cut), alpha)
-    elif family == "fock-mixture":
-        d = int(_pop(params, "d", family))
-        include_vacuum = _parse_bool(_pop(params, "include_vacuum", family, "true"))
-        top = d - 1 if include_vacuum else d
-        cut = max(12, top + 2) if truncation is None else truncation
-        state = fock_mixture(ModeSpec(1, cut), d, include_vacuum)
-    elif family == "thermal":
-        a = float(_pop(params, "a", family))
-        cut = default_thermal_truncation(a) if truncation is None else truncation
-        state = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
-    elif family == "product":
+    if family == "product":
         if truncation is not None:
             raise ValueError("--truncation does not apply to product; "
                              "the product takes its factors' truncation")
         state = product_state(load_state(_pop(params, "left", family)),
                               load_state(_pop(params, "right", family)))
+    elif family in _TABLE:
+        entry = _TABLE[family]
+        values = [parse(_pop(params, name, family, default))
+                  for name, parse, default in entry.params]
+        cut = entry.cutoff(*values) if truncation is None else truncation
+        state = entry.build(ModeSpec(1, cut), *values)
     else:
         raise ValueError(f"unknown state family {family!r}; choose from {FAMILIES}")
     if params:
@@ -161,9 +164,7 @@ def cmd_state(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _measure_one(
-    state: PureState | DensityMatrix, method: str, grid_points: int, provenance: dict
-) -> dict:
+def _measure_one(state: State, method: str, grid_points: int, provenance: dict) -> dict:
     if method == "operator":
         return measure_report(state, provenance=provenance).to_dict()
     gs = default_grid_spec(state.spec.truncation, grid_points)
@@ -186,18 +187,17 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _sweep_values(args: argparse.Namespace) -> tuple:
+    integer = _TABLE[SWEEP_PARAM_FAMILIES[args.parameter][0]].params[0][1] is int
     if args.values is not None:
         items = [item for item in args.values.split(",") if item.strip()]
         if not items:
             raise ValueError("sweep needs at least one value")
-        if args.parameter in ("d", "n"):
-            return tuple(int(item) for item in items)
-        return tuple(float(item) for item in items)
+        return tuple(map(int if integer else float, items))
     if args.start is None or args.stop is None:
         raise ValueError("sweep needs either --values or --start/--stop/--steps")
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
-    if args.parameter in ("d", "n"):
+    if integer:
         raise ValueError(f"integer parameter {args.parameter!r} needs --values")
     if args.steps == 1:
         return (float(args.start),)
@@ -295,11 +295,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tol_factor=args.tol,
         corpus_paths=tuple(args.corpus or ()),
     )
-    failed = 0
     for res in results:
         print(f"{res.status:4s} {res.name}: {res.detail}")
-        if not res.informational and not res.passed:
-            failed += 1
+    failed = sum(res.status == "FAIL" for res in results)
     informational = sum(1 for r in results if r.informational)
     hard = len(results) - informational
     print(f"summary: {hard - failed}/{hard} checks passed, "
@@ -309,16 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "generated_at": _now(),
             "grid": args.grid,
             "tol_factor": args.tol,
-            "checks": [
-                {
-                    "name": r.name,
-                    "status": r.status,
-                    "passed": r.passed,
-                    "informational": r.informational,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [{**dataclasses.asdict(r), "status": r.status} for r in results],
             "failed": failed,
         }
         Path(args.json).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -344,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("state", help="state file written by the state command")
     p_measure.add_argument("--method", choices=("operator", "wigner", "both"),
                            default="operator")
-    p_measure.add_argument("--grid", type=int, default=256,
-                           help="points per axis for the wigner method (default 256)")
+    p_measure.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
+                           help="points per axis for the wigner method "
+                                f"(default {DEFAULT_GRID_POINTS})")
     p_measure.set_defaults(func=cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="measure a family over a parameter range")
@@ -364,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wigner = sub.add_parser("wigner", help="export a sampled phase-space grid")
     p_wigner.add_argument("state", help="single-mode state file")
     p_wigner.add_argument("--out", required=True)
-    p_wigner.add_argument("--grid", type=int, default=257,
-                          help="points per axis (default 257, which samples the origin)")
+    p_wigner.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS + 1,
+                          help=f"points per axis (default {DEFAULT_GRID_POINTS + 1}, "
+                               "which samples the origin)")
     p_wigner.add_argument("--half-width", type=float, default=None,
                           help="override the default window sqrt(2N) + 5")
     p_wigner.add_argument("--format", choices=("csv", "json", "both"), default="csv")
@@ -374,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--corpus", nargs="*", default=None,
                           help="extra state files to validate and include")
-    p_verify.add_argument("--grid", type=int, default=256,
-                          help="points per axis for the phase-space checks (default 256)")
+    p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
+                          help="points per axis for the phase-space checks "
+                               f"(default {DEFAULT_GRID_POINTS})")
     p_verify.add_argument("--tol", type=float, default=1.0,
                           help="scale the suite's check tolerances by this factor; "
                                "the refusals inside every report (identity residual, "

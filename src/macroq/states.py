@@ -313,18 +313,22 @@ def _coherent_amplitudes(truncation: int, alpha: complex) -> np.ndarray:
     return np.exp(log_mags) * np.exp(1j * n * np.angle(alpha))
 
 
-def _admit_coherent_tail(amps: np.ndarray, family: str, alpha: complex) -> None:
-    """Refuse a truncation whose top level holds tail_tol or more of |alpha>.
+def _coherent_unit(spec: ModeSpec, family: str, alpha: complex) -> np.ndarray:
+    """|alpha>'s normalized amplitudes, once the truncation passes the tail rule.
 
-    amps are the coherent component's amplitudes, unnormalized. A cat is
-    judged by its component, because the even cat's own top level is empty
-    whenever that level is odd, however short the truncation.
+    The rule refuses a truncation whose top level holds tail_tol or more of
+    |alpha>. A cat is judged by this component, because the even cat's own
+    top level is empty whenever that level is odd, however short the
+    truncation. Negating the odd entries gives |-alpha> exactly, since
+    (-alpha)^n = (-1)^n alpha^n.
     """
+    amps = _coherent_amplitudes(spec.truncation, alpha)
     if abs(amps[-1]) ** 2 / np.vdot(amps, amps).real >= TOL.tail_tol:
         raise TruncationError(
             f"truncation {amps.size} too small for {family} alpha={alpha}: "
             f"use at least N={default_coherent_truncation(alpha)}"
         )
+    return amps / np.linalg.norm(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +368,7 @@ def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
 def coherent_state(spec: ModeSpec, alpha: complex) -> PureState:
     """Truncated coherent state, renormalized after truncation."""
     _single_mode(spec, "coherent_state")
-    amps = _coherent_amplitudes(spec.truncation, alpha)
-    _admit_coherent_tail(amps, "coherent", alpha)
-    return PureState(spec, amps / np.linalg.norm(amps))
+    return PureState(spec, _coherent_unit(spec, "coherent", alpha))
 
 
 def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> PureState:
@@ -379,9 +381,8 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
     _single_mode(spec, "cat_state")
     if not math.isfinite(relative_phase):
         raise ValueError(f"relative_phase must be finite, got {relative_phase}")
-    plus = _coherent_amplitudes(spec.truncation, alpha)
-    _admit_coherent_tail(plus, "cat", alpha)
-    minus = _coherent_amplitudes(spec.truncation, -alpha)
+    plus = _coherent_unit(spec, "cat", alpha)
+    minus = plus * (-1.0) ** np.arange(plus.size)
     raw = plus + np.exp(1j * relative_phase) * minus
     norm = float(np.linalg.norm(raw))
     if norm < 1e-6:
@@ -393,13 +394,10 @@ def cat_state(spec: ModeSpec, alpha: complex, relative_phase: float = 0.0) -> Pu
 
 
 def cat_mixture(spec: ModeSpec, alpha: complex) -> DensityMatrix:
-    """Equal statistical mixture of the |alpha> and |-alpha> projectors."""
+    """Equal mixture of the |alpha> and |-alpha> projectors, exactly block diagonal in parity."""
     _single_mode(spec, "cat_mixture")
-    plus = _coherent_amplitudes(spec.truncation, alpha)
-    _admit_coherent_tail(plus, "cat-mixture", alpha)
-    minus = _coherent_amplitudes(spec.truncation, -alpha)
-    plus /= np.linalg.norm(plus)
-    minus /= np.linalg.norm(minus)
+    plus = _coherent_unit(spec, "cat-mixture", alpha)
+    minus = plus * (-1.0) ** np.arange(plus.size)
     matrix = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
     return DensityMatrix(spec, matrix)
 
@@ -631,6 +629,6 @@ def load_state(path: str | Path) -> State:
     state_type, rank, layout = _KINDS[kind]
     if raw.ndim != rank + 1 or raw.shape[-1] != 2:
         raise StateValidationError(f"{path}: {kind} data must be {layout}")
-    state: State = state_type(spec, raw[..., 0] + 1j * raw[..., 1])
+    state: State = state_type(spec, raw.view(np.complex128)[..., 0])  # bit-exact, no copy
     _require_tail(state, str(path))
     return state

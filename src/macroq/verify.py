@@ -40,7 +40,7 @@ from .states import (
     random_pure_state,
     thermal_state,
 )
-from .wigner import default_grid_spec, wigner_measure_report
+from .wigner import DEFAULT_GRID_POINTS, default_grid_spec, wigner_measure_report
 
 RANDOM_SEED = 987654321
 
@@ -156,7 +156,8 @@ def check_gaussian_family(tol_factor: float = 1.0) -> CheckResult:
         f"I < 0 and 0 < chi2 < 2 for every a > 1")
 
 
-def check_gaussian_family_wigner(grid_points: int = 256, tol_factor: float = 1.0) -> CheckResult:
+def check_gaussian_family_wigner(grid_points: int = DEFAULT_GRID_POINTS,
+                                 tol_factor: float = 1.0) -> CheckResult:
     """Thermal family against closed forms, phase-space path."""
     tol = 1e-3 * tol_factor
     worst = 0.0
@@ -276,7 +277,8 @@ def check_pure_state_relation(tol_factor: float = 1.0) -> CheckResult:
         f"random pure states (tol {tol:.0e})")
 
 
-def check_dual_pipeline(grid_points: int = 256, tol_factor: float = 1.0) -> CheckResult:
+def check_dual_pipeline(grid_points: int = DEFAULT_GRID_POINTS,
+                        tol_factor: float = 1.0) -> CheckResult:
     """Operator vs phase-space C, P and chi2 on the single-mode corpus."""
     tol = TOL.dual_pipeline_rel * tol_factor
     worst = 0.0
@@ -410,7 +412,7 @@ def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> CheckResult:
 
 
 def run_verification(
-    grid_points: int = 256,
+    grid_points: int = DEFAULT_GRID_POINTS,
     tol_factor: float = 1.0,
     corpus_paths: tuple[str | Path, ...] = (),
 ) -> list[CheckResult]:

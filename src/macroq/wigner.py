@@ -40,14 +40,16 @@ from .fock import _store_integers
 from .measures import MeasureReport, _checked_report, measure_report
 from .states import State, as_density
 
+DEFAULT_GRID_POINTS = 256  # points per axis of every default grid
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Square sampling window: half-width and per-axis sample counts."""
 
     half_width: float
-    nq: int = 256
-    np: int = 256
+    nq: int
+    np: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.half_width) and self.half_width > 0):
@@ -71,7 +73,7 @@ class GridSpec:
         return 2.0 * self.half_width / (self.np - 1)
 
 
-def default_grid_spec(truncation: int, points: int = 256) -> GridSpec:
+def default_grid_spec(truncation: int, points: int = DEFAULT_GRID_POINTS) -> GridSpec:
     """Window sized to the truncated state's support radius sqrt(2N), buffered."""
     return GridSpec(half_width=math.sqrt(2.0 * truncation) + 5.0, nq=points, np=points)
 

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: files, formats, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -13,6 +15,13 @@ from macroq import (
     GaussianSpec,
     ModeSpec,
     PureState,
+    cat_mixture,
+    cat_state,
+    coherent_state,
+    default_coherent_truncation,
+    default_thermal_truncation,
+    fock_mixture,
+    fock_state,
     load_state,
     measure_report,
     pure_state_measures,
@@ -20,7 +29,7 @@ from macroq import (
     save_state,
     thermal_state,
 )
-from macroq import wigner
+from macroq import cli, wigner
 from macroq.cli import main
 
 from oracles import cat_mixture_I, thermal_chi2
@@ -652,3 +661,60 @@ class TestDeterminism:
         run("measure", str(state))
         second = capsys.readouterr().out
         assert first == second
+
+
+# (family, CLI parameters, the same state from its constructor, the default
+# cutoff by the per-family rule: max(12, top occupied level + 2) for the
+# number families, the coherent and thermal rules for the others)
+FAMILY_CASES = [
+    ("fock", {"n": "0"}, lambda spec: fock_state(spec, 0), 12),
+    ("fock", {"n": "15"}, lambda spec: fock_state(spec, 15), 17),
+    ("coherent", {"alpha": "1.5-0.5j"}, lambda spec: coherent_state(spec, 1.5 - 0.5j),
+     default_coherent_truncation(1.5 - 0.5j)),
+    ("cat", {"alpha": "2"}, lambda spec: cat_state(spec, 2.0), default_coherent_truncation(2.0)),
+    ("cat", {"alpha": "0.6+0.8j", "phi": "3.141592653589793"},
+     lambda spec: cat_state(spec, 0.6 + 0.8j, math.pi), default_coherent_truncation(0.6 + 0.8j)),
+    ("cat-mixture", {"alpha": "-1.2"}, lambda spec: cat_mixture(spec, -1.2),
+     default_coherent_truncation(-1.2)),
+    ("fock-mixture", {"d": "3"}, lambda spec: fock_mixture(spec, 3, True), 12),
+    ("fock-mixture", {"d": "12", "include_vacuum": "yes"},
+     lambda spec: fock_mixture(spec, 12, True), 13),
+    ("fock-mixture", {"d": "12", "include_vacuum": "false"},
+     lambda spec: fock_mixture(spec, 12, False), 14),
+    ("thermal", {"a": "1"}, lambda spec: thermal_state(spec, GaussianSpec(1.0)),
+     default_thermal_truncation(1.0)),
+    ("thermal", {"a": "3.5"}, lambda spec: thermal_state(spec, GaussianSpec(3.5)),
+     default_thermal_truncation(3.5)),
+]
+
+
+def _bits(state):
+    values = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return type(state), state.spec, values.view(np.uint64).tolist()
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family, params, direct, cutoff", FAMILY_CASES)
+    def test_build_state_is_the_constructor_call(self, family, params, direct, cutoff):
+        state, meta = cli.build_state(family, params, None)
+        assert meta == {"family": family, "params": params}
+        assert state.spec == ModeSpec(1, cutoff)
+        assert _bits(state) == _bits(direct(ModeSpec(1, cutoff)))
+        state, _ = cli.build_state(family, params, cutoff + 3)
+        assert _bits(state) == _bits(direct(ModeSpec(1, cutoff + 3)))
+
+    def test_families_and_sweep_parameters(self):
+        assert cli.FAMILIES == ("fock", "coherent", "cat", "cat-mixture", "fock-mixture",
+                                "thermal", "product")
+        assert cli.SWEEP_PARAM_FAMILIES == {"alpha": ("coherent", "cat", "cat-mixture"),
+                                            "a": ("thermal",), "d": ("fock-mixture",),
+                                            "n": ("fock",)}
+
+    @pytest.mark.parametrize("parameter, parsed", [
+        ("n", (1, 3)), ("d", (1, 3)), ("a", (1.0, 3.0)), ("alpha", (1.0, 3.0))])
+    def test_sweep_parses_integers_for_d_and_n_only(self, parameter, parsed):
+        args = argparse.Namespace(parameter=parameter, values="1, 3", start=None, stop=None,
+                                  steps=1)
+        values = cli._sweep_values(args)
+        assert values == parsed
+        assert [type(v) for v in values] == [type(v) for v in parsed]

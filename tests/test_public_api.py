@@ -121,6 +121,25 @@ def test_public_surface(tmp_path):
         assert all(vars(module)[key] is value for key, value in names.items()), module
 
 
+@pytest.mark.parametrize("argv", [
+    ["fock", "n=3"], ["coherent", "alpha=1.5"], ["cat", "alpha=1.5"], ["cat-mixture", "alpha=1.2"],
+    ["fock-mixture", "d=3"], ["thermal", "a=3"]])
+def test_traced_state_command_records_its_build(argv, tmp_path):
+    # the CLI calls each constructor through its module global, which the tracer rebinds
+    from macroq.cli import main
+
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert main(["state", *argv, "--out", str(tmp_path / "state.json")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = {span.name: span for span in tracer.spans}
+    assert sorted(span.name for span in tracer.spans) == [
+        "states.build", "states.save", "states.validate"]
+    assert spans["states.validate"].parent == spans["states.build"].id
+
+
 def test_cli_imports_no_private_package_names():
     """The CLI and the check suite go through public functions only, so each
     decision has one owner."""

@@ -172,6 +172,13 @@ class TestCatState:
         psi = cat_state(ModeSpec(1, 20), 1.0, math.pi).amplitudes
         assert np.max(np.abs(psi[0::2])) < 1e-15
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 3.0, 0.6 + 0.8j, -2.0 - 1.0j])
+    def test_even_cat_odd_levels_are_exactly_zero(self, alpha):
+        # |-alpha> is |alpha> with its odd entries negated, so they cancel exactly
+        psi = cat_state(ModeSpec(1, default_coherent_truncation(alpha)), alpha).amplitudes
+        assert not np.any(psi[1::2])
+        assert np.all(psi[0::2] != 0)
+
 
 class TestCatMixture:
     def test_degenerate_overlap_is_vacuum_projector(self):
@@ -184,6 +191,19 @@ class TestCatMixture:
         expected = -math.exp(-4.0)
         assert brute_force_I(rho.matrix, 1, 19) == pytest.approx(expected, abs=1e-12)
         assert measure_I(rho) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("levels, alpha", [(54, 3.0), (26, 0.6 + 0.8j), (19, -1.0j)])
+    def test_parity_sectors_are_exactly_apart(self, levels, alpha):
+        mat = cat_mixture(ModeSpec(1, levels), alpha).matrix
+        n = np.arange(levels)
+        assert not np.any(mat[(n[:, None] + n[None, :]) % 2 == 1])
+        found = sorted(row.tolist() for sizes in _blocks(mat) for row in sizes)
+        assert found == [n[0::2].tolist(), n[1::2].tolist()]
+        # and the mixture is still that of the separately expanded |alpha> and |-alpha>
+        plus = coherent_state(ModeSpec(1, levels), alpha).amplitudes
+        minus = coherent_state(ModeSpec(1, levels), -alpha).amplitudes
+        expected = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
+        assert np.allclose(mat, expected, rtol=0.0, atol=1e-15)
 
     def test_purity_closed_form(self):
         for alpha in (0.5, 1.0, 2.0):
@@ -539,7 +559,7 @@ class TestBlockPositivity:
 
     def test_negative_eigenvalue_hidden_in_one_block(self):
         mat = _thermal_times_cat_mixture()
-        index = np.arange(26 * 5, 26 * 6)  # thermal level 5, whole cat-mixture block
+        index = 26 * 5 + np.arange(0, 26, 2)  # thermal level 5, even-parity cat-mixture block
         assert any(set(index) == set(row) for found in _blocks(mat) for row in found)
         eigs, vecs = np.linalg.eigh(mat[np.ix_(index, index)])
         eigs[-1] += eigs[0] + 1e-6  # keep the trace
@@ -586,6 +606,22 @@ class TestSerialization:
         loaded = load_state(path)
         assert isinstance(loaded, DensityMatrix)
         assert np.array_equal(loaded.matrix, state.matrix)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_signed_zeros_round_trip(self, kind, tmp_path):
+        # array_equal counts -0.0 equal to 0.0, so compare the bits
+        amps = np.array([complex(-0.0, 0.6), complex(0.8, -0.0), complex(-0.0, -0.0)])
+        if kind == "pure":
+            state, values = PureState(ModeSpec(1, 3), amps), amps
+        else:
+            values = np.diag([0.5, 0.5, 0.0]).astype(complex)
+            values[0, 1], values[1, 0], values[2, 2] = complex(-0.0, 0.0), -0.0j, -0.0j
+            state = DensityMatrix(ModeSpec(1, 3), values)
+        assert np.any(np.signbit(values.view(np.float64)) & (values.view(np.float64) == 0))
+        save_state(state, tmp_path / "zeros.json")
+        loaded = load_state(tmp_path / "zeros.json")
+        got = loaded.amplitudes if kind == "pure" else loaded.matrix
+        assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_one_line_document_round_trips_bit_exactly(self, kind, tmp_path, rng):
