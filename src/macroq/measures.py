@@ -14,8 +14,16 @@ that level empty to within the tail tolerance.
 No mode operator and no D x D product or buffer is ever formed. For mode m
 with stride s = N^(M-m), a and a^dagger shift rho's row or column index by
 s with weights sqrt(n), and every trace Tr[XY] = sum_ij X_ij Y_ji is summed
-over pairs of B x B tiles as X_IJ o (Y_JI)^T. A report costs O(M D^2) time
-and O(D + B^2) memory beyond rho.
+over pairs of B x B tiles as X_IJ o (Y_JI)^T.
+
+Each walk takes rho's band w = max |i - j| over its exact nonzeros, which
+DensityMatrix measures while it validates. The overlap and hop sums of I and
+the purity visit only the tile pairs whose smallest |i - j| is at most w,
+and mode m's commutator tiles of C only those within w + s; every pair
+beyond holds exact zeros, so skipping it leaves each sum bit for bit as it
+was. A report costs O(M D (w + s + B)) time and O(D + B^2) memory beyond
+rho: a Fock-diagonal rho pays O(M D (s + B)), and a dense one, w = D - 1,
+walks every pair at O(M D^2).
 
 The redundancies are checked, not assumed:
 
@@ -56,8 +64,8 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec
-from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _mirrored_sum,
-                     _real_after_residue_check, _spans, _tile, _tile_pairs, purity)
+from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _gap,
+                     _mirrored_sum, _real_after_residue_check, _spans, _tile, _tile_pairs, purity)
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -146,12 +154,12 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     between them is the caller's check.
     """
     spec = rho.spec
-    mat = _density_matrix(rho)
+    mat, band = _density_matrix(rho)
     dim = len(mat)
     scratch = np.empty(min(dim, _TILE) ** 2, dtype=np.complex128)
     by_row = np.zeros(dim, dtype=np.complex128)  # (rho^2)_ii
     by_col = np.zeros(dim, dtype=np.complex128)
-    for rows, cols in _tile_pairs(dim):
+    for rows, cols in _tile_pairs(dim, band):
         overlap = np.multiply(mat[rows, cols], mat[cols, rows].T,
                               out=_tile(scratch, rows, cols))  # rho_ij rho_ji
         across, down = overlap.sum(axis=1), overlap.sum(axis=0)
@@ -166,15 +174,16 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
         n_mid = _occupation(by_col, spec, mode)  # Tr[rho n rho]
         # Tr[(rho a)(rho a^dagger)] = sum_ij hi_j rho_{i,j-s} lo_i rho_{j,i+s};
         # with j -> j + s and hi_{j+s} = lo_j it is sum_ij lo_i lo_j A_ij B_ji
-        # over the corners A = rho[:D-s, :D-s] and B = rho[s:, s:]
+        # over the corners A = rho[:D-s, :D-s] and B = rho[s:, s:], both 0 past the band
         stride, lo, _ = _shifts(spec, mode)
         near, far, lo = mat[:-stride, :-stride], mat[stride:, stride:], lo[:-stride]
+        spans = _spans(0, dim - stride)
         hop = 0.0 + 0.0j
-        for rows in _spans(0, dim - stride):
-            for cols in _spans(0, dim - stride):
-                pair = np.multiply(near[rows, cols], far[cols, rows].T,
-                                   out=_tile(scratch, rows, cols))
-                hop += complex(lo[rows] @ pair @ lo[cols])
+        for rows, cols in ((rows, cols) for rows in spans for cols in spans
+                           if _gap(rows, cols) <= band):
+            pair = np.multiply(near[rows, cols], far[cols, rows].T,
+                               out=_tile(scratch, rows, cols))
+            hop += complex(lo[rows] @ pair @ lo[cols])
         three += 0.5 * sq_n + 0.5 * n_mid - hop
         two += sq_n - hop
     return (_real_after_residue_check(three, "measure I"),
@@ -218,10 +227,11 @@ def measure_C(rho: DensityMatrix) -> float:
     """Structure functional as sum_m -1/2 (Tr[[q_m, rho]^2] + Tr[[p_m, rho]^2]).
 
     Per mode and tile pair I <= J the commutator tiles K are formed at (I, J)
-    and (J, I), and each trace sums K_IJ o (K_JI)^T.
+    and (J, I), and each trace sums K_IJ o (K_JI)^T. A shift by the stride s
+    moves rho's band w to w + s, so K is 0 on the pairs beyond it.
     """
     spec = rho.spec
-    mat = _density_matrix(rho)
+    mat, band = _density_matrix(rho)
     scratch = np.empty((3, min(len(mat), _TILE) ** 2), dtype=np.complex128)
     spare = np.empty_like(scratch) if len(mat) > _TILE else None  # mirror tiles
     total = 0.0
@@ -234,7 +244,7 @@ def measure_C(rho: DensityMatrix) -> float:
             mirror = tiles if rows == cols else _commutator_tiles(mat, cols, rows, shifts, spare)
             return np.einsum("kij,kji->k", tiles, mirror)
 
-        q_sq, p_sq = _mirrored_sum(len(mat), term)
+        q_sq, p_sq = _mirrored_sum(len(mat), band + stride, term)
         total += -0.25 * _real_after_residue_check(complex(q_sq), "measure C")
         total += 0.25 * _real_after_residue_check(complex(p_sq), "measure C")
     return total

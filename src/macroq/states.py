@@ -15,7 +15,7 @@ import cmath
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,9 @@ from .fock import ComplexMatrix, ModeSpec, _check_mode, _integer, _single_mode_d
 
 # Every sum over rho_ij rho_ji (the Hermiticity test, the purity and the
 # traces in measures.py) reads rho in B x B tiles: its scratch is O(B^2) and
-# each transposed read stays inside a cache-sized tile.
+# each transposed read stays inside a cache-sized tile. A walk takes rho's
+# band w, the largest |i - j| over its exact nonzeros, and skips the tile
+# pairs that lie wholly beyond it: they hold exact zeros and add nothing.
 _TILE = 128
 
 
@@ -35,15 +37,24 @@ def _spans(start: int, stop: int) -> list[slice]:
     return [slice(a, min(a + _TILE, stop)) for a in range(start, stop, _TILE)]
 
 
-def _tile_pairs(dim: int) -> list[tuple[slice, slice]]:
-    """(rows, cols) of the tiles on and above the diagonal of a dim x dim matrix."""
+def _gap(rows: slice, cols: slice) -> int:
+    """Smallest |i - j| over the tile rows x cols."""
+    return max(cols.start - rows.stop, rows.start - cols.stop, -1) + 1
+
+
+def _tile_pairs(dim: int, band: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) of the tiles on and above the diagonal of a dim x dim matrix
+    that come within band of it; band = dim - 1 gives every pair."""
     spans = _spans(0, dim)
-    return [(rows, cols) for k, rows in enumerate(spans) for cols in spans[k:]]
+    return [(rows, cols) for k, rows in enumerate(spans) for cols in spans[k:]
+            if _gap(rows, cols) <= band]
 
 
-def _mirrored_sum(dim: int, term: Callable[[slice, slice], complex | np.ndarray]):
-    """Sum of term(rows, cols) over all tile pairs, for a term with term(J, I) = term(I, J)."""
-    return sum(term(rows, cols) * (1.0 if rows == cols else 2.0) for rows, cols in _tile_pairs(dim))
+def _mirrored_sum(dim: int, band: int, term: Callable[[slice, slice], complex | np.ndarray]):
+    """Sum of term(rows, cols) over the tile pairs within band, for a term with
+    term(J, I) = term(I, J) that is 0 on every pair beyond the band."""
+    return sum(term(rows, cols) * (1.0 if rows == cols else 2.0)
+               for rows, cols in _tile_pairs(dim, band))
 
 
 def _tile(scratch: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
@@ -52,29 +63,55 @@ def _tile(scratch: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     return scratch[..., :shape[0] * shape[1]].reshape(scratch.shape[:-1] + shape)
 
 
-def _blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """Connected components of mat's exact nonzero pattern, made symmetric.
+def _survey(mat: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """One read of every tile pair: max |mat - mat^dagger|, the band and the pattern.
 
-    One (count, size) index array per component size, each row an ascending
-    index set; mat is block diagonal on these sets, so its spectrum is the
-    union of the blocks' spectra. The pattern takes no tolerance: an entry
-    links its row and column if it is not exactly 0, on either side of the
-    diagonal. The labels come from hook-and-compress rounds in the style of
-    Shiloach and Vishkin (J. Algorithms 3, 57 (1982)): each tree hooks its
-    root onto the smallest label beside it, then the pointers are jumped
-    until stable, which takes O(log D) rounds of one O(D^2) pass each.
+    The pattern `linked` marks each entry that is not exactly 0 on either
+    side of the diagonal, so it is symmetric; the band is the largest
+    |i - j| it marks. Tiles that mark nothing are left as allocated, zero.
     """
     dim = len(mat)
-    linked = np.empty((dim, dim), dtype=bool)
-    for rows, cols in _tile_pairs(dim):
-        tile = np.not_equal(mat[rows, cols], 0)
-        tile |= np.not_equal(mat[cols, rows], 0).T
+    herm_dev, band = 0.0, 0
+    linked = np.zeros((dim, dim), dtype=bool)
+    for rows, cols in _tile_pairs(dim, dim - 1):
+        upper, lower = mat[rows, cols], mat[cols, rows]
+        if not (upper.any() or lower.any()):  # both sides exactly 0: no deviation, no link
+            continue
+        herm_dev = max(herm_dev, float(np.max(np.abs(upper - lower.conj().T))))
+        tile = np.not_equal(upper, 0)
+        tile |= np.not_equal(lower, 0).T
         linked[rows, cols] = tile
         linked[cols, rows] = tile.T
+        if cols.stop - 1 - rows.start > band:  # on the diagonal, tile is symmetric
+            band = max(band, cols.start - rows.start + _reach(tile))
+    return herm_dev, band, linked
+
+
+def _reach(tile: np.ndarray) -> int:
+    """Largest j - i over the marked entries (i, j) of a tile that marks some."""
+    last = tile.shape[1] - 1 - np.argmax(tile[:, ::-1], axis=1)  # each row's last mark
+    rows = np.arange(len(tile))
+    return int(np.max((last - rows)[tile[rows, last]]))
+
+
+def _blocks(linked: np.ndarray, band: int) -> list[np.ndarray]:
+    """Connected components of a symmetric pattern that marks nothing beyond band.
+
+    One (count, size) index array per component size, each row an ascending
+    index set; a matrix with this pattern is block diagonal on these sets,
+    so its spectrum is the union of the blocks' spectra. The labels come from
+    hook-and-compress rounds in the style of Shiloach and Vishkin (J.
+    Algorithms 3, 57 (1982)): each tree hooks its root onto the smallest
+    label beside it, then the pointers are jumped until stable. That takes
+    O(log D) rounds, each reading the columns within band of every row
+    block: O(D (w + B)) per round for band w.
+    """
+    dim = len(linked)
+    reach = [(rows, slice(max(rows.start - band, 0), rows.stop + band)) for rows in _spans(0, dim)]
     label = np.arange(dim)
     while True:
-        beside = np.concatenate([np.where(linked[rows], label, dim).min(axis=1)
-                                 for rows in _spans(0, dim)])
+        beside = np.concatenate([np.where(linked[rows, near], label[near], dim).min(axis=1)
+                                 for rows, near in reach])
         hooked = label.copy()
         np.minimum.at(hooked, label, beside)
         if np.array_equal(hooked, label):
@@ -148,25 +185,32 @@ class DensityMatrix:
 
     A contiguous complex128 input is taken over, not copied, and made read-only.
 
+    Validation reads every tile pair of rho once. That one walk measures the
+    Hermiticity deviation, the exact nonzero pattern (made symmetric) and
+    rho's band w = max |i - j| over that pattern, kept as `_band`: every
+    later walk, here and in the operator traces, skips the tile pairs beyond
+    it, which hold exact zeros. A dense rho has w = D - 1 and is walked in
+    full.
+
     Positivity is checked one block at a time. rho is block diagonal on the
-    connected components of its exact nonzero pattern, so every eigenvalue
-    is >= psd_floor iff each block, its diagonal shifted by -psd_floor, has
-    a Cholesky factor; the blocks of one size go to one batched call. The
-    cubic cost is the sum of the blocks' cubes: a Fock-diagonal state pays
-    O(D), a two-mode product with one diagonal factor pays for N blocks of
-    size N, and a dense rho is one block at the full D^3. Finding the blocks
-    costs O(D^2) per labelling round. A rejection names the smallest
+    connected components of its pattern, so every eigenvalue is >= psd_floor
+    iff each block, its diagonal shifted by -psd_floor, has a Cholesky
+    factor; the blocks of one size go to one batched call. The cubic cost is
+    the sum of the blocks' cubes: a Fock-diagonal state pays O(D), a
+    two-mode product with one diagonal factor pays for N blocks of size N,
+    and a dense rho is one block at the full D^3. Finding the blocks costs
+    O(D (w + B)) per labelling round. A rejection names the smallest
     eigenvalue over the blocks, which is rho's smallest.
     """
 
     spec: ModeSpec
     matrix: ComplexMatrix
+    _band: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = self.spec.total_dim
         mat = _intake(self.matrix, (dim, dim), "density matrix")
-        herm_dev = max(float(np.max(np.abs(mat[rows, cols] - mat[cols, rows].conj().T)))
-                       for rows, cols in _tile_pairs(dim))
+        herm_dev, band, linked = _survey(mat)
         if herm_dev > TOL.herm_tol:
             raise StateValidationError(
                 f"Hermiticity violated: max |rho - rho^dagger| = {herm_dev:.2e}"
@@ -174,8 +218,10 @@ class DensityMatrix:
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
         if trace_dev > TOL.trace_tol:
             raise StateValidationError(f"trace deviates from 1 by {trace_dev:.2e}")
+        found = _blocks(linked, band)
+        del linked  # freed before the blocks are gathered
         # the eigenvalues are computed only to word the rejection
-        blocks = [(index[:, :, None], index[:, None, :]) for index in _blocks(mat)]
+        blocks = [(index[:, :, None], index[:, None, :]) for index in found]
         try:
             for block in blocks:
                 stack = mat[block]  # every block of one size, (count, size, size)
@@ -189,6 +235,7 @@ class DensityMatrix:
             ) from None
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_band", band)
 
     def mode_level_populations(self) -> np.ndarray:
         probs = np.diag(self.matrix).real
@@ -235,12 +282,12 @@ def _require_tail(state: State, what: str) -> None:
         )
 
 
-def _density_matrix(rho: State) -> np.ndarray:
-    """The matrix of a DensityMatrix; a PureState is refused by name."""
+def _density_matrix(rho: State) -> tuple[np.ndarray, int]:
+    """The matrix of a DensityMatrix and its band; a PureState is refused by name."""
     if not isinstance(rho, DensityMatrix):
         raise TypeError(f"the operator traces take a DensityMatrix, got {type(rho).__name__}; "
                         "measure_report takes either kind, and as_density gives the projector")
-    return rho.matrix
+    return rho.matrix, rho._band
 
 
 def as_density(state: State) -> DensityMatrix:
@@ -261,9 +308,7 @@ def default_coherent_truncation(alpha: complex) -> int:
     4096 levels, the top level of the truncated |alpha> holds less than
     tail_tol of its population.
     """
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    r = abs(alpha)
+    r = _modulus(alpha)
     return _cutoff(r * r + 8.0 * r + 10.0, f"alpha={alpha}")
 
 
@@ -292,21 +337,31 @@ def _cutoff(levels: float, what: str) -> int:
     return int(math.ceil(levels))
 
 
-def _coherent_amplitudes(truncation: int, alpha: complex) -> np.ndarray:
+def _modulus(alpha: complex) -> float:
+    """|alpha| of a finite alpha; inf, not an OverflowError, once it passes the largest float."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return math.hypot(alpha.real, alpha.imag)
+
+
+def _coherent_amplitudes(truncation: int, alpha: complex, family: str) -> np.ndarray:
     """Truncated coherent expansion exp(-|a|^2/2) a^n / sqrt(n!), unnormalized.
 
     When |alpha| lies so far above the truncation that the largest term is
     below exp(-300), every term would underflow in the squares a norm sums;
     the magnitudes are then divided by the largest, so the tail check still
-    sees the mass pile up on the top level.
+    sees the mass pile up on the top level. An alpha whose |alpha|^2
+    overflows a float is refused before it is squared: no truncation holds it.
     """
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    r = _modulus(alpha)
+    if not math.isfinite(r * r):
+        raise TruncationError(f"{family} alpha={alpha}: |alpha|^2 overflows a float "
+                              "and no Fock truncation holds it")
     if alpha == 0:
         return np.eye(1, truncation, 0, dtype=np.complex128).ravel()
     n = np.arange(truncation)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, truncation)))))
-    log_mags = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0
+    log_mags = -r ** 2 / 2.0 + n * np.log(r) - log_fact / 2.0
     top = log_mags.max()
     if top < -300.0:
         log_mags -= top
@@ -322,7 +377,7 @@ def _coherent_unit(spec: ModeSpec, family: str, alpha: complex) -> np.ndarray:
     truncation. Negating the odd entries gives |-alpha> exactly, since
     (-alpha)^n = (-1)^n alpha^n.
     """
-    amps = _coherent_amplitudes(spec.truncation, alpha)
+    amps = _coherent_amplitudes(spec.truncation, alpha, family)
     if abs(amps[-1]) ** 2 / np.vdot(amps, amps).real >= TOL.tail_tol:
         raise TruncationError(
             f"truncation {amps.size} too small for {family} alpha={alpha}: "
@@ -430,22 +485,28 @@ def thermal_state(spec: ModeSpec, g: GaussianSpec) -> DensityMatrix:
     Gaussian of width g.a.
 
     Occupations follow nbar^n / (1+nbar)^(n+1) with nbar = (a^2 - 1)/2,
-    evaluated in log space and renormalized over the retained levels.
+    evaluated in log space and renormalized over the retained levels. The
+    tail rule judges the renormalized top level: when nbar dwarfs the
+    truncation, every retained level holds a tiny share of the untruncated
+    state but a large one of the truncated state.
     """
     _single_mode(spec, "thermal_state")
     nbar = g.mean_occupation
+    if not math.isfinite(nbar):
+        raise TruncationError(f"thermal a={g.a}: the mean occupation overflows a float "
+                              "and no Fock truncation holds it")
     n = np.arange(spec.truncation, dtype=float)
     if nbar == 0.0:
         diag = np.zeros(spec.truncation)
         diag[0] = 1.0
     else:
         diag = np.exp(n * math.log(nbar) - (n + 1.0) * math.log1p(nbar))
+    diag = diag / diag.sum()
     if diag[-1] >= TOL.tail_tol:
         raise TruncationError(
             f"truncation {spec.truncation} too small for thermal a={g.a}: "
             f"use at least N={default_thermal_truncation(g.a)}"
         )
-    diag = diag / diag.sum()
     return DensityMatrix(spec, np.diag(diag.astype(np.complex128)))
 
 
@@ -487,8 +548,8 @@ def purity(rho: DensityMatrix) -> float:
     Not |rho|^2: that is real by construction and would hide a non-Hermitian
     corruption that this sum exposes.
     """
-    mat = _density_matrix(rho)
-    value = _mirrored_sum(len(mat), lambda rows, cols: np.einsum(
+    mat, band = _density_matrix(rho)
+    value = _mirrored_sum(len(mat), band, lambda rows, cols: np.einsum(
         "ij,ji->", mat[rows, cols], mat[cols, rows]))
     return _real_after_residue_check(complex(value), "purity")
 

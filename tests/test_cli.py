@@ -184,6 +184,90 @@ class TestStateCommand:
         assert not (tmp_path / "x.json").exists()
 
 
+class TestOverflowingParameter:
+    """A finite alpha or a whose square overflows a float is refused by name, not crashed on."""
+
+    @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
+    @pytest.mark.parametrize("alpha", ["1e200", "1e308", "1e200j"])
+    def test_state_with_explicit_truncation(self, tmp_path, capsys, family, alpha):
+        out = tmp_path / "x.json"
+        assert run("state", family, f"alpha={alpha}", "--truncation", "10",
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"{family} alpha=" in err and "|alpha|^2 overflows a float" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
+    def test_sweep_writes_an_error_row(self, tmp_path, capsys, family):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--family", family, "--parameter", "alpha", "--values", "0.2,1e200",
+                   "--truncation", "10", "--out", str(out)) == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0].split(",")[5] == ""
+        assert rows[1].split(",")[5] == (f"TruncationError: {family} alpha=(1e+200+0j): "
+                                         "|alpha|^2 overflows a float and no Fock truncation "
+                                         "holds it")
+
+    @pytest.mark.parametrize("a, message", [
+        ("1e200", "thermal a=1e+200: the mean occupation overflows a float"),
+        ("1e308", "thermal a=1e+308: the mean occupation overflows a float"),
+        # every retained level of the untruncated state holds ~1e-20, the
+        # renormalized top level a tenth
+        ("1e10", "truncation 10 too small for thermal a=10000000000.0"),
+    ])
+    def test_thermal_with_explicit_truncation(self, tmp_path, capsys, a, message):
+        out = tmp_path / "x.json"
+        assert run("state", "thermal", f"a={a}", "--truncation", "10", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+# The edge values a refusal sweep feeds every family parameter; none asks for a
+# large array, since the dimension cap refuses a huge n, d or cutoff first.
+EDGE_VALUES = ("0", "-0", "1", "-1", "2", "1e200", "1e-300", "nan", "inf", "-inf", "1e308",
+               "3+4j", "1e200j", "99999999999999999999", "0.5", "abc", "True", "")
+EDGE_TRUNCATIONS = ((), ("--truncation", "10"))
+REFUSAL_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TRUNCATION, cli.EXIT_CONSISTENCY}
+FAMILY_PARAMS = [(family, name) for family, entry in cli._TABLE.items()
+                 for name, _, _ in entry.params]
+
+
+class TestRefusalSweep:
+    """Every family parameter at every edge value exits with a code, never a traceback."""
+
+    @staticmethod
+    def _unexpected_exits(capsys, commands):
+        """Each command's exit code outside REFUSAL_CODES; an uncaught exception fails here."""
+        unexpected = {}
+        for argv in commands:
+            code = main(list(argv))
+            assert "Traceback" not in capsys.readouterr().err, argv
+            if code not in REFUSAL_CODES:
+                unexpected[argv] = code
+        return unexpected
+
+    @pytest.mark.parametrize("family, probed", FAMILY_PARAMS)
+    def test_state_command(self, tmp_path, capsys, family, probed):
+        # the other required parameters take 1, the optional ones their defaults
+        others = tuple(f"{name}=1" for name, _, default in cli._TABLE[family].params
+                       if name != probed and default is None)
+        commands = [("state", family, *others, f"{probed}={value}", *truncation,
+                     "--out", str(tmp_path / "x.json"))
+                    for value in EDGE_VALUES for truncation in EDGE_TRUNCATIONS]
+        assert self._unexpected_exits(capsys, commands) == {}
+
+    @pytest.mark.parametrize("family", list(cli._TABLE))
+    def test_sweep_command(self, tmp_path, capsys, family):
+        parameter = cli._TABLE[family].params[0][0]
+        commands = [("sweep", "--family", family, "--parameter", parameter, "--values", value,
+                     *truncation, "--out", str(tmp_path / "s.csv"))
+                    for value in EDGE_VALUES for truncation in EDGE_TRUNCATIONS]
+        assert self._unexpected_exits(capsys, commands) == {}
+
+
 class TestMeasureCommand:
     def test_thermal_operator_report(self, tmp_path, capsys):
         out = tmp_path / "thermal.json"

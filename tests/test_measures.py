@@ -1,5 +1,6 @@
 """Measure evaluation: values, identities, and consistency guards."""
 
+import copy
 import math
 import tracemalloc
 
@@ -30,6 +31,7 @@ from macroq import (
     measure_I,
     measure_I_forms,
     measure_report,
+    mix,
     product_state,
     pure_state_measures,
     purity,
@@ -55,6 +57,7 @@ from oracles import (
 
 SQRT2 = math.sqrt(2.0)
 TILE = macroq.states._TILE
+_tile_pairs = macroq.states._tile_pairs
 
 
 def _thermal(a: float):
@@ -144,6 +147,100 @@ class TestTiledTraces:
         psi = coherent_state(ModeSpec(1, 20), 1.0)
         with pytest.raises(TypeError, match="DensityMatrix.*measure_report.*as_density"):
             trace(psi)
+
+
+def _corner_pair() -> DensityMatrix:
+    """A diagonal rho plus one pair of entries at its corners, so w = D - 1."""
+    diag = np.linspace(2.0, 1.0, 3 * TILE - 20)
+    diag[-1] = 0.0
+    mat = np.diag(diag / diag.sum()).astype(complex)
+    mat[0, -1] = mat[-1, 0] = 1e-8
+    return DensityMatrix(ModeSpec(1, len(mat)), mat)
+
+
+def _across_tiles() -> DensityMatrix:
+    """Thermal mixed with (|B-2> + |B+2>)/sqrt(2): band 4, one coherence across tiles."""
+    spec = ModeSpec(1, 2 * TILE + 44)
+    amps = np.zeros(spec.total_dim, dtype=complex)
+    amps[[TILE - 2, TILE + 2]] = 1.0 / SQRT2
+    thermal = thermal_state(spec, GaussianSpec(1.5))
+    return mix([(0.5, thermal), (0.5, as_density(PureState(spec, amps)))])
+
+
+class TestBandLimitedWalks:
+    """Every walk skips the tile pairs beyond rho's band and gives the full walk's bits."""
+
+    STATES = {
+        "thermal": lambda rng: _thermal(6.0),
+        "thermal x cat mixture": lambda rng: product_state(
+            thermal_state(ModeSpec(1, 26), GaussianSpec(SQRT2)),
+            cat_mixture(ModeSpec(1, 26), 0.6 + 0.8j)),
+        "fock mixture": lambda rng: fock_mixture(ModeSpec(1, TILE + 12), 7, False),
+        "cat mixture": lambda rng: cat_mixture(ModeSpec(1, 163), 9.0),
+        "dense random": lambda rng: random_mixed_state(ModeSpec(1, 2 * TILE + 44), rng),
+        "corner pair": lambda rng: _corner_pair(),
+        "M=3, stride > w": lambda rng: product_state(
+            thermal_state(ModeSpec(1, 8), GaussianSpec(1.01)),
+            product_state(fock_mixture(ModeSpec(1, 8), 3), cat_mixture(ModeSpec(1, 8), 0.2))),
+        "across tiles": lambda rng: _across_tiles(),
+    }
+    # the band each state must have: D - 1 marks a full walk
+    BANDS = {"thermal": 0, "thermal x cat mixture": 24, "fock mixture": 0, "cat mixture": 162,
+             "dense random": 2 * TILE + 42, "corner pair": 3 * TILE - 21, "M=3, stride > w": 6,
+             "across tiles": 4}
+
+    @staticmethod
+    def _every_pair(rho: DensityMatrix) -> DensityMatrix:
+        full = copy.copy(rho)
+        object.__setattr__(full, "_band", rho.spec.total_dim - 1)
+        return full
+
+    @staticmethod
+    def _values(rho: DensityMatrix) -> str:
+        return repr((measure_I_forms(rho), measure_C(rho), purity(rho),
+                     measure_report(rho).identity_residual))
+
+    @pytest.mark.parametrize("case", list(STATES))
+    def test_band_is_the_widest_nonzero_reach(self, case, rng):
+        rho = self.STATES[case](rng)
+        rows, cols = np.nonzero(rho.matrix)
+        assert rho._band == np.max(np.abs(rows - cols)) == self.BANDS[case]
+
+    @pytest.mark.parametrize("case", list(STATES))
+    def test_traces_match_the_walk_over_every_pair(self, case, rng):
+        rho = self.STATES[case](rng)
+        assert self._values(rho) == self._values(self._every_pair(rho))
+
+    def test_stride_exceeds_the_band(self, rng):
+        rho = self.STATES["M=3, stride > w"](rng)
+        strides = [rho.spec.truncation ** (3 - mode) for mode in (1, 2, 3)]
+        assert rho.spec.total_dim > 2 * TILE
+        assert [stride > rho._band for stride in strides] == [True, True, False]
+
+    @pytest.mark.parametrize("dim", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 44, 676])
+    def test_full_band_walks_every_tile_pair(self, dim):
+        count = -(-dim // TILE)
+        assert len(_tile_pairs(dim, dim - 1)) == count * (count + 1) // 2
+        assert len(_tile_pairs(dim, 0)) == count
+        assert len(_tile_pairs(dim, 1)) == 2 * count - 1
+        assert _tile_pairs(dim, dim - 1) == _tile_pairs(dim, 10 ** 9)
+
+    def test_hermiticity_violation_far_off_the_band_refused(self):
+        mat = _thermal(6.0).matrix.copy()
+        mat[-5, 2] = 1e-3
+        with pytest.raises(StateValidationError, match="Hermiticity violated: .* 1.00e-03"):
+            DensityMatrix(ModeSpec(1, len(mat)), mat)
+
+    @pytest.mark.parametrize("trace,what", [
+        (measure_I, "measure I"), (measure_C, "measure C"), (purity, "purity")])
+    def test_non_hermitian_perturbation_in_the_band_detected(self, trace, what):
+        rho = _across_tiles()
+        assert rho._band == 4
+        corrupted = rho.matrix.copy()
+        corrupted[TILE + 2, TILE - 2] += 1e-4j  # tile pair (1, 0)
+        object.__setattr__(rho, "matrix", corrupted)
+        with pytest.raises(ConsistencyError, match=f"{what} has imaginary residue"):
+            trace(rho)
 
 
 class TestMeasureI:

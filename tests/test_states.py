@@ -36,7 +36,7 @@ from macroq import (
 )
 
 from macroq.config import TOL
-from macroq.states import _blocks
+from macroq.states import _blocks, _survey
 
 from oracles import (
     brute_force_I,
@@ -49,6 +49,12 @@ from oracles import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def blocks_of(mat: np.ndarray) -> list[np.ndarray]:
+    """_blocks on the pattern and band that validation's walk measures."""
+    _, band, linked = _survey(mat)
+    return _blocks(linked, band)
 
 
 class TestFockState:
@@ -197,7 +203,7 @@ class TestCatMixture:
         mat = cat_mixture(ModeSpec(1, levels), alpha).matrix
         n = np.arange(levels)
         assert not np.any(mat[(n[:, None] + n[None, :]) % 2 == 1])
-        found = sorted(row.tolist() for sizes in _blocks(mat) for row in sizes)
+        found = sorted(row.tolist() for sizes in blocks_of(mat) for row in sizes)
         assert found == [n[0::2].tolist(), n[1::2].tolist()]
         # and the mixture is still that of the separately expanded |alpha> and |-alpha>
         plus = coherent_state(ModeSpec(1, levels), alpha).amplitudes
@@ -256,6 +262,13 @@ class TestThermalState:
     def test_inadequate_truncation_names_requirement(self):
         with pytest.raises(TruncationError, match=r"use at least N="):
             thermal_state(ModeSpec(1, 12), GaussianSpec(2.0))
+
+    @pytest.mark.parametrize("a", [1e7, 1e10, 1e150])
+    def test_top_level_judged_after_renormalizing(self, a):
+        # nbar >> N: the untruncated top level holds under tail_tol, the
+        # truncated state's a tenth
+        with pytest.raises(TruncationError, match="truncation 10 too small for thermal"):
+            thermal_state(ModeSpec(1, 10), GaussianSpec(a))
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError, match="a >= 1"):
@@ -507,6 +520,13 @@ def _permuted_path(rng, dim: int) -> np.ndarray:
     return mat
 
 
+def _one_link(dim: int, i: int, j: int) -> np.ndarray:
+    """A diagonal plus the pair (i, j), (j, i): the only link, and it spans the band."""
+    mat = np.diag(np.linspace(2.0, 1.0, dim)).astype(complex)
+    mat[i, j] = mat[j, i] = 0.5
+    return mat
+
+
 def _whole_matrix_verdict(mat: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(mat - TOL.psd_floor * np.eye(len(mat)))
@@ -528,12 +548,15 @@ class TestBlockPositivity:
         "permuted path": lambda rng: _permuted_path(rng, 512),
         "upper-triangle entry": lambda rng: np.diag([0.4, 0.3, 0.2, 0.1, 0.0]).astype(complex)
         + np.eye(5, k=3) * 1e-12,
+        "corner pair": lambda rng: _one_link(300, 0, 299),
+        # the link's row ends one tile and its column starts the one after next
+        "link between tile edges": lambda rng: _one_link(300, 127, 256),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_blocks_match_breadth_first_search(self, case, rng):
         mat = self.CASES[case](rng)
-        found = _blocks(mat)
+        found = blocks_of(mat)
         assert [index.shape[1] for index in found] == sorted({index.shape[1] for index in found})
         for index in found:
             assert np.all(np.diff(index, axis=1) > 0)
@@ -560,14 +583,14 @@ class TestBlockPositivity:
     def test_negative_eigenvalue_hidden_in_one_block(self):
         mat = _thermal_times_cat_mixture()
         index = 26 * 5 + np.arange(0, 26, 2)  # thermal level 5, even-parity cat-mixture block
-        assert any(set(index) == set(row) for found in _blocks(mat) for row in found)
+        assert any(set(index) == set(row) for found in blocks_of(mat) for row in found)
         eigs, vecs = np.linalg.eigh(mat[np.ix_(index, index)])
         eigs[-1] += eigs[0] + 1e-6  # keep the trace
         eigs[0] = -1e-6
         mat[np.ix_(index, index)] = (vecs * eigs) @ vecs.conj().T
         full = np.linalg.eigvalsh(mat)[0]
         by_block = min(np.linalg.eigvalsh(mat[index[:, :, None], index[:, None, :]]).min()
-                       for index in _blocks(mat))
+                       for index in blocks_of(mat))
         assert by_block == pytest.approx(full, rel=1e-12)
         with pytest.raises(StateValidationError,
                            match=f"positive semidefinite: min eigenvalue {full:.2e}$"):
@@ -581,7 +604,7 @@ class TestBlockPositivity:
         mat = np.diag([0.3, 0.0, 0.2, 0.2, 0.0, 0.0, 0.0]).astype(complex)
         index = np.array([1, 4, 6])
         mat[np.ix_(index, index)] = (block + block.conj().T) / 2.0
-        assert len(_blocks(mat)) == 2 and _blocks(mat)[1].tolist() == [[1, 4, 6]]
+        assert len(blocks_of(mat)) == 2 and blocks_of(mat)[1].tolist() == [[1, 4, 6]]
         if accepted:
             DensityMatrix(ModeSpec(1, 7), mat)
         else:
