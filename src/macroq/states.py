@@ -22,7 +22,14 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConsistencyError, StateValidationError, TruncationError
-from .fock import ComplexMatrix, ModeSpec, _check_mode, _integer, _single_mode_displacement
+from .fock import (
+    ComplexMatrix,
+    ModeSpec,
+    _brief,
+    _check_mode,
+    _integer,
+    _single_mode_displacement,
+)
 
 
 # Every sum over rho_ij rho_ji (the Hermiticity test, the purity and the
@@ -337,6 +344,23 @@ def _cutoff(levels: float, what: str) -> int:
     return int(math.ceil(levels))
 
 
+def _short_truncation(truncation: int, what: str, top: float,
+                      cutoff: Callable[[], int]) -> TruncationError:
+    """Refusal of an explicit truncation whose top level holds `top` of the population.
+
+    It names that share against the tail rule and the cutoff the family's
+    rule would take, briefly however large, or that this cutoff overflows.
+    """
+    try:
+        advice = f"use at least N={_brief(cutoff())}"
+    except TruncationError:
+        advice = "the cutoff it needs overflows a float"
+    return TruncationError(
+        f"truncation {truncation} too small for {what}: its top level holds {top:.1e} "
+        f"of the population (limit {TOL.tail_tol:.0e}); {advice}"
+    )
+
+
 def _modulus(alpha: complex) -> float:
     """|alpha| of a finite alpha; inf, not an OverflowError, once it passes the largest float."""
     if not cmath.isfinite(alpha):
@@ -349,9 +373,11 @@ def _coherent_amplitudes(truncation: int, alpha: complex, family: str) -> np.nda
 
     When |alpha| lies so far above the truncation that the largest term is
     below exp(-300), every term would underflow in the squares a norm sums;
-    the magnitudes are then divided by the largest, so the tail check still
-    sees the mass pile up on the top level. An alpha whose |alpha|^2
-    overflows a float is refused before it is squared: no truncation holds it.
+    the magnitudes are then formed without the common factor exp(-|a|^2/2),
+    whose logarithm can swamp the terms in n, and divided by the largest, so
+    the tail check still sees the mass pile up on the top level. An alpha
+    whose |alpha|^2 overflows a float is refused before it is squared: no
+    truncation holds it.
     """
     r = _modulus(alpha)
     if not math.isfinite(r * r):
@@ -362,9 +388,9 @@ def _coherent_amplitudes(truncation: int, alpha: complex, family: str) -> np.nda
     n = np.arange(truncation)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, truncation)))))
     log_mags = -r ** 2 / 2.0 + n * np.log(r) - log_fact / 2.0
-    top = log_mags.max()
-    if top < -300.0:
-        log_mags -= top
+    if log_mags.max() < -300.0:
+        log_mags = n * np.log(r) - log_fact / 2.0
+        log_mags -= log_mags.max()
     return np.exp(log_mags) * np.exp(1j * n * np.angle(alpha))
 
 
@@ -378,11 +404,10 @@ def _coherent_unit(spec: ModeSpec, family: str, alpha: complex) -> np.ndarray:
     (-alpha)^n = (-1)^n alpha^n.
     """
     amps = _coherent_amplitudes(spec.truncation, alpha, family)
-    if abs(amps[-1]) ** 2 / np.vdot(amps, amps).real >= TOL.tail_tol:
-        raise TruncationError(
-            f"truncation {amps.size} too small for {family} alpha={alpha}: "
-            f"use at least N={default_coherent_truncation(alpha)}"
-        )
+    top = abs(amps[-1]) ** 2 / np.vdot(amps, amps).real
+    if top >= TOL.tail_tol:
+        raise _short_truncation(amps.size, f"{family} alpha={alpha}", top,
+                                lambda: default_coherent_truncation(alpha))
     return amps / np.linalg.norm(amps)
 
 
@@ -503,10 +528,8 @@ def thermal_state(spec: ModeSpec, g: GaussianSpec) -> DensityMatrix:
         diag = np.exp(n * math.log(nbar) - (n + 1.0) * math.log1p(nbar))
     diag = diag / diag.sum()
     if diag[-1] >= TOL.tail_tol:
-        raise TruncationError(
-            f"truncation {spec.truncation} too small for thermal a={g.a}: "
-            f"use at least N={default_thermal_truncation(g.a)}"
-        )
+        raise _short_truncation(spec.truncation, f"thermal a={g.a}", diag[-1],
+                                lambda: default_thermal_truncation(g.a))
     return DensityMatrix(spec, np.diag(diag.astype(np.complex128)))
 
 

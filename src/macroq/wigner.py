@@ -6,16 +6,19 @@ Every grid comes from the defining integral
 
 vectorised (the idea of QuTiP's FFT Wigner method, Johansson, Nation & Nori,
 Comput. Phys. Commun. 183, 1760 (2012)): the position kernel Psi rho Psi^T
-is formed with two batched BLAS products from the oscillator
-eigenfunctions, on the sites of a position grid refined from the q grid
-that the gather reads; each q row gathers its anti-diagonal. The eta sum
-is split by parity into a cosine and a sine transform, each one real
-matrix product evaluated on the columns p >= 0 only; the columns p < 0 are
-their mirror, W(q, -p) = C + i S where W(q, p) = C - i S. The imaginary part
-of W is formed in full and checked, never assumed zero. The eta step is the
-largest multiple of the position step not above pi/half_width, so the
-periodic images of W in p stay outside the window. The independent judge
-of the transform, a number-basis dyad recurrence, lives in the test suite.
+is formed from the oscillator eigenfunctions on a position grid refined
+from the q grid, and only on the site pairs that the gather reads. The
+sites fall into M residue classes, each of which meets a single partner
+class, so the kernel is one block per class: about S^2 N / M multiply-adds
+for S sites and N levels, on real GEMMs. Each q row gathers its
+anti-diagonal from the blocks. The eta sum is split by parity into a cosine
+and a sine transform, each one real matrix product evaluated on the columns
+p >= 0 only; the columns p < 0 are their mirror, W(q, -p) = C + i S where
+W(q, p) = C - i S. The imaginary part of W is formed in full and checked,
+never assumed zero. The eta step is the largest multiple of the position
+step not above pi/half_width, so the periodic images of W in p stay outside
+the window. The independent judge of the transform, a number-basis dyad
+recurrence, lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
 C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over the half
@@ -194,57 +197,89 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
 
     The position kernel <x_a|rho|x_b> = Psi rho Psi^T lives on
     x_a = -h + a*dq/(2r), where q_i sits at a = 2ri and q_i +- eta_j/2 at
-    a, b = 2ri +- mj. Every such a and b is a multiple of g = gcd(2r, m),
-    and a/g and b/g differ by 2jm/g, so they share parity. The kernel is
-    therefore formed only on the sites s = a/g, as its even-even and
-    odd-odd blocks (the odd sites padded to the even count), followed by
-    one zero sentinel that stands in for every pair leaving the window.
-    That is half of the full kernel when g = 1 and an eighth when g = 2.
+    a, b = 2ri +- mj. Every such a and b is a multiple of g = gcd(2r, m). On
+    the S sites s = a/g the pairs read are (s_a, s_b) = (ci + m'j, ci - m'j),
+    with c = 2r/g and m' = m/g coprime, so s_b = s_a (mod 2m') and
+    s_b = -s_a (mod 2c): the class of s_a modulo M = 2cm' fixes that of s_b.
+    The sites are split into these M classes, each padded to n = ceil(S/M),
+    and the kernel is formed as one n x n block per class, Psi_k rho
+    Psi_pi(k)^T for the partner class pi(k) of the s_b sites: about
+    S^2 N / M multiply-adds beside the S N^2 of Psi rho, and every entry is
+    read once, apart from the padding. One zero sentinel after the blocks
+    stands in for every pair that leaves the window. Both products are real
+    GEMMs on float views, so no complex copy of Psi is made: Psi_pi(k)
+    rho.view(float64) gives the rows of Psi rho on class pi(k), and Psi_k
+    times the float view of their transpose stores block k transposed, with
+    the s_b sites as rows. A thermal state at a = 5 on 256 points has
+    S = 1531 sites in M = 12 classes of 128: its blocks take 3 MiB, where
+    the full kernel took 36 MiB.
 
     The eta sum is regrouped by parity: with S_j = K_j + K_-j (S_0 = K_0)
     and D_j = K_j - K_-j it is sum_j S_j cos(eta_j p) - i sum_j D_j sin(eta_j p)
     over j >= 0, an even and an odd function of p. Both are taken only on
     the columns p >= 0 of the symmetric p grid, and W(q, -p) = C + i S fills
     the rest (on an odd count the p = 0 column is computed, not mirrored).
-    Each block of eta pairs is gathered from the blocks' anti-diagonals as
-    (eta, q), so the cosine and sine sums are real products on the float
-    views of the complex S and D columns. Nothing assumes rho Hermitian: the
-    imaginary part is formed in full and left for _finish to judge.
+    Each block of eta pairs is gathered from the kernel blocks as (eta, q),
+    so the cosine and sine sums are real products on the float views of the
+    complex S and D columns. Nothing assumes rho Hermitian: the imaginary
+    part is formed in full and left for _finish to judge.
     """
     refine, stride = _eta_sampling(gs)
     size = 2 * refine * (gs.nq - 1) + 1
     lattice = math.gcd(2 * refine, stride)
-    sites = np.linspace(-gs.half_width, gs.half_width, size)[::lattice]
-    half = (sites.size + 1) // 2
-    x = np.zeros(2 * half)
-    x[:sites.size] = sites
-    psi = _hermite_functions(x.reshape(half, 2).T.ravel(), mat.shape[0])
-    psi = psi.reshape(2, half, mat.shape[0])
-    flat = np.empty(2 * half * half + 1, dtype=np.complex128)
-    np.matmul(psi @ mat, psi.transpose(0, 2, 1), out=flat[:-1].reshape(2, half, half))
+    row_step, step = 2 * refine // lattice, stride // lattice
+    classes = 2 * row_step * step
+    count = (size - 1) // lattice + 1
+    rows = -(-count // classes)
+    # class k holds the sites k, k + M, k + 2M, ...; the padding is never read
+    x = np.zeros(classes * rows)
+    x[:count] = np.linspace(-gs.half_width, gs.half_width, size)[::lattice]
+    psi = _hermite_functions(x.reshape(rows, classes).T.ravel(), mat.shape[0])
+    psi = psi.reshape(classes, rows, mat.shape[0])
+    # the partner of class k holds the site k - 2m'j whose sum with k is a multiple of 2c
+    label = np.arange(classes)
+    partner = (label - 2 * step * (label * pow(step, -1, row_step) % row_step)) % classes
+    real = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+    flat = np.empty(classes * rows * rows + 1, dtype=np.complex128)
+    blocks = flat[:-1].view(np.float64).reshape(classes, rows, 2 * rows)
+    for k, other in enumerate(partner.tolist()):
+        inner = (psi[other] @ real).view(np.complex128)
+        np.matmul(psi[k], np.ascontiguousarray(inner.T).view(np.float64), out=blocks[k])
     flat[-1] = 0.0
+    del psi, inner, blocks
     d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
     centre = 2 * refine * np.arange(gs.nq)
     room = np.minimum(centre, size - 1 - centre)
-    site = centre // lattice
-    step = stride // lattice
+    # K_j at q_i pairs s_a = ci + m'j with s_b = ci - m'j: block s_b % M, row
+    # s_b // M, column s_a // M; K_-j swaps the two. One more step of 2c in j
+    # moves s_a a class period up and s_b one down, so the entry moves by
+    # 1 - n for K_j and n - 1 for K_-j: the offsets are tabulated for
+    # j = 0..2c-1 alone
+    period = 2 * row_step
+    site = row_step * np.arange(gs.nq)
+    phase = step * np.arange(period)[:, None]
+    upper_row, upper_class = np.divmod(site + phase, classes)
+    lower_row, lower_class = np.divmod(site - phase, classes)
+    ahead_at = lower_class * (rows * rows) + lower_row * rows + upper_row
+    behind_at = upper_class * (rows * rows) + upper_row * rows + lower_row
     reach = (size - 1) // (2 * stride)
     cut = gs.np // 2
     p = gs.p_vector()[cut:]
     scale = d_eta / (2.0 * np.pi)
     for first in range(0, reach + 1, _ETA_BLOCK):
-        j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))[:, None]
-        inside = stride * j <= room
-        # site s_a = s_i + j*m/g of q_i + eta_j/2 sits in block s_a % 2 at row
-        # s_a // 2, and its partner s_a - 2j*m/g at column s_a // 2 - j*m/g;
-        # -j swaps the two, and K_0 is read once
-        shift = step * j
-        s_a = site + shift
-        ahead = flat[np.where(inside, (s_a & 1) * (half * half) + (s_a >> 1) * (half + 1)
-                              - shift, flat.size - 1)]
-        s_a = site - shift
-        behind = flat[np.where(inside & (j > 0), (s_a & 1) * (half * half)
-                               + (s_a >> 1) * (half + 1) + shift, flat.size - 1)]
+        j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))
+        turns, offset = np.divmod(j, period)
+        outside = stride * j[:, None] > room
+        at = ahead_at[offset]
+        at += ((1 - rows) * turns)[:, None]
+        np.copyto(at, flat.size - 1, where=outside)
+        ahead = flat[at]
+        # K_0 is read once
+        outside[j == 0] = True
+        at = behind_at[offset]
+        at += ((rows - 1) * turns)[:, None]
+        np.copyto(at, flat.size - 1, where=outside)
+        behind = flat[at]
         summed = ahead + behind
         diff = np.subtract(ahead, behind, out=ahead)
         theta = np.outer(j * d_eta, p)
@@ -259,6 +294,7 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
         else:
             even = summed.view(np.float64).T @ cos
             odd = diff.view(np.float64).T @ sin
+    del flat, outside, at, ahead, behind, summed, diff, theta, cos, sin
     # W = C - i S on the columns p >= 0 and C + i S on their mirrors -p
     raw = np.empty((gs.nq, gs.np), dtype=np.complex128)
     np.add(even[0::2], odd[1::2], out=raw.real[:, cut:])

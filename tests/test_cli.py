@@ -224,6 +224,25 @@ class TestOverflowingParameter:
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, param, advice", [
+        ("coherent", "alpha=1e154", "use at least N=1.000e+308"),
+        ("cat", "alpha=1e154", "use at least N=1.000e+308"),
+        ("cat-mixture", "alpha=1e154", "use at least N=1.000e+308"),
+        ("thermal", "a=1e154", "the cutoff it needs overflows a float"),
+    ])
+    def test_huge_parameter_refused_against_the_given_truncation(self, tmp_path, capsys,
+                                                                 family, param, advice):
+        # the square is finite, but the cutoff the family's rule asks for has
+        # 309 digits or overflows: it is worded briefly, and the refusal names
+        # the truncation that was given, not a default the user did not take
+        out = tmp_path / "x.json"
+        assert run("state", family, param, "--truncation", "10", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "truncation 10 too small" in err and "its top level holds" in err
+        assert advice in err and "default" not in err
+        assert not out.exists()
+
 
 # The edge values a refusal sweep feeds every family parameter; none asks for a
 # large array, since the dimension cap refuses a huge n, d or cutoff first.
@@ -266,6 +285,101 @@ class TestRefusalSweep:
                      *truncation, "--out", str(tmp_path / "s.csv"))
                     for value in EDGE_VALUES for truncation in EDGE_TRUNCATIONS]
         assert self._unexpected_exits(capsys, commands) == {}
+
+
+def _malformed(doc, **changes):
+    """The document with top-level keys replaced (None deletes one), as JSON text."""
+    edited = {**doc, **changes}
+    return json.dumps({key: value for key, value in edited.items() if value is not None})
+
+
+def _diagonal(*populations):
+    """Rows of [re, im] pairs of the diagonal matrix of these populations."""
+    n = len(populations)
+    return [[[populations[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+# name -> (text of the file from the valid mixed and pure documents, exit code);
+# every file is a few hundred bytes, the cap case included: its spec is
+# refused before its data are read
+MALFORMED_FILES = {
+    "truncated-json": (lambda mixed, pure: json.dumps(mixed)[:-40], 2),
+    "not-an-object": (lambda mixed, pure: json.dumps([mixed]), 2),
+    "format-version": (lambda mixed, pure: _malformed(mixed, format_version=2), 2),
+    "format-version-missing": (lambda mixed, pure: _malformed(mixed, format_version=None), 2),
+    "kind-unknown": (lambda mixed, pure: _malformed(mixed, kind="squeezed"), 2),
+    "kind-swapped": (lambda mixed, pure: _malformed(pure, kind="mixed"), 2),
+    "rows-missing": (lambda mixed, pure: _malformed(mixed, data=mixed["data"][:-1]), 2),
+    "rows-ragged": (lambda mixed, pure: _malformed(
+        mixed, data=mixed["data"][:-1] + [mixed["data"][-1][:-1]]), 2),
+    "pure-length": (lambda mixed, pure: _malformed(pure, data=pure["data"][:-1]), 2),
+    "data-missing": (lambda mixed, pure: _malformed(mixed, data=None), 2),
+    "nan-entry": (lambda mixed, pure: _malformed(
+        mixed, data=[[[math.nan, 0.0]] + mixed["data"][0][1:]] + mixed["data"][1:]), 2),
+    "infinite-amplitude": (lambda mixed, pure: _malformed(
+        pure, data=[[math.inf, 0.0]] + pure["data"][1:]), 2),
+    "non-hermitian": (lambda mixed, pure: _malformed(
+        mixed, data=[[[0.5, 0.0], [0.1, 0.0]] + mixed["data"][0][2:]] + mixed["data"][1:]), 2),
+    "trace": (lambda mixed, pure: _malformed(mixed, data=_diagonal(0.45, 0.45, 0, 0, 0, 0)), 2),
+    "not-positive": (lambda mixed, pure: _malformed(mixed, data=_diagonal(1.5, -0.5, 0, 0, 0, 0)),
+                     2),
+    "pure-unnormalized": (lambda mixed, pure: _malformed(
+        pure, data=[[0.9 * re, 0.9 * im] for re, im in pure["data"]]), 2),
+    "top-level-overfull": (lambda mixed, pure: _malformed(
+        mixed, data=_diagonal(0.5, 0.5 - 1e-6, 0, 0, 0, 1e-6)), 3),
+    "spec-string": (lambda mixed, pure: _malformed(
+        mixed, spec={"num_modes": 1, "truncation": "6"}), 2),
+    "spec-bool": (lambda mixed, pure: _malformed(mixed, spec={"num_modes": True, "truncation": 6}),
+                  2),
+    "spec-missing": (lambda mixed, pure: _malformed(mixed, spec=None), 2),
+    "spec-mismatch": (lambda mixed, pure: _malformed(
+        mixed, spec={"num_modes": 1, "truncation": 7}), 2),
+    "dimension-over-cap": (lambda mixed, pure: _malformed(
+        mixed, spec={"num_modes": 1, "truncation": 5000}), 3),
+}
+
+
+class TestMalformedStateFiles:
+    """A malformed state file is refused with an exit code and one line, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        docs = []
+        for kind, state in (("mixed", fock_mixture(ModeSpec(1, 6), 2)),
+                            ("pure", fock_state(ModeSpec(1, 6), 1))):
+            save_state(state, tmp_path / f"{kind}.json")
+            docs.append(json.loads((tmp_path / f"{kind}.json").read_text()))
+        paths = {}
+        for name, (make, _) in MALFORMED_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(make(*docs))
+        return paths
+
+    def test_valid_documents_measure(self, tmp_path, files, capsys):
+        # the files differ from these only in what each case changes
+        for kind in ("mixed", "pure"):
+            assert run("measure", str(tmp_path / f"{kind}.json"), "--method", "both") == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("method", [(), ("--method", "both")])
+    @pytest.mark.parametrize("name", list(MALFORMED_FILES))
+    def test_measure_refuses(self, files, capsys, name, method):
+        code = run("measure", str(files[name]), *method)
+        captured = capsys.readouterr()
+        assert code in {cli.EXIT_USAGE, cli.EXIT_TRUNCATION, cli.EXIT_CONSISTENCY}
+        assert code == MALFORMED_FILES[name][1]
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_verify_corpus_fails_each_file_on_one_line(self, files, capsys):
+        # a corpus refusal is a FAIL line of the suite (exit 1), not an error exit
+        assert run("verify", "--grid", "128", "--corpus", *map(str, files.values())) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert [line.split(":")[1] for line in fails] == [f"{name}.json" for name in files]
+        assert sum(line.startswith("PASS ") for line in lines) == 11
+        assert captured.err == ""
 
 
 class TestMeasureCommand:

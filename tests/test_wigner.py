@@ -86,6 +86,26 @@ def _eta_sum_pair_by_pair(mat, gs):
     return expected
 
 
+def _class_count(gs):
+    """M = 2cm' residue classes of the kernel sites, c = 2r/g and m' = m/g."""
+    refine, stride = _eta_sampling(gs)
+    lattice = math.gcd(2 * refine, stride)
+    return 2 * (2 * refine // lattice) * (stride // lattice)
+
+
+# (half_width, nq, np, g, eta reach) of windows too small for W, with odd and
+# non-square p counts: M = 64, 28, 8, 8, 2, 4 and 12 kernel classes
+PAIR_BY_PAIR_SHAPES = [
+    (0.8, 32, 40, 2, 0),
+    (2.5, 32, 41, 1, 4),
+    (2.5, 33, 32, 2, 4),
+    (7.0, 32, 40, 1, 62),
+    (7.0, 64, 41, 2, 31),
+    (7.0, 40, 33, 1, 39),
+    (4.2, 40, 41, 1, 13),
+]
+
+
 def _oracle_gap(rho, grid):
     """Largest |W - oracle| over the grid, the oracle's imaginary part included."""
     oracle = wigner_dyad_recurrence(rho.matrix, grid.q_vector(), grid.p_vector())
@@ -147,8 +167,9 @@ class TestEtaSampling:
     """Each branch of the eta-step choice, and a non-square grid, against the oracle."""
 
     # The kernel is formed on the sites that are multiples of g = gcd(2r, m),
-    # split by parity: g = 1 with m odd, g = 2 with an even and an odd site
-    # count, g = 8, and r > 1, on odd and even point counts.
+    # in M = 2cm' residue classes: M = 2 (the parity split, g = 2) on an even
+    # and an odd site count, M = 4 (g = 1), and M = 8 from g = 2 with m = 8
+    # and from r = 2, on odd, even and non-square point counts.
     @pytest.mark.parametrize("make, nq, np_, refine, stride", [
         (lambda: _vacuum(), 33, 33, 2, 1),
         (lambda: thermal_state(ModeSpec(1, default_thermal_truncation(2.0)), GaussianSpec(2.0)),
@@ -166,13 +187,7 @@ class TestEtaSampling:
         assert grid.values.shape == (nq, np_)
         assert _oracle_gap(rho, grid) < 1e-10
 
-    @pytest.mark.parametrize("half_width, nq, np_, lattice, reach", [
-        (0.8, 32, 40, 2, 0),
-        (2.5, 32, 41, 1, 4),
-        (2.5, 33, 32, 2, 4),
-        (7.0, 32, 40, 1, 62),
-        (7.0, 64, 41, 2, 31),
-    ])
+    @pytest.mark.parametrize("half_width, nq, np_, lattice, reach", PAIR_BY_PAIR_SHAPES)
     def test_eta_sum_pair_by_pair(self, half_width, nq, np_, lattice, reach):
         # Windows too small for W, judged on the transform's own eta sum: the
         # kernel is large at their edges, so a pair leaving the window must
@@ -187,6 +202,28 @@ class TestEtaSampling:
         assert refine * (nq - 1) // stride == reach
         expected = _eta_sum_pair_by_pair(rho.matrix, gs)
         assert np.max(np.abs(_defining_integral(rho.matrix, gs) - expected)) < 1e-12
+
+    def test_pair_by_pair_shapes_cover_every_class_count(self):
+        # the sites split into M = 2cm' residue classes, one kernel block each;
+        # M = 2 is the parity split, and a pair leaving the window can sit in
+        # any class
+        counts = {_class_count(GridSpec(h, nq=nq, np=np_)) for h, nq, np_, _, _ in
+                  PAIR_BY_PAIR_SHAPES}
+        assert counts == {2, 4, 8, 12, 28, 64}
+
+    @pytest.mark.parametrize("half_width, nq, np_", [
+        (7.0, 64, 41), (7.0, 40, 33), (4.2, 40, 41), (2.5, 32, 41), (0.8, 32, 40),
+    ])
+    def test_non_hermitian_input_on_every_class_count(self, half_width, nq, np_):
+        # a matrix with no symmetry at all: every block and its partner hold
+        # unrelated entries, so a swapped pair or class would show in W
+        rng = np.random.default_rng(nq * np_)
+        mat = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        gs = GridSpec(half_width, nq=nq, np=np_)
+        raw = _defining_integral(mat, gs)
+        assert np.max(np.abs(raw - _eta_sum_pair_by_pair(mat, gs))) < 1e-12
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            _finish(raw, gs, "non-Hermitian input")
 
     def test_imaginary_residue_is_formed_and_refused(self):
         # DensityMatrix would refuse this matrix; the raw transform must carry
@@ -236,7 +273,7 @@ class TestEtaSampling:
         finally:
             tracemalloc.stop()
         assert grid.normalization() == pytest.approx(1.0, abs=TOL.grid_norm_tol)
-        assert peak <= 48 * 2 ** 20
+        assert peak <= 24 * 2 ** 20
 
 
 class TestDirectTransform:
