@@ -212,7 +212,8 @@ class TestEtaSampling:
         assert counts == {2, 4, 8, 12, 28, 64}
 
     @pytest.mark.parametrize("half_width, nq, np_", [
-        (7.0, 64, 41), (7.0, 40, 33), (4.2, 40, 41), (2.5, 32, 41), (0.8, 32, 40),
+        (7.0, 64, 41), (7.0, 40, 33), (2.5, 33, 32), (4.2, 40, 41), (2.5, 32, 41),
+        (0.8, 32, 40),
     ])
     def test_non_hermitian_input_on_every_class_count(self, half_width, nq, np_):
         # a matrix with no symmetry at all: every block and its partner hold
