@@ -280,11 +280,11 @@ def _top_level_mass(state: State) -> np.ndarray:
     return np.array([pops.take(top, axis=m).sum() for m in range(state.spec.num_modes)])
 
 
-def _require_tail(state: State, what: str) -> None:
+def _require_tail(state: State) -> None:
     worst = float(np.max(state.top_level_mass()))
     if worst >= TOL.tail_tol:
         raise TruncationError(
-            f"{what}: top Fock level holds {worst:.2e} of the population "
+            f"top Fock level holds {worst:.2e} of the population "
             f"(allowed {TOL.tail_tol:.0e}); increase the truncation"
         )
 
@@ -691,28 +691,40 @@ def load_state(path: str | Path) -> State:
     """Read a JSON state document back, revalidating every invariant.
 
     The tail rule applies too: a state whose top Fock level holds tail_tol
-    or more of its population is refused as inadequately truncated.
+    or more of its population is refused as inadequately truncated. Every
+    refusal names the file.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        return _decode_state(Path(path))
+    except (StateValidationError, TruncationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode_state(path: Path) -> State:
+    try:
+        doc = json.loads(path.read_text())  # the text is freed once parsed
     except json.JSONDecodeError as exc:
-        raise StateValidationError(f"{path}: not valid JSON ({exc})") from exc
+        raise StateValidationError(f"not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise StateValidationError(f"{path}: state document must be a JSON object")
+        raise StateValidationError("state document must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise StateValidationError(f"{path}: unsupported format_version {version!r}")
+        raise StateValidationError(f"unsupported format_version {version!r}")
     try:
         spec = ModeSpec(doc["spec"]["num_modes"], doc["spec"]["truncation"])
         kind = doc["kind"]
-        raw = np.asarray(doc["data"], dtype=float)
+        data = doc["data"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise StateValidationError(f"{path}: malformed state document ({exc})") from exc
+        raise StateValidationError(f"malformed state document ({exc})") from None
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise StateValidationError(f"{path}: unknown state kind {kind!r}")
+        raise StateValidationError(f"unknown state kind {kind!r}")
     state_type, rank, layout = _KINDS[kind]
-    if raw.ndim != rank + 1 or raw.shape[-1] != 2:
-        raise StateValidationError(f"{path}: {kind} data must be {layout}")
+    try:
+        raw = np.asarray(data, dtype=float)  # a ragged row raises here
+        if raw.ndim != rank + 1 or raw.shape[-1] != 2:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise StateValidationError(f"{kind} data must be {layout}") from None
     state: State = state_type(spec, raw.view(np.complex128)[..., 0])  # bit-exact, no copy
-    _require_tail(state, str(path))
+    _require_tail(state)
     return state

@@ -11,14 +11,17 @@ from the q grid, and only on the site pairs that the gather reads. The
 sites fall into M residue classes, each of which meets a single partner
 class, so the kernel is one block per class: about S^2 N / M multiply-adds
 for S sites and N levels, on real GEMMs. Each q row gathers its
-anti-diagonal from the blocks. The eta sum is split by parity into a cosine
-and a sine transform, each one real matrix product evaluated on the columns
-p >= 0 only; the columns p < 0 are their mirror, W(q, -p) = C + i S where
-W(q, p) = C - i S. The imaginary part of W is formed in full and checked,
-never assumed zero. The eta step is the largest multiple of the position
-step not above pi/half_width, so the periodic images of W in p stay outside
-the window. The independent judge of the transform, a number-basis dyad
-recurrence, lives in the test suite.
+anti-diagonal from the blocks, a block of eta pairs at a time and only on
+the q rows with room for it, since q +- eta/2 must stay in the window. The
+eta sum is split by parity into a cosine and a sine transform, each one
+real matrix product evaluated on the columns p >= 0 only; the columns
+p < 0 are their mirror, W(q, -p) = C + i S where W(q, p) = C - i S. The
+real part of W is assembled into one real plane, which the grid keeps;
+the imaginary part is formed in full as two half-plane terms and checked
+from them, never assumed zero. The eta step is the largest multiple of the
+position step not above pi/half_width, so the periodic images of W in p
+stay outside the window. The independent judge of the transform, a
+number-basis dyad recurrence, lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
 C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over the half
@@ -83,7 +86,10 @@ def default_grid_spec(truncation: int, points: int = DEFAULT_GRID_POINTS) -> Gri
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Sampled real W(q_i, p_j) on the window of its GridSpec."""
+    """Sampled real W(q_i, p_j) on the window of its GridSpec.
+
+    A contiguous float64 plane is taken over, not copied, and made read-only.
+    """
 
     spec: GridSpec
     values: np.ndarray
@@ -151,14 +157,30 @@ def _require_single_mode(rho: State, what: str) -> None:
         )
 
 
-def _finish(raw: np.ndarray, gs: GridSpec, what: str) -> PhaseSpaceGrid:
-    residue = float(np.max(np.abs(raw.imag)))
+def _imaginary_residue(imag_terms: tuple[np.ndarray, np.ndarray], gs: GridSpec) -> float:
+    """max |Im W| over every sample, from the half-plane terms (a, b) of _defining_integral.
+
+    Im W = a - b at p >= 0 and a + b at -p, and the larger of the two is
+    |a| + |b|. Only the unmirrored p = 0 column of an odd count is a - b alone.
+    """
+    a, b = imag_terms
+    worst = np.abs(a)
+    worst += np.abs(b)
+    if gs.np % 2:
+        worst[:, 0] = np.abs(a[:, 0] - b[:, 0])
+    return float(np.max(worst))
+
+
+def _finish(values: np.ndarray, imag_terms: tuple[np.ndarray, np.ndarray], gs: GridSpec,
+            what: str) -> PhaseSpaceGrid:
+    """The grid on the real plane of W, once its imaginary residue and normalization pass."""
+    residue = _imaginary_residue(imag_terms, gs)
     if residue > TOL.imag_residue_tol:
         raise ConsistencyError(
             f"{what}: imaginary residue {residue:.2e} in the transform "
             f"(allowed {TOL.imag_residue_tol:.0e})"
         )
-    grid = PhaseSpaceGrid(gs, raw.real)
+    grid = PhaseSpaceGrid(gs, values)
     norm = grid.normalization()
     if abs(norm - 1.0) > TOL.grid_norm_tol:
         raise TruncationError(
@@ -173,8 +195,9 @@ def _finish(raw: np.ndarray, gs: GridSpec, what: str) -> PhaseSpaceGrid:
 # ---------------------------------------------------------------------------
 
 # eta pairs gathered and transformed at a time: keeps the transient arrays
-# of the transform at a few (block x nq) beside the position kernel
-_ETA_BLOCK = 256
+# of the transform at a few (block x nq) beside the position kernel, and
+# lets each block skip the q rows that have no room for its pairs
+_ETA_BLOCK = 64
 
 
 def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
@@ -192,7 +215,8 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     return refine, stride
 
 
-def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
+def _defining_integral(mat: np.ndarray, gs: GridSpec
+                       ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """(1/2pi) sum_j d_eta <q_i + eta_j/2| rho |q_i - eta_j/2> exp(-i eta_j p_k).
 
     The position kernel <x_a|rho|x_b> = Psi rho Psi^T lives on
@@ -207,22 +231,34 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     S^2 N / M multiply-adds beside the S N^2 of Psi rho, and every entry is
     read once, apart from the padding. One zero sentinel after the blocks
     stands in for every pair that leaves the window. Both products are real
-    GEMMs on float views, so no complex copy of Psi is made: Psi_pi(k)
-    rho.view(float64) gives the rows of Psi rho on class pi(k), and Psi_k
-    times the float view of their transpose stores block k transposed, with
-    the s_b sites as rows. A thermal state at a = 5 on 256 points has
-    S = 1531 sites in M = 12 classes of 128: its blocks take 3 MiB, where
-    the full kernel took 36 MiB.
+    GEMMs on float views, so no complex copy of Psi is made: the
+    eigenfunction table is stored (N x S), so each class is a transposed
+    view of it, Psi_pi(k) rho.view(float64) gives the rows of Psi rho on
+    class pi(k), and Psi_k times the float view of their transpose stores
+    block k transposed, with the s_b sites as rows. A thermal state at
+    a = 5 on 256 points has S = 1531 sites in M = 12 classes of 128: its
+    blocks take 3 MiB, where the full kernel took 36 MiB.
 
     The eta sum is regrouped by parity: with S_j = K_j + K_-j (S_0 = K_0)
     and D_j = K_j - K_-j it is sum_j S_j cos(eta_j p) - i sum_j D_j sin(eta_j p)
     over j >= 0, an even and an odd function of p. Both are taken only on
-    the columns p >= 0 of the symmetric p grid, and W(q, -p) = C + i S fills
-    the rest (on an odd count the p = 0 column is computed, not mirrored).
-    Each block of eta pairs is gathered from the kernel blocks as (eta, q),
-    so the cosine and sine sums are real products on the float views of the
-    complex S and D columns. Nothing assumes rho Hermitian: the imaginary
-    part is formed in full and left for _finish to judge.
+    the columns p >= 0 of the symmetric p grid. Row q_i has room for
+    eta_j only while m*j <= room_i, its distance to the nearer window edge
+    in refined steps, so a block of eta pairs from j = first on is read only
+    by the rows [low, nq - low), low = ceil(m*first / 2r): it is gathered
+    from the kernel blocks as (eta, q) on those rows alone, and its cosine
+    and sine sums, real products on the float views of the complex S and D
+    columns, are added into the same rows of the accumulators. A pair of
+    those rows that leaves the window still reads the sentinel. The factor
+    d_eta/2pi is applied to the accumulators once.
+
+    Returned: the real plane of W, (nq, np) and contiguous, with
+    Re W(q, +-p) = Re C +- Im S at p >= 0 (on an odd count the p = 0 column
+    is computed, not mirrored), and the two half-plane terms (a, b) of its
+    imaginary part, a = sum Im S_j cos and b = sum Re D_j sin on the columns
+    p >= 0, so that Im W = a - b there and a + b at -p. Nothing assumes rho
+    Hermitian: the imaginary part is formed in full and left for _finish to
+    judge.
     """
     refine, stride = _eta_sampling(gs)
     size = 2 * refine * (gs.nq - 1) + 1
@@ -235,7 +271,7 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     x = np.zeros(classes * rows)
     x[:count] = np.linspace(-gs.half_width, gs.half_width, size)[::lattice]
     psi = _hermite_functions(x.reshape(rows, classes).T.ravel(), mat.shape[0])
-    psi = psi.reshape(classes, rows, mat.shape[0])
+    psi = psi.reshape(mat.shape[0], classes, rows)
     # the partner of class k holds the site k - 2m'j whose sum with k is a multiple of 2c
     label = np.arange(classes)
     partner = (label - 2 * step * (label * pow(step, -1, row_step) % row_step)) % classes
@@ -243,8 +279,8 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     flat = np.empty(classes * rows * rows + 1, dtype=np.complex128)
     blocks = flat[:-1].view(np.float64).reshape(classes, rows, 2 * rows)
     for k, other in enumerate(partner.tolist()):
-        inner = (psi[other] @ real).view(np.complex128)
-        np.matmul(psi[k], np.ascontiguousarray(inner.T).view(np.float64), out=blocks[k])
+        inner = (psi[:, other].T @ real).view(np.complex128)
+        np.matmul(psi[:, k].T, np.ascontiguousarray(inner.T).view(np.float64), out=blocks[k])
     flat[-1] = 0.0
     del psi, inner, blocks
     d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
@@ -265,18 +301,22 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
     reach = (size - 1) // (2 * stride)
     cut = gs.np // 2
     p = gs.p_vector()[cut:]
-    scale = d_eta / (2.0 * np.pi)
+    # the cosine and sine sums; rows 2i and 2i + 1 of each are Re and Im at q_i
+    even, odd = sums = np.empty((2, 2 * gs.nq, p.size))
     for first in range(0, reach + 1, _ETA_BLOCK):
         j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))
+        # the rows with room for eta_first; the window is symmetric about q = 0
+        low = -(-stride * first // (2 * refine))
+        read = slice(low, gs.nq - low)
         turns, offset = np.divmod(j, period)
-        outside = stride * j[:, None] > room
-        at = ahead_at[offset]
+        outside = stride * j[:, None] > room[read]
+        at = ahead_at[offset, read]
         at += ((1 - rows) * turns)[:, None]
         np.copyto(at, flat.size - 1, where=outside)
         ahead = flat[at]
         # K_0 is read once
         outside[j == 0] = True
-        at = behind_at[offset]
+        at = behind_at[offset, read]
         at += ((rows - 1) * turns)[:, None]
         np.copyto(at, flat.size - 1, where=outside)
         behind = flat[at]
@@ -284,25 +324,24 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec) -> np.ndarray:
         diff = np.subtract(ahead, behind, out=ahead)
         theta = np.outer(j * d_eta, p)
         cos = np.cos(theta)
-        cos *= scale
-        sin = np.sin(theta)
-        sin *= scale
-        # rows 2i and 2i + 1 of each product are Re and Im at q_i
+        sin = np.sin(theta, out=theta)
         if first:
-            even += summed.view(np.float64).T @ cos
-            odd += diff.view(np.float64).T @ sin
+            even[2 * low:2 * (gs.nq - low)] += summed.view(np.float64).T @ cos
+            odd[2 * low:2 * (gs.nq - low)] += diff.view(np.float64).T @ sin
         else:
-            even = summed.view(np.float64).T @ cos
-            odd = diff.view(np.float64).T @ sin
-    del flat, outside, at, ahead, behind, summed, diff, theta, cos, sin
-    # W = C - i S on the columns p >= 0 and C + i S on their mirrors -p
-    raw = np.empty((gs.nq, gs.np), dtype=np.complex128)
-    np.add(even[0::2], odd[1::2], out=raw.real[:, cut:])
-    np.subtract(even[1::2], odd[0::2], out=raw.imag[:, cut:])
+            np.matmul(summed.view(np.float64).T, cos, out=even)
+            np.matmul(diff.view(np.float64).T, sin, out=odd)
+        # freed before the next block allocates, so that it reuses their memory
+        del outside, at, ahead, behind, summed, diff, theta, cos, sin
+    del flat
+    scale = d_eta / (2.0 * np.pi)
+    sums *= scale
+    # Re W = Re C + Im S at the columns p >= 0 and Re C - Im S at their mirrors -p
+    values = np.empty((gs.nq, gs.np))
+    np.add(even[0::2], odd[1::2], out=values[:, cut:])
     mirrored = slice(gs.np % 2, None)
-    np.subtract(even[0::2, mirrored], odd[1::2, mirrored], out=raw.real[:, cut - 1::-1])
-    np.add(even[1::2, mirrored], odd[0::2, mirrored], out=raw.imag[:, cut - 1::-1])
-    return raw
+    np.subtract(even[0::2, mirrored], odd[1::2, mirrored], out=values[:, cut - 1::-1])
+    return values, (even[1::2], odd[0::2])
 
 
 def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGrid:
@@ -310,18 +349,22 @@ def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGri
     _require_single_mode(rho, "wigner_from_density")
     if gs is None:
         gs = default_grid_spec(rho.spec.truncation)
-    return _finish(_defining_integral(as_density(rho).matrix, gs), gs, "wigner_from_density")
+    values, imag_terms = _defining_integral(as_density(rho).matrix, gs)
+    return _finish(values, imag_terms, gs, "wigner_from_density")
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
-    """Normalized oscillator eigenfunctions psi_n(x), shape (len(x), count)."""
-    out = np.zeros((x.size, count))
-    out[:, 0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
+    """Normalized oscillator eigenfunctions psi_n(x), shape (count, len(x)).
+
+    One contiguous row per step of the three-term recurrence.
+    """
+    out = np.empty((count, x.size))
+    out[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
     if count > 1:
-        out[:, 1] = math.sqrt(2.0) * x * out[:, 0]
+        out[1] = math.sqrt(2.0) * x * out[0]
     for n in range(2, count):
-        out[:, n] = (math.sqrt(2.0 / n) * x * out[:, n - 1]
-                     - math.sqrt((n - 1) / n) * out[:, n - 2])
+        out[n] = (math.sqrt(2.0 / n) * x * out[n - 1]
+                  - math.sqrt((n - 1) / n) * out[n - 2])
     return out
 
 

@@ -369,6 +369,8 @@ class TestMalformedStateFiles:
         assert code in {cli.EXIT_USAGE, cli.EXIT_TRUNCATION, cli.EXIT_CONSISTENCY}
         assert code == MALFORMED_FILES[name][1]
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        # the one line names the file, whichever check refused it
+        assert f": {files[name]}: " in captured.err
         assert captured.out == ""
 
     def test_verify_corpus_fails_each_file_on_one_line(self, files, capsys):

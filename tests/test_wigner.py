@@ -41,8 +41,11 @@ from macroq.wigner import (
     PhaseSpaceGrid,
     _c_from_values,
     _defining_integral,
+    _ETA_BLOCK,
     _eta_sampling,
     _finish,
+    _hermite_functions,
+    _imaginary_residue,
     default_grid_spec,
 )
 
@@ -81,9 +84,19 @@ def _eta_sum_pair_by_pair(mat, gs):
         e = eta[abs(qi) + np.abs(eta) / 2 <= gs.half_width * (1 + 1e-9)]
         left = oscillator_eigenfunctions(qi + e / 2, mat.shape[0])
         right = oscillator_eigenfunctions(qi - e / 2, mat.shape[0])
-        kernel = np.einsum("jn,nm,jm->j", left, mat, right)
+        kernel = np.einsum("jn,nm,jm->j", left, mat, right, optimize=True)
         expected[i] = kernel @ np.exp(-1j * np.outer(e, p)) * d_eta / (2.0 * np.pi)
     return expected
+
+
+def _assembled(gs, values, imag_terms):
+    """Complex W from the transform's real plane and the half-plane terms of Im W."""
+    a, b = imag_terms
+    cut = gs.np // 2
+    imag = np.empty((gs.nq, gs.np))
+    imag[:, cut:] = a - b
+    imag[:, cut - 1::-1] = (a + b)[:, gs.np % 2:]
+    return values + 1j * imag
 
 
 def _class_count(gs):
@@ -94,7 +107,10 @@ def _class_count(gs):
 
 
 # (half_width, nq, np, g, eta reach) of windows too small for W, with odd and
-# non-square p counts: M = 64, 28, 8, 8, 2, 4 and 12 kernel classes
+# non-square p counts: M = 64, 28, 8, 8, 2, 4 and 12 kernel classes. The
+# last two reach across three and four eta blocks, whose q rows narrow
+# block by block (by a row step of 2r = 6, so the first row of a block is
+# rounded up, and of 2r = 4)
 PAIR_BY_PAIR_SHAPES = [
     (0.8, 32, 40, 2, 0),
     (2.5, 32, 41, 1, 4),
@@ -103,6 +119,8 @@ PAIR_BY_PAIR_SHAPES = [
     (7.0, 64, 41, 2, 31),
     (7.0, 40, 33, 1, 39),
     (4.2, 40, 41, 1, 13),
+    (15.0, 64, 33, 1, 189),
+    (15.0, 100, 48, 1, 198),
 ]
 
 
@@ -158,6 +176,16 @@ class TestKernelTransform:
             grid = wigner_from_density(rho, _grid(rho.spec.truncation, 128))
             assert grid.normalization() == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("count", [1, 2, 54, 1424])
+    def test_eigenfunction_table_is_the_oracle_transposed(self, count):
+        # one row per level, filled by the oracle's recurrence in the same
+        # operations and order, so every entry is bit-identical, zeros where
+        # psi_0 underflows included
+        x = default_grid_spec(count, 513).q_vector()
+        table = _hermite_functions(x, count)
+        assert table.shape == (count, x.size) and table.flags.c_contiguous
+        assert np.array_equal(table, oscillator_eigenfunctions(x, count).T)
+
     def test_undersized_window_rejected(self):
         with pytest.raises(TruncationError, match="integrates"):
             wigner_from_density(_vacuum(), GridSpec(half_width=0.8, nq=32, np=32))
@@ -201,7 +229,9 @@ class TestEtaSampling:
         assert math.gcd(2 * refine, stride) == lattice
         assert refine * (nq - 1) // stride == reach
         expected = _eta_sum_pair_by_pair(rho.matrix, gs)
-        assert np.max(np.abs(_defining_integral(rho.matrix, gs) - expected)) < 1e-12
+        raw = _assembled(gs, *_defining_integral(rho.matrix, gs))
+        assert np.max(np.abs(raw.real - expected.real)) < 1e-12
+        assert np.max(np.abs(raw.imag - expected.imag)) < 1e-12
 
     def test_pair_by_pair_shapes_cover_every_class_count(self):
         # the sites split into M = 2cm' residue classes, one kernel block each;
@@ -210,21 +240,32 @@ class TestEtaSampling:
         counts = {_class_count(GridSpec(h, nq=nq, np=np_)) for h, nq, np_, _, _ in
                   PAIR_BY_PAIR_SHAPES}
         assert counts == {2, 4, 8, 12, 28, 64}
+        # and the eta blocks, with the q rows each one reads, are judged
+        # beyond the first block, with odd and even p counts
+        wide = {np_ % 2 for _, _, np_, _, reach in PAIR_BY_PAIR_SHAPES
+                if reach >= 2 * _ETA_BLOCK}
+        assert wide == {0, 1}
 
     @pytest.mark.parametrize("half_width, nq, np_", [
         (7.0, 64, 41), (7.0, 40, 33), (2.5, 33, 32), (4.2, 40, 41), (2.5, 32, 41),
-        (0.8, 32, 40),
+        (0.8, 32, 40), (15.0, 64, 33), (15.0, 100, 48),
     ])
     def test_non_hermitian_input_on_every_class_count(self, half_width, nq, np_):
         # a matrix with no symmetry at all: every block and its partner hold
-        # unrelated entries, so a swapped pair or class would show in W
+        # unrelated entries, so a swapped pair or class would show in W. Its
+        # levels reach past the window edge, sqrt(2N + 1) >= half_width, so
+        # every eta block carries pairs that a row it skips would need.
+        levels = max(20, math.ceil(half_width ** 2 / 2))
         rng = np.random.default_rng(nq * np_)
-        mat = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        mat = rng.standard_normal((levels, levels)) + 1j * rng.standard_normal((levels, levels))
         gs = GridSpec(half_width, nq=nq, np=np_)
-        raw = _defining_integral(mat, gs)
-        assert np.max(np.abs(raw - _eta_sum_pair_by_pair(mat, gs))) < 1e-12
+        values, imag_terms = _defining_integral(mat, gs)
+        expected = _eta_sum_pair_by_pair(mat, gs)
+        raw = _assembled(gs, values, imag_terms)
+        assert np.max(np.abs(raw.real - expected.real)) < 1e-12
+        assert np.max(np.abs(raw.imag - expected.imag)) < 1e-12
         with pytest.raises(ConsistencyError, match="imaginary residue"):
-            _finish(raw, gs, "non-Hermitian input")
+            _finish(values, imag_terms, gs, "non-Hermitian input")
 
     def test_imaginary_residue_is_formed_and_refused(self):
         # DensityMatrix would refuse this matrix; the raw transform must carry
@@ -235,11 +276,16 @@ class TestEtaSampling:
         noise = np.random.default_rng(11).standard_normal((2,) + rho.matrix.shape)
         mat = rho.matrix + 1e-6 * (noise[0] + 1j * noise[1])
         gs = GridSpec(default_grid_spec(rho.spec.truncation).half_width, nq=48, np=33)
-        raw = _defining_integral(mat, gs)
-        assert np.max(np.abs(raw - _eta_sum_pair_by_pair(mat, gs))) < 1e-12
-        assert np.max(np.abs(raw.imag)) > TOL.imag_residue_tol
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            _finish(raw, gs, "non-Hermitian input")
+        values, imag_terms = _defining_integral(mat, gs)
+        expected = _eta_sum_pair_by_pair(mat, gs)
+        raw = _assembled(gs, values, imag_terms)
+        assert np.max(np.abs(raw.real - expected.real)) < 1e-12
+        assert np.max(np.abs(raw.imag - expected.imag)) < 1e-12
+        residue = np.max(np.abs(expected.imag))
+        assert residue > TOL.imag_residue_tol
+        assert _imaginary_residue(imag_terms, gs) == pytest.approx(residue, rel=1e-12)
+        with pytest.raises(ConsistencyError, match=f"imaginary residue {residue:.2e} "):
+            _finish(values, imag_terms, gs, "non-Hermitian input")
 
     def test_eta_step_keeps_images_outside_window(self):
         for points in (32, 33, 64, 128, 256, 257, 512, 1024):
