@@ -49,9 +49,13 @@ Pure states are measured from their amplitude vector, shifted by the same
 rule, and never become a D x D projector. For rho = |psi><psi| with
 s = <psi|psi>, Tr[rho^2 n] = Tr[rho n rho] = s <n> (from the |psi|^2
 marginals), Tr[rho a rho a^dagger] = <a><a^dagger>, Tr[rho^2 X^2 -
-rho X rho X] = s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. That costs
-O(M D), and keeping s rather than assuming 1 keeps each value equal to the
-projector's trace.
+rho X rho X] = s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. One pass
+over the modes writes a psi and a^dagger psi once per mode: <a> and
+<a^dagger> are their overlaps with psi, and q psi and p psi their scaled
+sum and difference. The identity still cross-checks I against C, because
+I's <n> comes from the |psi|^2 marginals and not from the shifts. That
+costs O(M D), and keeping s rather than assuming 1 keeps each value equal
+to the projector's trace.
 """
 
 from __future__ import annotations
@@ -276,38 +280,31 @@ def measure_report(rho: State, provenance: dict | None = None) -> MeasureReport:
     return _checked_report(measure_I(rho), measure_C(rho), purity(rho), rho.spec, provenance)
 
 
-def _pure_I_forms(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[float, float]:
-    """Three-term |psi|^2 <n> - <a><a^dagger> and two-term |psi|^2 <n> - |<a>|^2 forms of I."""
+def _pure_measures(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[float, float, float]:
+    """Three- and two-term I and C of rho = |psi><psi|, from one a psi and a^dagger psi per mode.
+
+    I is |psi|^2 <n> - <a><a^dagger> or |psi|^2 <n> - |<a>|^2, and C sums
+    |psi|^2 |X psi|^2 - <X>^2 over X = q_m, p_m.
+    """
     prob = amps.real ** 2 + amps.imag ** 2
-    shifted = np.empty_like(amps)
-    three = two = 0.0 + 0.0j
-    for mode in range(1, spec.num_modes + 1):
-        sq_n = norm_sq * _occupation(prob, spec, mode)
-        stride, lo, hi = _shifts(spec, mode)
-        _shift(amps, 0, stride, lo, shifted)  # a psi
-        mean_a = complex(np.vdot(amps, shifted))
-        _shift(amps, 0, -stride, hi, shifted)  # a^dagger psi
-        mean_adag = complex(np.vdot(amps, shifted))
-        three += sq_n - mean_a * mean_adag
-        two += sq_n - abs(mean_a) ** 2
-    return (_real_after_residue_check(three, "measure I"),
-            _real_after_residue_check(two, "measure I (two-term form)"))
-
-
-def _pure_C(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> float:
-    """C of rho = |psi><psi| as sum over X = q_m, p_m of |psi|^2 |X psi|^2 - <X>^2."""
     lower, upper, quad = (np.empty_like(amps) for _ in range(3))
-    total = 0.0
+    three = two = 0.0 + 0.0j
+    c_value = 0.0
     for mode in range(1, spec.num_modes + 1):
         stride, lo, hi = _shifts(spec, mode)
         _shift(amps, 0, stride, lo, lower)  # a psi
         _shift(amps, 0, -stride, hi, upper)  # a^dagger psi
+        mean_a, mean_adag = complex(np.vdot(amps, lower)), complex(np.vdot(amps, upper))
+        sq_n = norm_sq * _occupation(prob, spec, mode)
+        three += sq_n - mean_a * mean_adag
+        two += sq_n - abs(mean_a) ** 2
         for combine, scale in ((np.add, _S), (np.subtract, -1j * _S)):  # q psi, then p psi
             combine(lower, upper, out=quad)
             quad *= scale
             mean = _real_after_residue_check(complex(np.vdot(amps, quad)), "measure C")
-            total += norm_sq * float(np.vdot(quad, quad).real) - mean * mean
-    return total
+            c_value += norm_sq * float(np.vdot(quad, quad).real) - mean * mean
+    return (_real_after_residue_check(three, "measure I"),
+            _real_after_residue_check(two, "measure I (two-term form)"), c_value)
 
 
 def pure_state_measures(psi: PureState, provenance: dict | None = None) -> MeasureReport:
@@ -320,8 +317,8 @@ def pure_state_measures(psi: PureState, provenance: dict | None = None) -> Measu
     spec = psi.spec
     amps = psi.amplitudes
     norm_sq = float(np.vdot(amps, amps).real)
-    report = _checked_report(_agreeing_I(*_pure_I_forms(amps, spec, norm_sq)),
-                             _pure_C(amps, spec, norm_sq), norm_sq * norm_sq, spec, provenance)
+    three, two, c_value = _pure_measures(amps, spec, norm_sq)
+    report = _checked_report(_agreeing_I(three, two), c_value, norm_sq * norm_sq, spec, provenance)
     m = spec.num_modes
     residual = abs(report.I - (report.chi2 / 4.0 - m / 2.0))
     if residual >= TOL.pure_relation_tol:

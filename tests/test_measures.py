@@ -332,12 +332,11 @@ class TestMeasureChi2:
             measure_report(_thermal(2.0))
 
     def test_pure_report_refuses_nonpositive_chi2(self, monkeypatch):
-        def forms(amps, spec, norm_sq):
+        def measures(amps, spec, norm_sq):
             value = -spec.num_modes * norm_sq * norm_sq / 2.0
-            return value, value
+            return value, value, 0.0
 
-        monkeypatch.setattr(macroq.measures, "_pure_C", lambda amps, spec, norm_sq: 0.0)
-        monkeypatch.setattr(macroq.measures, "_pure_I_forms", forms)
+        monkeypatch.setattr(macroq.measures, "_pure_measures", measures)
         with pytest.raises(ConsistencyError, match="chi2 must be positive"):
             measure_report(coherent_state(ModeSpec(1, 19), 1.0))
 
