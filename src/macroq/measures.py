@@ -30,7 +30,10 @@ The redundancies are checked, not assumed:
 - I is evaluated by the literal three-trace form, with Tr[rho^2 n] weighted
   on the row index and Tr[rho n rho] on the column index of rho_ij rho_ji,
   and by the cyclicity-reduced two-trace form; both share the hop term
-  Tr[(rho a)(rho a^dagger)], evaluated once per mode.
+  Tr[(rho a)(rho a^dagger)], evaluated once per mode. The forms differ only
+  by rounding: swapping i and j maps one weighting onto the other term by
+  term, and on a pure state <a^dagger> is conj <a> to rounding. The checks
+  that can fail are the identity residual and the grid pipeline.
 - C is evaluated in its commutator form, Tr[rho^2 X^2 - rho X rho X] =
   -(1/2) Tr[[X, rho]^2] by cyclicity. Per tile, the sum and difference of
   [a, rho] and [a^dagger, rho] are sqrt(2) [q, rho] and i sqrt(2) [p, rho].
@@ -43,19 +46,17 @@ The redundancies are checked, not assumed:
 - Every trace is complex and its imaginary residue is checked: these sums
   are real only for Hermitian rho, so a corrupted matrix shows up there.
 - Every report, operator, pure or grid, refuses chi2 = 2C/P <= 0, and pure
-  states must also satisfy I = chi2/4 - M/2.
+  states must also satisfy I/P = chi2/4 - M/2.
 
 Pure states are measured from their amplitude vector, shifted by the same
 rule, and never become a D x D projector. For rho = |psi><psi| with
 s = <psi|psi>, Tr[rho^2 n] = Tr[rho n rho] = s <n> (from the |psi|^2
 marginals), Tr[rho a rho a^dagger] = <a><a^dagger>, Tr[rho^2 X^2 -
 rho X rho X] = s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. One pass
-over the modes writes a psi and a^dagger psi once per mode: <a> and
-<a^dagger> are their overlaps with psi, and q psi and p psi their scaled
-sum and difference. The identity still cross-checks I against C, because
-I's <n> comes from the |psi|^2 marginals and not from the shifts. That
-costs O(M D), and keeping s rather than assuming 1 keeps each value equal
-to the projector's trace.
+over the modes writes a psi and a^dagger psi once per mode, and <a>,
+<a^dagger>, q psi and p psi come from them; <n> comes from the marginals,
+so the identity still checks I against C. That costs O(M D), and keeping s
+rather than assuming 1 keeps each value equal to the projector's trace.
 """
 
 from __future__ import annotations
@@ -308,11 +309,11 @@ def _pure_measures(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[fl
 
 
 def pure_state_measures(psi: PureState, provenance: dict | None = None) -> MeasureReport:
-    """Report for a pure state from its amplitude vector, asserting I = chi2/4 - M/2 on top.
+    """Report for a pure state from its amplitude vector, asserting I/P = chi2/4 - M/2 on top.
 
     The relation follows from P = 1 and holds to rounding for any state that
     leaves the guard level empty; a violation means inadequate truncation or
-    a broken build.
+    a broken build. I carries the factor P = s^2 that chi2 lacks, hence I/P.
     """
     spec = psi.spec
     amps = psi.amplitudes
@@ -320,7 +321,7 @@ def pure_state_measures(psi: PureState, provenance: dict | None = None) -> Measu
     three, two, c_value = _pure_measures(amps, spec, norm_sq)
     report = _checked_report(_agreeing_I(three, two), c_value, norm_sq * norm_sq, spec, provenance)
     m = spec.num_modes
-    residual = abs(report.I - (report.chi2 / 4.0 - m / 2.0))
+    residual = abs(report.I / report.P - (report.chi2 / 4.0 - m / 2.0))
     if residual >= TOL.pure_relation_tol:
         raise ConsistencyError(f"pure-state relation violated: |I - (chi2/4 - M/2)| = "
                                f"{residual:.2e}")

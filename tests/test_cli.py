@@ -164,6 +164,24 @@ class TestStateCommand:
         assert code == 2
         assert "requires parameter a=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, message", [
+        (("n1",), "parameters take the form key=value, got 'n1'"),
+        (("n=1", "m=2"), "unrecognized parameters for 'fock': ['m']"),
+    ])
+    def test_malformed_parameters_are_usage_errors(self, tmp_path, capsys, params, message):
+        assert run("state", "fock", *params, "--out", str(tmp_path / "x.json")) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "MACROQ_MAX_DIM must be an integer, got 'abc'"),
+        ("1", "MACROQ_MAX_DIM must be at least 2, got 1"),
+    ])
+    def test_bad_dimension_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, raw,
+                                              message):
+        monkeypatch.setenv("MACROQ_MAX_DIM", raw)
+        assert run("state", "thermal", "a=2", "--out", str(tmp_path / "x.json")) == 2
+        assert message in capsys.readouterr().err
+
     def test_inadequate_truncation_exit_code(self, tmp_path, capsys):
         code = run("state", "coherent", "alpha=3", "--truncation", "12",
                    "--out", str(tmp_path / "x.json"))
@@ -462,6 +480,44 @@ class TestMeasureCommand:
         assert "relative deltas" in err
         assert "on the 256x256 grid: coarsening changes C by 2.53e-01" in err
 
+    def test_wigner_method_is_the_grid_half_of_both(self, tmp_path, capsys):
+        out = tmp_path / "cat.json"
+        run("state", "cat", "alpha=1.5", "--out", str(out))
+        capsys.readouterr()
+        assert run("measure", str(out), "--method", "wigner") == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert run("measure", str(out), "--method", "both") == 0
+        assert alone["method"] == "wigner"
+        assert alone == json.loads(capsys.readouterr().out)["wigner"]
+
+    @staticmethod
+    def _nearly_normalized_cat(path):
+        # squared norm 1 + 9e-11, inside norm_tol
+        cat = cat_state(ModeSpec(1, 43), 3.0)
+        save_state(PureState(cat.spec, cat.amplitudes * math.sqrt(1.0 + 9e-11)), path)
+
+    def test_nearly_normalized_pure_file_is_measured(self, tmp_path, capsys):
+        out = tmp_path / "cat.json"
+        self._nearly_normalized_cat(out)
+        assert run("measure", str(out)) == 0
+        assert json.loads(capsys.readouterr().out)["pure_relation_residual"] < 1e-12
+
+    def test_broken_pure_relation_exit_code(self, tmp_path, capsys, monkeypatch):
+        import macroq.measures
+
+        measures = macroq.measures._pure_measures
+
+        def shifted(amps, spec, norm_sq):
+            # I moved by 5e-10: inside the identity's 1e-9, outside the relation's 1e-10
+            three, two, c_value = measures(amps, spec, norm_sq)
+            return three + 5e-10, two + 5e-10, c_value
+
+        monkeypatch.setattr(macroq.measures, "_pure_measures", shifted)
+        out = tmp_path / "cat.json"
+        self._nearly_normalized_cat(out)
+        assert run("measure", str(out)) == 4
+        assert "pure-state relation violated" in capsys.readouterr().err
+
     def test_coherent_structure_measure(self, tmp_path, capsys):
         out = tmp_path / "coh.json"
         run("state", "coherent", "alpha=2", "--out", str(out))
@@ -683,6 +739,38 @@ class TestSweepCommand:
                    "--values", "1,2", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "applies to families" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, parameter, options, message", [
+        ("thermal", "a", (), "sweep needs either --values or --start/--stop/--steps"),
+        ("thermal", "a", ("--start", "1", "--stop", "2", "--steps", "0"),
+         "steps must be >= 1, got 0"),
+        ("fock", "n", ("--start", "1", "--stop", "2", "--steps", "2"),
+         "integer parameter 'n' needs --values"),
+    ])
+    def test_unusable_range_is_usage_error(self, tmp_path, capsys, family, parameter, options,
+                                           message):
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--family", family, "--parameter", parameter, *options,
+                   "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_step_range_is_its_start(self, tmp_path, capsys):
+        out = tmp_path / "thermal.csv"
+        assert run("sweep", "--family", "thermal", "--parameter", "a",
+                   "--start", "1.5", "--stop", "2", "--steps", "1", "--out", str(out)) == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.5"]
+
+    def test_json_output_keeps_the_sidecar_apart(self, tmp_path, capsys):
+        out = tmp_path / "thermal.json"
+        assert run("sweep", "--family", "thermal", "--parameter", "a",
+                   "--values", "2", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines()[0] == "parameter,I,C,P,chi2,errors"
+        sidecar = json.loads((tmp_path / "thermal.json.reports.json").read_text())
+        assert [point["parameter"] for point in sidecar["points"]] == [2.0]
 
 
 class TestWignerCommand:

@@ -280,6 +280,12 @@ class TestMeasureI:
             three, two = measure_I_forms(rho)
             assert abs(three - two) < 1e-10
 
+    def test_disagreeing_forms_refused(self, monkeypatch):
+        monkeypatch.setattr(macroq.measures, "measure_I_forms", lambda rho: (1.0, 1.0 + 2e-10))
+        with pytest.raises(ConsistencyError, match="three-term and two-term evaluations of I "
+                                                   r"disagree: 1\.0 vs 1\.0000000002"):
+            measure_I(_thermal(2.0))
+
 
 class TestMeasureC:
     def test_vacuum(self):
@@ -403,6 +409,29 @@ class TestPureStateMeasures:
             report = pure_state_measures(random_pure_state(ModeSpec(1, 12), rng))
             assert report.pure_relation_residual < 1e-10
 
+    def test_nearly_normalized_state_is_measured(self):
+        # squared norm 1 + 9e-11, inside norm_tol: I and P carry that factor
+        # squared and chi2 does not, so |I - (chi2/4 - M/2)| would be 1.6e-9
+        cat = cat_state(ModeSpec(1, 43), 3.0)
+        psi = PureState(cat.spec, cat.amplitudes * math.sqrt(1.0 + 9e-11))
+        report = pure_state_measures(psi)
+        assert report.I == pytest.approx(measure_I(as_density(psi)), abs=1e-12)
+        assert report.pure_relation_residual < 1e-12
+        assert abs(report.I / report.P - (report.chi2 / 4.0 - 0.5)) < 1e-12
+
+    def test_relation_break_inside_identity_tolerance_refused(self, monkeypatch):
+        # I moved by 5e-10: the identity (1e-9) holds, the relation (1e-10) must not
+        measures = macroq.measures._pure_measures
+
+        def shifted(amps, spec, norm_sq):
+            three, two, c_value = measures(amps, spec, norm_sq)
+            return three + 5e-10, two + 5e-10, c_value
+
+        monkeypatch.setattr(macroq.measures, "_pure_measures", shifted)
+        with pytest.raises(ConsistencyError, match=r"^pure-state relation violated: "
+                                                   r"\|I - \(chi2/4 - M/2\)\| = 5\.00e-10$"):
+            pure_state_measures(coherent_state(ModeSpec(1, 19), 1.0))
+
 
 def _peak_bytes(func, *args):
     """Peak of the memory traced by tracemalloc while func(*args) runs."""
@@ -419,8 +448,7 @@ class TestPureVectorPath:
 
     @staticmethod
     def _off_norm(spec, rng):
-        # squared norm 1 + 5e-11, inside norm_tol; mostly vacuum so I < 1 and
-        # the pure relation, which carries I (1 - 1/P), stays inside its 1e-10
+        # squared norm 1 + 5e-11, inside norm_tol
         vac = np.zeros(spec.total_dim, dtype=complex)
         vac[0] = 1.0
         mixed = vac + 0.3 * random_pure_state(spec, rng).amplitudes
@@ -495,6 +523,14 @@ class TestIdentity:
         lhs = measure_I(prod)
         rhs = (measure_C(prod) - 2.0 * purity(prod)) / 2.0
         assert abs(lhs - rhs) < 1e-9
+
+    def test_identity_violation_refused(self, monkeypatch):
+        # C moved by 4e-9 puts the residual at 2e-9, past its 1e-9 tolerance
+        measure = macroq.measures.measure_C
+        monkeypatch.setattr(macroq.measures, "measure_C", lambda rho: measure(rho) + 4e-9)
+        with pytest.raises(ConsistencyError, match=r"identity residual \|I - \(C - M\*P\)/2\| "
+                                                   "= 2.00e-09"):
+            measure_report(_thermal(2.0))
 
 
 class TestDisplacement:

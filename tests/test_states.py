@@ -83,6 +83,10 @@ class TestFockState:
         with pytest.raises(ValueError, match="guard"):
             fock_state(ModeSpec(1, 5), 4)
 
+    def test_rejects_occupation_count_unlike_mode_count(self):
+        with pytest.raises(ValueError, match="^got 1 occupation numbers for 2 modes$"):
+            fock_state(ModeSpec(2, 4), 1)
+
     def test_numpy_integer_is_one_occupation(self):
         spec = ModeSpec(1, 12)
         for n in (np.int64(2), np.int32(2), np.uint8(2)):
@@ -337,6 +341,10 @@ class TestMix:
         with pytest.raises(ValueError, match="ModeSpec"):
             mix([(0.5, a), (0.5, b)])
 
+    def test_empty_mixture_rejected(self):
+        with pytest.raises(ValueError, match="^mix requires at least one component$"):
+            mix([])
+
 
 class TestProductState:
     def test_two_mode_vacuum(self):
@@ -372,6 +380,11 @@ class TestProductState:
         direct = brute_force_I(prod.matrix, 2, 26)
         assert measure_I(prod) == pytest.approx(composed, abs=1e-9)
         assert direct == pytest.approx(composed, abs=1e-9)
+
+    def test_unequal_truncations_rejected(self):
+        with pytest.raises(ValueError, match="^product requires equal per-mode truncations, "
+                                             "got 12 and 13$"):
+            product_state(fock_state(ModeSpec(1, 12), 0), fock_state(ModeSpec(1, 13), 0))
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("MACROQ_MAX_DIM", "200")

@@ -343,6 +343,12 @@ class TestDirectTransform:
         assert abs(grid.q_vector()[peak[0]] - SQRT2) <= cell
         assert abs(grid.p_vector()[peak[1]] - 0.0) <= cell
 
+    def test_default_grid(self):
+        psi = coherent_state(ModeSpec(1, 19), 1.0)
+        grid = wigner_from_density(psi)
+        assert grid.spec == default_grid_spec(19)
+        assert np.array_equal(grid.values, wigner_from_density(psi, default_grid_spec(19)).values)
+
     @pytest.mark.parametrize("make", [
         lambda: _vacuum(),
         lambda: as_density(coherent_state(ModeSpec(1, 19), 1.0)),
