@@ -26,7 +26,7 @@ class Tolerances:
     imag_residue_tol: float = 1e-10  # |Im| allowed on a trace that must be real
     identity_tol: float = 1e-9       # |I - (C - M*P)/2|
     three_two_term_tol: float = 1e-10
-    pure_relation_tol: float = 1e-10  # |I - (chi2/4 - M/2)| on pure states
+    pure_relation_tol: float = 1e-10  # |I/P - (chi2/4 - M/2)| on pure states
 
     # phase-space pipeline
     grid_norm_tol: float = 1e-6      # | integral of W - 1 |

@@ -323,7 +323,7 @@ def pure_state_measures(psi: PureState, provenance: dict | None = None) -> Measu
     m = spec.num_modes
     residual = abs(report.I / report.P - (report.chi2 / 4.0 - m / 2.0))
     if residual >= TOL.pure_relation_tol:
-        raise ConsistencyError(f"pure-state relation violated: |I - (chi2/4 - M/2)| = "
+        raise ConsistencyError(f"pure-state relation violated: |I/P - (chi2/4 - M/2)| = "
                                f"{residual:.2e}")
     report.pure_relation_residual = residual
     return report

@@ -424,19 +424,22 @@ def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
     """Number state |n>, or |n1, n2, ...> for multimode specs.
 
     Each occupation must stay at least one level below the truncation so the
-    guard level is empty.
+    guard level is empty; one that does not is a TruncationError naming the
+    cutoff that would hold it.
     """
     levels = tuple(_integer(lev, "occupation") for lev in (n if np.ndim(n) else (n,)))
     if len(levels) != spec.num_modes:
         raise ValueError(
             f"got {len(levels)} occupation numbers for {spec.num_modes} modes"
         )
-    for lev in levels:
-        if not 0 <= lev <= spec.truncation - 2:
-            raise ValueError(
-                f"occupation {lev} outside 0..{spec.truncation - 2} "
-                f"(one guard level below truncation {spec.truncation})"
-            )
+    if min(levels) < 0:
+        raise ValueError(f"occupation must be non-negative, got {min(levels)}")
+    top = max(levels)
+    if top > spec.truncation - 2:
+        raise TruncationError(
+            f"fock_state occupies level {top}, truncation {spec.truncation} "
+            f"requires top level <= {spec.truncation - 2}; use N >= {top + 2}"
+        )
     index = 0
     for lev in levels:
         index = index * spec.truncation + lev

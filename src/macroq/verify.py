@@ -6,13 +6,17 @@ the two measures, the pure-state equivalence, agreement between the operator
 and phase-space pipelines, and invariance properties. Informational entries
 report behavior worth seeing (index-convention sensitivity of the number
 mixtures, the asymptotic-only vanishing of the cat-mixture coherence) without
-gating the outcome.
+gating the outcome. The reference states that several checks judge are
+built and measured once per run, on first use; grid reports are not shared.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +24,11 @@ import numpy as np
 from .config import TOL
 from .errors import MacroqError
 from .fock import ModeSpec
-from .measures import measure_I, measure_I_forms, measure_report
+from .measures import MeasureReport, measure_I, measure_I_forms, measure_report
 from .states import (
     DensityMatrix,
     GaussianSpec,
+    State,
     as_density,
     cat_mixture,
     cat_state,
@@ -35,7 +40,6 @@ from .states import (
     fock_state,
     load_state,
     product_state,
-    purity,
     random_mixed_state,
     random_pure_state,
     thermal_state,
@@ -92,12 +96,18 @@ def cat_mixture_chi2_exact(alpha: complex) -> float:
 # reference state sets
 # ---------------------------------------------------------------------------
 
+def _product_factors() -> dict[str, tuple[DensityMatrix, DensityMatrix]]:
+    """The factors of the corpus's two-mode products, by corpus name."""
+    return {
+        "thermal_x_catmix": (thermal_state(ModeSpec(1, 26), GaussianSpec(math.sqrt(2.0))),
+                             cat_mixture(ModeSpec(1, 26), 1.0)),
+        "fock_x_coherent": (as_density(fock_state(ModeSpec(1, 16), 1)),
+                            as_density(coherent_state(ModeSpec(1, 16), 0.8))),
+    }
+
+
 def identity_corpus() -> list[tuple[str, DensityMatrix]]:
     """Twelve states spanning the families, including two-mode products."""
-    thermal26 = thermal_state(ModeSpec(1, 26), GaussianSpec(math.sqrt(2.0)))
-    catmix26 = cat_mixture(ModeSpec(1, 26), 1.0)
-    fock16 = fock_state(ModeSpec(1, 16), 1)
-    coh16 = coherent_state(ModeSpec(1, 16), 0.8)
     return [
         ("vacuum", as_density(fock_state(ModeSpec(1, 12), 0))),
         ("fock_n2", as_density(fock_state(ModeSpec(1, 12), 2))),
@@ -110,8 +120,7 @@ def identity_corpus() -> list[tuple[str, DensityMatrix]]:
         ("fock_mixture_d4", fock_mixture(ModeSpec(1, 12), 4, include_vacuum=True)),
         ("fock_mixture_d3_shifted", fock_mixture(ModeSpec(1, 12), 3, include_vacuum=False)),
         ("thermal_sqrt2", thermal_state(ModeSpec(1, 31), GaussianSpec(math.sqrt(2.0)))),
-        ("thermal_x_catmix", product_state(thermal26, catmix26)),
-        ("fock_x_coherent", product_state(as_density(fock16), as_density(coh16))),
+        *((name, product_state(*pair)) for name, pair in _product_factors().items()),
     ]
 
 
@@ -129,193 +138,194 @@ def wigner_corpus() -> list[tuple[str, DensityMatrix]]:
     ]
 
 
+@contextmanager
+def _naming(label: str) -> Iterator[None]:
+    """Prefix a refusal's message with the state it concerns."""
+    try:
+        yield
+    except MacroqError as exc:
+        raise type(exc)(f"{label}: {exc}") from None
+
+
+class ReferenceStates:
+    """One run's shared reference states; a refused report is not kept, so each reader fails."""
+
+    def __init__(self) -> None:
+        self._reports: dict[str, MeasureReport] = {}
+
+    def report(self, label: str, build: Callable[[], State]) -> MeasureReport:
+        """measure_report of the state build() makes, on the first call for label."""
+        if label not in self._reports:
+            with _naming(label):
+                self._reports[label] = measure_report(build())
+        return self._reports[label]
+
+    @cached_property
+    def corpus(self) -> list[tuple[str, DensityMatrix]]:
+        return identity_corpus()
+
+    def corpus_reports(self) -> dict[str, MeasureReport]:
+        return {name: self.report(name, lambda: rho) for name, rho in self.corpus}
+
+    def thermal_report(self, a: float) -> MeasureReport:
+        return self.report(f"thermal a={a}", lambda: thermal_state(
+            ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a)))
+
+    def cat_mixture_report(self, alpha: complex) -> MeasureReport:
+        return self.report(f"cat_mixture alpha={alpha}", lambda: cat_mixture(
+            ModeSpec(1, default_coherent_truncation(alpha)), alpha))
+
+    def fock_mixture_report(self, d: int) -> MeasureReport:
+        """The vacuum-anchored uniform mixture of d levels, with four levels above it."""
+        return self.report(f"fock_mixture d={d}", lambda: fock_mixture(
+            ModeSpec(1, d + 4), d, include_vacuum=True))
+
+
 # ---------------------------------------------------------------------------
-# checks
+# checks: each returns (passed, detail); run_verification names them
 # ---------------------------------------------------------------------------
 
-def check_gaussian_family(tol_factor: float = 1.0) -> CheckResult:
+def _thermal_deviation(a: float, report: MeasureReport) -> float:
+    """The larger relative deviation of I and chi2 from the thermal closed forms."""
+    i_exact, chi2_exact = thermal_I_exact(a), thermal_chi2_exact(a)
+    return max(abs(report.I - i_exact) / max(abs(i_exact), 1.0),
+               abs(report.chi2 - chi2_exact) / chi2_exact)
+
+
+def check_gaussian_family(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
     """Thermal family against its closed forms, operator path."""
     tol = 1e-9 * tol_factor
     worst = 0.0
     for a in GAUSSIAN_WIDTHS:
-        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        report = measure_report(rho)
-        i_exact = thermal_I_exact(a)
-        chi2_exact = thermal_chi2_exact(a)
-        dev_i = abs(report.I - i_exact) / max(abs(i_exact), 1.0)
-        dev_chi = abs(report.chi2 - chi2_exact) / chi2_exact
-        worst = max(worst, dev_i, dev_chi)
+        report = refs.thermal_report(a)
+        worst = max(worst, _thermal_deviation(a, report))
         if a > 1.0 and not (report.I < 0.0 and 0.0 < report.chi2 < 2.0):
-            return CheckResult(
-                "gaussian-family", False,
-                f"sign/range violated at a={a}: I={report.I!r}, chi2={report.chi2!r}")
-    passed = worst < tol
-    return CheckResult(
-        "gaussian-family", passed,
+            return False, f"sign/range violated at a={a}: I={report.I!r}, chi2={report.chi2!r}"
+    return worst < tol, (
         f"max relative deviation from closed forms {worst:.2e} (tol {tol:.0e}); "
         f"I < 0 and 0 < chi2 < 2 for every a > 1")
 
 
 def check_gaussian_family_wigner(grid_points: int = DEFAULT_GRID_POINTS,
-                                 tol_factor: float = 1.0) -> CheckResult:
+                                 tol_factor: float = 1.0) -> tuple[bool, str]:
     """Thermal family against closed forms, phase-space path."""
     tol = 1e-3 * tol_factor
     worst = 0.0
     for a in GAUSSIAN_WIDTHS:
-        n_cut = default_thermal_truncation(a)
-        rho = thermal_state(ModeSpec(1, n_cut), GaussianSpec(a))
-        report = wigner_measure_report(rho, default_grid_spec(n_cut, grid_points))
-        i_exact = thermal_I_exact(a)
-        chi2_exact = thermal_chi2_exact(a)
-        worst = max(
-            worst,
-            abs(report.I - i_exact) / max(abs(i_exact), 1.0),
-            abs(report.chi2 - chi2_exact) / chi2_exact,
-        )
-    passed = worst < tol
-    return CheckResult(
-        "gaussian-family-wigner", passed,
+        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+        with _naming(f"thermal a={a}"):
+            report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation, grid_points))
+        worst = max(worst, _thermal_deviation(a, report))
+    return worst < tol, (
         f"max relative deviation {worst:.2e} on {grid_points}^2 grids (tol {tol:.0e})")
 
 
-def check_fock_mixture_degeneracy(tol_factor: float = 1.0) -> CheckResult:
+def check_fock_mixture_degeneracy(refs: ReferenceStates,
+                                  tol_factor: float = 1.0) -> tuple[bool, str]:
     """Vacuum-anchored number mixtures: I = 0 and chi2 = 2 exactly."""
     i_tol = 1e-12 * tol_factor
     chi_tol = 1e-10 * tol_factor
-    worst_i = 0.0
-    worst_chi = 0.0
-    for d in FOCK_MIXTURE_SIZES:
-        report = measure_report(fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=True))
-        worst_i = max(worst_i, abs(report.I))
-        worst_chi = max(worst_chi, abs(report.chi2 - 2.0))
-    passed = worst_i < i_tol and worst_chi < chi_tol
-    return CheckResult(
-        "fock-mixture-degeneracy", passed,
+    reports = [refs.fock_mixture_report(d) for d in FOCK_MIXTURE_SIZES]
+    worst_i = max(abs(report.I) for report in reports)
+    worst_chi = max(abs(report.chi2 - 2.0) for report in reports)
+    return worst_i < i_tol and worst_chi < chi_tol, (
         f"max |I| = {worst_i:.2e} (tol {i_tol:.0e}), "
         f"max |chi2 - 2| = {worst_chi:.2e} (tol {chi_tol:.0e}) over d in {FOCK_MIXTURE_SIZES}")
 
 
-def check_cat_mixture_values(tol_factor: float = 1.0) -> CheckResult:
+def check_cat_mixture_values(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
     """Coherent two-component mixtures against their exact closed forms."""
     i_tol = 1e-9 * tol_factor
     chi_tol = 1e-6 * tol_factor
-    worst_i = 0.0
-    worst_chi = 0.0
-    for alpha in CAT_MIXTURE_ALPHAS:
-        spec = ModeSpec(1, default_coherent_truncation(alpha))
-        report = measure_report(cat_mixture(spec, alpha))
-        worst_i = max(worst_i, abs(report.I - cat_mixture_I_exact(alpha)))
-        worst_chi = max(worst_chi, abs(report.chi2 - cat_mixture_chi2_exact(alpha)))
-    passed = worst_i < i_tol and worst_chi < chi_tol
-    return CheckResult(
-        "cat-mixture-values", passed,
+    reports = {alpha: refs.cat_mixture_report(alpha) for alpha in CAT_MIXTURE_ALPHAS}
+    worst_i = max(abs(r.I - cat_mixture_I_exact(alpha)) for alpha, r in reports.items())
+    worst_chi = max(abs(r.chi2 - cat_mixture_chi2_exact(alpha)) for alpha, r in reports.items())
+    return worst_i < i_tol and worst_chi < chi_tol, (
         f"max |I - exact| = {worst_i:.2e} (tol {i_tol:.0e}), "
         f"max |chi2 - exact| = {worst_chi:.2e} (tol {chi_tol:.0e}) "
         f"over alpha in {CAT_MIXTURE_ALPHAS}")
 
 
-def note_cat_mixture_asymptotics() -> CheckResult:
+def note_cat_mixture_asymptotics(refs: ReferenceStates) -> tuple[bool, str]:
     lines = []
     for alpha in CAT_MIXTURE_ALPHAS:
-        spec = ModeSpec(1, default_coherent_truncation(alpha))
-        report = measure_report(cat_mixture(spec, alpha))
+        report = refs.cat_mixture_report(alpha)
         lines.append(f"alpha={alpha}: I={report.I:.6e}, chi2={report.chi2:.9f}")
-    detail = (
+    return True, (
         "cat-mixture coherence follows I = -|alpha|^2 exp(-4|alpha|^2), which "
         "vanishes (and chi2 -> 2) only asymptotically in alpha; "
-        + "; ".join(lines)
-    )
-    return CheckResult("cat-mixture-asymptotics", True, detail, informational=True)
+        + "; ".join(lines))
 
 
-def note_fock_mixture_convention(d: int = 5) -> CheckResult:
-    with_vac = measure_I(fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=True))
+def note_fock_mixture_convention(refs: ReferenceStates, d: int = 5) -> tuple[bool, str]:
+    with_vac = refs.fock_mixture_report(d).I
     without_vac = measure_I(fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=False))
-    detail = (
+    return True, (
         f"uniform number mixture of d={d} levels: include_vacuum=true gives "
         f"I = {with_vac:.3e} (zero in exact arithmetic), include_vacuum=false gives "
         f"I = {without_vac!r} (exactly 1/d^2 = {1.0 / (d * d)!r}); only the "
-        "vacuum-anchored range has vanishing coherence"
-    )
-    return CheckResult("fock-mixture-convention", True, detail, informational=True)
+        "vacuum-anchored range has vanishing coherence")
 
 
-def check_identity(tol_factor: float = 1.0) -> CheckResult:
+def check_identity(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
     """I = (C - M*P)/2 from independently evaluated traces, full corpus."""
     tol = TOL.identity_tol * tol_factor
-    worst = 0.0
-    worst_name = ""
-    for name, rho in identity_corpus():
-        try:
-            residual = measure_report(rho).identity_residual
-        except MacroqError as exc:
-            return CheckResult("measure-identity", False, f"{name}: {exc}")
-        if residual > worst:
-            worst, worst_name = residual, name
-    passed = worst < tol
-    return CheckResult(
-        "measure-identity", passed,
+    worst_name, worst = max(((name, report.identity_residual)
+                             for name, report in refs.corpus_reports().items()),
+                            key=lambda item: item[1])
+    return worst < tol, (
         f"max |I - (C - M*P)/2| = {worst:.2e} at {worst_name!r} "
         f"over 12 states (tol {tol:.0e})")
 
 
-def check_pure_state_relation(tol_factor: float = 1.0) -> CheckResult:
-    """|I - (chi2/4 - M/2)| on seeded random pure states, one and two modes."""
+def check_pure_state_relation(tol_factor: float = 1.0) -> tuple[bool, str]:
+    """|I/P - (chi2/4 - M/2)| on seeded random pure states, one and two modes, dense route.
+
+    I/P, as pure_state_measures judges: I carries P = |psi|^4 and chi2 does not.
+    """
     tol = TOL.pure_relation_tol * tol_factor
     rng = np.random.default_rng(RANDOM_SEED)
     worst = 0.0
-    for _ in range(50):
-        report = measure_report(as_density(random_pure_state(ModeSpec(1, 12), rng)))
-        worst = max(worst, abs(report.I - (report.chi2 / 4.0 - 0.5)))
-    for _ in range(10):
-        report = measure_report(as_density(random_pure_state(ModeSpec(2, 8), rng)))
-        worst = max(worst, abs(report.I - (report.chi2 / 4.0 - 1.0)))
-    passed = worst < tol
-    return CheckResult(
-        "pure-state-relation", passed,
+    for count, spec in ((50, ModeSpec(1, 12)), (10, ModeSpec(2, 8))):
+        for _ in range(count):
+            report = measure_report(as_density(random_pure_state(spec, rng)))
+            relation = report.chi2 / 4.0 - spec.num_modes / 2.0
+            worst = max(worst, abs(report.I / report.P - relation))
+    return worst < tol, (
         f"max residual {worst:.2e} over 50 single-mode and 10 two-mode "
         f"random pure states (tol {tol:.0e})")
 
 
 def check_dual_pipeline(grid_points: int = DEFAULT_GRID_POINTS,
-                        tol_factor: float = 1.0) -> CheckResult:
-    """Operator vs phase-space C, P and chi2 on the single-mode corpus."""
+                        tol_factor: float = 1.0) -> tuple[bool, str]:
+    """Operator vs phase-space C, P and chi2 on the single-mode corpus; a grid report
+    refuses a disagreement beyond the tolerance itself."""
     tol = TOL.dual_pipeline_rel * tol_factor
-    worst = 0.0
-    worst_name = ""
+    deltas = {}
     for name, rho in wigner_corpus():
-        try:
+        with _naming(name):
             report = wigner_measure_report(
                 rho, default_grid_spec(rho.spec.truncation, grid_points), cross_tol=tol)
-        except MacroqError as exc:
-            return CheckResult("dual-pipeline", False, f"{name}: {exc}")
-        delta = max(report.cross_deltas.values())
-        if delta > worst:
-            worst, worst_name = delta, name
-    return CheckResult(
-        "dual-pipeline", True,
-        f"max relative pipeline delta {worst:.2e} at {worst_name!r} "
+        deltas[name] = max(report.cross_deltas.values())
+    worst_name = max(deltas, key=deltas.get)
+    return True, (
+        f"max relative pipeline delta {deltas[worst_name]:.2e} at {worst_name!r} "
         f"on {grid_points}^2 grids (tol {tol:.0e})")
 
 
-def check_three_two_term(tol_factor: float = 1.0) -> CheckResult:
+def check_three_two_term(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
     """Literal three-trace form of I against the cyclicity-reduced form."""
     tol = TOL.three_two_term_tol * tol_factor
     rng = np.random.default_rng(RANDOM_SEED + 1)
-    worst = 0.0
-    states = [rho for _, rho in identity_corpus()]
+    states = [rho for _, rho in refs.corpus]
     states += [random_mixed_state(ModeSpec(1, 12), rng) for _ in range(5)]
-    for rho in states:
-        three, two = measure_I_forms(rho)
-        worst = max(worst, abs(three - two))
-    passed = worst < tol
-    return CheckResult(
-        "three-vs-two-term", passed,
+    worst = max(abs(three - two) for three, two in map(measure_I_forms, states))
+    return worst < tol, (
         f"max |three-term - two-term| = {worst:.2e} over "
         f"{len(states)} states (tol {tol:.0e})")
 
 
-def check_displacement_invariance(tol_factor: float = 1.0) -> CheckResult:
+def check_displacement_invariance(tol_factor: float = 1.0) -> tuple[bool, str]:
     """I and chi2 are unchanged by displacing interior-supported states."""
     i_tol = 1e-7 * tol_factor
     chi_tol = 1e-6 * tol_factor
@@ -333,82 +343,57 @@ def check_displacement_invariance(tol_factor: float = 1.0) -> CheckResult:
             moved = measure_report(displaced(rho, beta))
             worst_i = max(worst_i, abs(moved.I - ref.I))
             worst_chi = max(worst_chi, abs(moved.chi2 - ref.chi2))
-    passed = worst_i < i_tol and worst_chi < chi_tol
-    return CheckResult(
-        "displacement-invariance", passed,
+    return worst_i < i_tol and worst_chi < chi_tol, (
         f"max |dI| = {worst_i:.2e} (tol {i_tol:.0e}), "
         f"max |dchi2| = {worst_chi:.2e} (tol {chi_tol:.0e}) for |beta| <= 1")
 
 
-def check_tensor_composition(tol_factor: float = 1.0) -> CheckResult:
-    """I(rho1 x rho2) = P2 I1 + P1 I2 and P(rho1 x rho2) = P1 P2."""
+def check_tensor_composition(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
+    """I(rho1 x rho2) = P2 I1 + P1 I2 and P(rho1 x rho2) = P1 P2 on the corpus products."""
     i_tol = 1e-9 * tol_factor
     p_tol = 1e-10 * tol_factor
-    thermal26 = thermal_state(ModeSpec(1, 26), GaussianSpec(math.sqrt(2.0)))
-    catmix26 = cat_mixture(ModeSpec(1, 26), 1.0)
-    coh16 = as_density(coherent_state(ModeSpec(1, 16), 0.8))
-    fock16 = as_density(fock_state(ModeSpec(1, 16), 1))
+    products = refs.corpus_reports()
     worst_i = 0.0
     worst_p = 0.0
-    for left, right in ((thermal26, catmix26), (fock16, coh16)):
-        prod = product_state(left, right)
-        i1, i2 = measure_I(left), measure_I(right)
-        p1, p2 = purity(left), purity(right)
-        worst_i = max(worst_i, abs(measure_I(prod) - (p2 * i1 + p1 * i2)))
-        worst_p = max(worst_p, abs(purity(prod) - p1 * p2))
-    passed = worst_i < i_tol and worst_p < p_tol
-    return CheckResult(
-        "tensor-composition", passed,
+    for name, (left, right) in _product_factors().items():
+        one, two, prod = measure_report(left), measure_report(right), products[name]
+        worst_i = max(worst_i, abs(prod.I - (two.P * one.I + one.P * two.I)))
+        worst_p = max(worst_p, abs(prod.P - one.P * two.P))
+    return worst_i < i_tol and worst_p < p_tol, (
         f"max |I12 - (P2 I1 + P1 I2)| = {worst_i:.2e} (tol {i_tol:.0e}), "
         f"max |P12 - P1 P2| = {worst_p:.2e} (tol {p_tol:.0e})")
 
 
-def check_chi2_positivity(tol_factor: float = 1.0) -> CheckResult:
-    """chi2 > 0 everywhere while I changes sign across the corpus."""
-    del tol_factor
-    saw_negative_i = False
-    for name, rho in identity_corpus():
-        try:
-            report = measure_report(rho)
-        except MacroqError as exc:
-            return CheckResult("chi2-positivity", False, f"{name}: {exc}")
-        if report.I < 0.0:
-            saw_negative_i = True
+def check_chi2_positivity(refs: ReferenceStates) -> tuple[bool, str]:
+    """chi2 > 0 everywhere while I changes sign across the corpus (a report refuses chi2 <= 0)."""
+    reports = refs.corpus_reports()
     for a in (1.2, 2.0, 5.0):
-        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        chi2 = measure_report(rho).chi2
+        chi2 = refs.thermal_report(a).chi2
         if not 0.0 < chi2 < 2.0:
-            return CheckResult(
-                "chi2-positivity", False, f"thermal a={a}: chi2 = {chi2!r} outside (0, 2)")
-    if not saw_negative_i:
-        return CheckResult(
-            "chi2-positivity", False, "corpus exercises no state with I < 0")
-    return CheckResult(
-        "chi2-positivity", True,
-        "chi2 > 0 on all corpus states; corpus includes I < 0 states; "
-        "0 < chi2 < 2 for thermal a in (1.2, 2, 5)")
+            return False, f"thermal a={a}: chi2 = {chi2!r} outside (0, 2)"
+    if not any(report.I < 0.0 for report in reports.values()):
+        return False, "corpus exercises no state with I < 0"
+    return True, ("chi2 > 0 on all corpus states; corpus includes I < 0 states; "
+                  "0 < chi2 < 2 for thermal a in (1.2, 2, 5)")
 
 
-def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> CheckResult:
-    """Load and measure a user-supplied state file as `macroq measure` does.
-
-    The tail rule applies, a pure file takes the pure route, and every
-    refusal, an unreadable file included, becomes a FAIL line carrying its
-    message.
-    """
-    name = f"corpus:{Path(path).name}"
-    try:
-        state = load_state(path)
-        residual = measure_report(state).identity_residual
-    except (MacroqError, OSError) as exc:
-        return CheckResult(name, False, str(exc))
+def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> tuple[bool, str]:
+    """Load and measure a state file as `macroq measure` does: tail rule, pure route."""
+    state = load_state(path)
+    residual = measure_report(state).identity_residual
     tol = TOL.identity_tol * tol_factor
     if residual >= tol:
-        return CheckResult(
-            name, False, f"identity residual {residual:.2e} exceeds {tol:.0e}")
-    return CheckResult(
-        name, True,
-        f"valid {type(state).__name__}, identity residual {residual:.2e}")
+        return False, f"identity residual {residual:.2e} exceeds {tol:.0e}"
+    return True, f"valid {type(state).__name__}, identity residual {residual:.2e}"
+
+
+def _outcome(name: str, run: Callable[[], tuple[bool, str]],
+             informational: bool = False) -> CheckResult:
+    try:
+        passed, detail = run()
+    except (MacroqError, OSError) as exc:
+        return CheckResult(name, False, str(exc))
+    return CheckResult(name, passed, detail, informational)
 
 
 def run_verification(
@@ -416,23 +401,30 @@ def run_verification(
     tol_factor: float = 1.0,
     corpus_paths: tuple[str | Path, ...] = (),
 ) -> list[CheckResult]:
+    """Every check, note and corpus file once; a refusal in one, or an unreadable
+    file, is its FAIL line. Checks are called by their global names at call time."""
     if not (math.isfinite(tol_factor) and tol_factor > 0):
         raise ValueError(f"tolerance factor must be positive and finite, got {tol_factor}")
-    results = [
-        check_gaussian_family(tol_factor),
-        check_gaussian_family_wigner(grid_points, tol_factor),
-        check_fock_mixture_degeneracy(tol_factor),
-        check_cat_mixture_values(tol_factor),
-        check_identity(tol_factor),
-        check_pure_state_relation(tol_factor),
-        check_dual_pipeline(grid_points, tol_factor),
-        check_three_two_term(tol_factor),
-        check_displacement_invariance(tol_factor),
-        check_tensor_composition(tol_factor),
-        check_chi2_positivity(tol_factor),
-        note_fock_mixture_convention(),
-        note_cat_mixture_asymptotics(),
+    refs = ReferenceStates()
+    checks = [
+        ("gaussian-family", lambda: check_gaussian_family(refs, tol_factor)),
+        ("gaussian-family-wigner", lambda: check_gaussian_family_wigner(grid_points, tol_factor)),
+        ("fock-mixture-degeneracy", lambda: check_fock_mixture_degeneracy(refs, tol_factor)),
+        ("cat-mixture-values", lambda: check_cat_mixture_values(refs, tol_factor)),
+        ("measure-identity", lambda: check_identity(refs, tol_factor)),
+        ("pure-state-relation", lambda: check_pure_state_relation(tol_factor)),
+        ("dual-pipeline", lambda: check_dual_pipeline(grid_points, tol_factor)),
+        ("three-vs-two-term", lambda: check_three_two_term(refs, tol_factor)),
+        ("displacement-invariance", lambda: check_displacement_invariance(tol_factor)),
+        ("tensor-composition", lambda: check_tensor_composition(refs, tol_factor)),
+        ("chi2-positivity", lambda: check_chi2_positivity(refs)),
     ]
-    for path in corpus_paths:
-        results.append(check_corpus_file(path, tol_factor))
+    notes = [
+        ("fock-mixture-convention", lambda: note_fock_mixture_convention(refs)),
+        ("cat-mixture-asymptotics", lambda: note_cat_mixture_asymptotics(refs)),
+    ]
+    results = [_outcome(name, run) for name, run in checks]
+    results += [_outcome(name, run, informational=True) for name, run in notes]
+    results += [_outcome(f"corpus:{Path(path).name}", lambda: check_corpus_file(path, tol_factor))
+                for path in corpus_paths]
     return results

@@ -188,6 +188,19 @@ class TestStateCommand:
         assert code == 3
         assert "use at least N=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, param", [("fock", "n=11"), ("fock-mixture", "d=12")])
+    def test_level_on_the_guard_names_the_cutoff(self, tmp_path, capsys, family, param):
+        out = tmp_path / "x.json"
+        assert run("state", family, param, "--truncation", "12", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("truncation/resource error: ")
+        assert err.rstrip().endswith("use N >= 13")
+        assert not out.exists()
+
+    def test_negative_occupation_is_usage_error(self, tmp_path, capsys):
+        assert run("state", "fock", "n=-1", "--out", str(tmp_path / "x.json")) == 2
+        assert "occupation must be non-negative, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family, param, code, message", [
         ("coherent", "alpha=inf", 2, "alpha must be finite"),
         ("coherent", "alpha=nan", 2, "alpha must be finite"),
@@ -861,6 +874,26 @@ class TestVerifyCommand:
         assert "INFO fock-mixture-convention" in text
         doc = json.loads(summary_path.read_text())
         assert doc["failed"] == 0
+
+    def test_coarsest_grid_fails_the_grid_checks_on_their_lines(self, capsys):
+        # 32 points under-resolve the grid: its two checks fail, naming the
+        # grid refusal, and every other entry still prints
+        assert run("verify", "--grid", "32") == 1
+        lines = capsys.readouterr().out.splitlines()
+        statuses = [line.split(" ", 1)[0] for line in lines[:-1]]
+        assert (statuses.count("PASS"), statuses.count("FAIL"), statuses.count("INFO")) == (9, 2, 2)
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert [line.split(":", 1)[0] for line in fails] == [
+            "FAIL gaussian-family-wigner", "FAIL dual-pipeline"]
+        for line in fails:
+            assert "gradient integral not converged on the 32x32 grid" in line
+        assert lines[-1] == "summary: 9/11 checks passed, 2 informational notes"
+
+    def test_grid_below_the_floor_is_usage_error(self, capsys):
+        assert run("verify", "--grid", "31") == 2
+        captured = capsys.readouterr()
+        assert "grids need at least 32 points per axis, got 31x31" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("factor", ["inf", "nan", "0", "-1"])
     def test_tolerance_factor_must_be_positive_and_finite(self, capsys, factor):

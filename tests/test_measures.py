@@ -429,7 +429,7 @@ class TestPureStateMeasures:
 
         monkeypatch.setattr(macroq.measures, "_pure_measures", shifted)
         with pytest.raises(ConsistencyError, match=r"^pure-state relation violated: "
-                                                   r"\|I - \(chi2/4 - M/2\)\| = 5\.00e-10$"):
+                                                   r"\|I/P - \(chi2/4 - M/2\)\| = 5\.00e-10$"):
             pure_state_measures(coherent_state(ModeSpec(1, 19), 1.0))
 
 

@@ -80,8 +80,16 @@ class TestFockState:
         assert np.count_nonzero(psi) == 1
 
     def test_rejects_guard_level(self):
-        with pytest.raises(ValueError, match="guard"):
+        # a cutoff too small for the occupation, named as in fock_mixture
+        with pytest.raises(TruncationError, match=r"^fock_state occupies level 4, truncation 5 "
+                                                  r"requires top level <= 3; use N >= 6$"):
             fock_state(ModeSpec(1, 5), 4)
+        with pytest.raises(TruncationError, match=r"use N >= 11$"):  # enough for every mode
+            fock_state(ModeSpec(2, 6), (7, 9))
+
+    def test_rejects_negative_occupation(self):
+        with pytest.raises(ValueError, match="^occupation must be non-negative, got -1$"):
+            fock_state(ModeSpec(1, 5), -1)
 
     def test_rejects_occupation_count_unlike_mode_count(self):
         with pytest.raises(ValueError, match="^got 1 occupation numbers for 2 modes$"):
@@ -91,7 +99,7 @@ class TestFockState:
         spec = ModeSpec(1, 12)
         for n in (np.int64(2), np.int32(2), np.uint8(2)):
             assert np.array_equal(fock_state(spec, n).amplitudes, fock_state(spec, 2).amplitudes)
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(TruncationError, match="use N >= 6"):
             fock_state(ModeSpec(1, 5), np.int64(4))
 
     @pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, "1", None])
