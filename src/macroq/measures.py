@@ -16,33 +16,35 @@ with stride s = N^(M-m), a and a^dagger shift rho's row or column index by
 s with weights sqrt(n), and every trace Tr[XY] = sum_ij X_ij Y_ji is summed
 over pairs of B x B tiles as X_IJ o (Y_JI)^T.
 
-Each walk takes rho's band w = max |i - j| over its exact nonzeros, which
-DensityMatrix measures while it validates. The overlap and hop sums of I and
-the purity visit only the tile pairs whose smallest |i - j| is at most w,
-and mode m's commutator tiles of C only those within w + s; every pair
-beyond holds exact zeros, so skipping it leaves each sum bit for bit as it
-was. A report costs O(M D (w + s + B)) time and O(D + B^2) memory beyond
-rho: a Fock-diagonal rho pays O(M D (s + B)), and a dense one, w = D - 1,
-walks every pair at O(M D^2).
+A report walks rho once, over the tile pairs within w + s_1 of the
+diagonal, where w = max |i - j| over rho's exact nonzeros (DensityMatrix
+measures it while it validates) and s_1 is the largest stride. A pair
+within w gives the overlap rho_ij rho_ji, and a pair within w + s gives
+mode m's ladder tiles rho a, [a, rho], rho a^dagger and [a^dagger, rho] at
+(I, J) and at (J, I); every pair beyond holds exact zeros, so skipping it
+leaves each sum bit for bit as it was. A report costs O(M D (w + s + B))
+time and O(D + B^2) memory beyond rho: a Fock-diagonal rho pays
+O(M D (s + B)), and a dense one, w = D - 1, walks every pair at O(M D^2).
 
 The redundancies are checked, not assumed:
 
 - I is evaluated by the literal three-trace form, with Tr[rho^2 n] weighted
-  on the row index and Tr[rho n rho] on the column index of rho_ij rho_ji,
+  on the row index and Tr[rho n rho] on the column index of the overlap,
   and by the cyclicity-reduced two-trace form; both share the hop term
-  Tr[(rho a)(rho a^dagger)], evaluated once per mode. The forms differ only
-  by rounding: swapping i and j maps one weighting onto the other term by
-  term, and on a pure state <a^dagger> is conj <a> to rounding. The checks
-  that can fail are the identity residual and the grid pipeline.
-- C is evaluated in its commutator form, Tr[rho^2 X^2 - rho X rho X] =
-  -(1/2) Tr[[X, rho]^2] by cyclicity. Per tile, the sum and difference of
-  [a, rho] and [a^dagger, rho] are sqrt(2) [q, rho] and i sqrt(2) [p, rho].
-  For Hermitian rho each trace is a squared Frobenius norm, so C is a sum
-  of same-sign terms, not a difference of two O(P) traces whose
-  cancellation cost about 1e-11 relative in thermal chi2 at a = 8.
-- P is sum_ij rho_ij rho_ji. I, C and P each walk their own tiles and share
-  no intermediate, so the identity residual |I - (C - M*P)/2| is a real
-  cross-check.
+  Tr[(rho a)(rho a^dagger)] of the ladder tiles. The forms differ only by
+  rounding: swapping i and j maps one weighting onto the other term by
+  term, and on a pure state <a^dagger> is conj <a> to rounding.
+- C is evaluated in its commutator form, sum_m -Tr[[a, rho][a^dagger, rho]],
+  which is -(1/2) (Tr[[q, rho]^2] + Tr[[p, rho]^2]) by cyclicity. For
+  Hermitian rho, [a^dagger, rho] = -[a, rho]^dagger, so C is a sum of
+  same-sign terms |[a, rho]_ij|^2. Taking C = 2I + M*P from the identity
+  would bring back a cancellation of O(P) traces (thermal chi2 off by
+  5.0e-12 relative at a = 12) and drop the corner term of a populated top
+  level.
+- P is sum_ij rho_ij rho_ji, the sum of the overlap. I, C and P share the
+  walk but no product: I comes from the overlap and rho a, rho a^dagger,
+  C from the commutator tiles. So the identity residual |I - (C - M*P)/2|
+  is a real cross-check, and with the grid pipeline the one that can fail.
 - Every trace is complex and its imaginary residue is checked: these sums
   are real only for Hermitian rho, so a corrupted matrix shows up there.
 - Every report, operator, pure or grid, refuses chi2 = 2C/P <= 0, and pure
@@ -51,12 +53,12 @@ The redundancies are checked, not assumed:
 Pure states are measured from their amplitude vector, shifted by the same
 rule, and never become a D x D projector. For rho = |psi><psi| with
 s = <psi|psi>, Tr[rho^2 n] = Tr[rho n rho] = s <n> (from the |psi|^2
-marginals), Tr[rho a rho a^dagger] = <a><a^dagger>, Tr[rho^2 X^2 -
-rho X rho X] = s |X psi|^2 - <X>^2 for X = q, p, and P = s^2. One pass
-over the modes writes a psi and a^dagger psi once per mode, and <a>,
-<a^dagger>, q psi and p psi come from them; <n> comes from the marginals,
-so the identity still checks I against C. That costs O(M D), and keeping s
-rather than assuming 1 keeps each value equal to the projector's trace.
+marginals), Tr[rho a rho a^dagger] = <a><a^dagger>, C_m = s (|a psi|^2 +
+|a^dagger psi|^2) - 2 <a><a^dagger>, which is s (|q psi|^2 + |p psi|^2) -
+<q>^2 - <p>^2, and P = s^2. One pass over the modes writes a psi and
+a^dagger psi once per mode; <n> comes from the marginals. That costs
+O(M D), and keeping s rather than assuming 1 keeps each value equal to
+the projector's trace.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec
 from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _gap,
-                     _mirrored_sum, _real_after_residue_check, _spans, _tile, _tile_pairs, purity)
+                     _real_after_residue_check, _tile, _tile_pairs)
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -113,9 +115,6 @@ class MeasureReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-_S = 1.0 / np.sqrt(2.0)
-
-
 def _shifts(spec: ModeSpec, mode: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Stride s = N^(M-m) and weights of mode m's ladder shifts, n = n_m(i):
 
@@ -151,6 +150,77 @@ def _occupation(weights: np.ndarray, spec: ModeSpec, mode: int) -> complex:
     return complex(marginal @ np.arange(n))
 
 
+def _ladder_tiles(mat: np.ndarray, rows: slice, cols: slice, shifts: tuple,
+                  scratch: np.ndarray) -> np.ndarray:
+    """rho a, [a, rho], rho a^dagger and [a^dagger, rho] of one mode on one tile, stacked.
+
+    The first two at (I, J) against the last two at (J, I) sum the tile pair's
+    share of Tr[(rho a)(rho a^dagger)] and of Tr[[a, rho][a^dagger, rho]].
+    """
+    stride, lo, hi = shifts
+    tiles = _tile(scratch, rows, cols)
+    rho_a, lower, rho_adag, upper = tiles
+    _shift(mat[rows].T, cols.start, -stride, hi, rho_a.T)  # rho a
+    _shift(mat[:, cols], rows.start, stride, lo, lower)  # a rho
+    lower -= rho_a  # [a, rho]
+    _shift(mat[rows].T, cols.start, stride, lo, rho_adag.T)  # rho a^dagger
+    _shift(mat[:, cols], rows.start, -stride, hi, upper)  # a^dagger rho
+    upper -= rho_adag  # [a^dagger, rho]
+    return tiles
+
+
+def _traces(rho: DensityMatrix) -> tuple[complex, complex, complex, complex]:
+    """The three-term I, two-term I, C and P of rho from one walk over its tile pairs.
+
+    Pairs within the band w give the overlap rho_ij rho_ji, and pairs within
+    w + s give mode m's ladder tiles at (I, J) and (J, I); the strides shrink
+    with m, so the walk reaches w + s_1 and each mode stops at its own reach.
+    """
+    spec = rho.spec
+    mat, band = _density_matrix(rho)
+    dim = len(mat)
+    overlap_scratch = np.empty(min(dim, _TILE) ** 2, dtype=np.complex128)
+    ladder_scratch = np.empty((2, 4, len(overlap_scratch)), dtype=np.complex128)
+    ladders = [(stride, lo[:, None], hi[:, None])
+               for stride, lo, hi in (_shifts(spec, mode) for mode in range(1, spec.num_modes + 1))]
+    by_row = np.zeros(dim, dtype=np.complex128)  # (rho^2)_ii
+    by_col = np.zeros(dim, dtype=np.complex128)
+    sums = np.zeros((spec.num_modes, 2), dtype=np.complex128)  # per mode: hop, -C_m
+    for rows, cols in _tile_pairs(dim, band + ladders[0][0]):
+        gap = _gap(rows, cols)
+        if gap <= band:
+            overlap = np.multiply(mat[rows, cols], mat[cols, rows].T,
+                                  out=_tile(overlap_scratch, rows, cols))  # rho_ij rho_ji
+            across, down = overlap.sum(axis=1), overlap.sum(axis=0)
+            by_row[rows] += across
+            by_col[cols] += down
+            if rows != cols:  # the mirror tile's overlap is this one transposed
+                by_row[cols] += down
+                by_col[rows] += across
+        for mode, shifts in enumerate(ladders):
+            if gap > band + shifts[0]:
+                break
+            near = _ladder_tiles(mat, rows, cols, shifts, ladder_scratch[0])
+            if rows == cols:
+                sums[mode] += np.einsum("kij,kji->k", near[:2], near[2:])
+            else:
+                far = _ladder_tiles(mat, cols, rows, shifts, ladder_scratch[1])
+                sums[mode] += np.einsum("kij,kji->k", near[:2], far[2:])
+                sums[mode] += np.einsum("kij,kji->k", far[:2], near[2:])
+    three = two = 0.0 + 0.0j
+    for mode, hop in enumerate(sums[:, 0], 1):
+        sq_n = _occupation(by_row, spec, mode)  # Tr[rho^2 n]
+        n_mid = _occupation(by_col, spec, mode)  # Tr[rho n rho]
+        three += 0.5 * sq_n + 0.5 * n_mid - hop
+        two += sq_n - hop
+    return complex(three), complex(two), -complex(sums[:, 1].sum()), complex(by_row.sum())
+
+
+def _real_I(three: complex, two: complex) -> tuple[float, float]:
+    return (_real_after_residue_check(three, "measure I"),
+            _real_after_residue_check(two, "measure I (two-term form)"))
+
+
 def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     """Both evaluations of the coherence measure I.
 
@@ -158,41 +228,7 @@ def measure_I_forms(rho: DensityMatrix) -> tuple[float, float]:
     value sum_m (Tr[rho^2 n_m] - Tr[rho a_m rho a_m^dagger]); agreement
     between them is the caller's check.
     """
-    spec = rho.spec
-    mat, band = _density_matrix(rho)
-    dim = len(mat)
-    scratch = np.empty(min(dim, _TILE) ** 2, dtype=np.complex128)
-    by_row = np.zeros(dim, dtype=np.complex128)  # (rho^2)_ii
-    by_col = np.zeros(dim, dtype=np.complex128)
-    for rows, cols in _tile_pairs(dim, band):
-        overlap = np.multiply(mat[rows, cols], mat[cols, rows].T,
-                              out=_tile(scratch, rows, cols))  # rho_ij rho_ji
-        across, down = overlap.sum(axis=1), overlap.sum(axis=0)
-        by_row[rows] += across
-        by_col[cols] += down
-        if rows != cols:  # the mirror tile's overlap is this one transposed
-            by_row[cols] += down
-            by_col[rows] += across
-    three = two = 0.0 + 0.0j
-    for mode in range(1, spec.num_modes + 1):
-        sq_n = _occupation(by_row, spec, mode)  # Tr[rho^2 n]
-        n_mid = _occupation(by_col, spec, mode)  # Tr[rho n rho]
-        # Tr[(rho a)(rho a^dagger)] = sum_ij hi_j rho_{i,j-s} lo_i rho_{j,i+s};
-        # with j -> j + s and hi_{j+s} = lo_j it is sum_ij lo_i lo_j A_ij B_ji
-        # over the corners A = rho[:D-s, :D-s] and B = rho[s:, s:], both 0 past the band
-        stride, lo, _ = _shifts(spec, mode)
-        near, far, lo = mat[:-stride, :-stride], mat[stride:, stride:], lo[:-stride]
-        spans = _spans(0, dim - stride)
-        hop = 0.0 + 0.0j
-        for rows, cols in ((rows, cols) for rows in spans for cols in spans
-                           if _gap(rows, cols) <= band):
-            pair = np.multiply(near[rows, cols], far[cols, rows].T,
-                               out=_tile(scratch, rows, cols))
-            hop += complex(lo[rows] @ pair @ lo[cols])
-        three += 0.5 * sq_n + 0.5 * n_mid - hop
-        two += sq_n - hop
-    return (_real_after_residue_check(three, "measure I"),
-            _real_after_residue_check(two, "measure I (two-term form)"))
+    return _real_I(*_traces(rho)[:2])
 
 
 def _agreeing_I(three: float, two: float) -> float:
@@ -211,48 +247,9 @@ def measure_I(rho: DensityMatrix) -> float:
     return _agreeing_I(*measure_I_forms(rho))
 
 
-def _commutator_tiles(mat: np.ndarray, rows: slice, cols: slice, shifts: tuple,
-                      scratch: np.ndarray) -> np.ndarray:
-    """sqrt(2) [q_m, rho] and i sqrt(2) [p_m, rho] on one tile, stacked, from 3 scratch tiles."""
-    stride, lo, hi = shifts
-    tiles = _tile(scratch, rows, cols)
-    work, lower, upper = tiles
-    _shift(mat[:, cols], rows.start, stride, lo, lower)  # a rho
-    _shift(mat[rows].T, cols.start, -stride, hi, work.T)  # rho a
-    lower -= work  # [a, rho]
-    _shift(mat[:, cols], rows.start, -stride, hi, upper)  # a^dagger rho
-    _shift(mat[rows].T, cols.start, stride, lo, work.T)  # rho a^dagger
-    upper -= work  # [a^dagger, rho]
-    np.add(lower, upper, out=work)  # sqrt(2) [q, rho]
-    lower -= upper  # i sqrt(2) [p, rho]
-    return tiles[:2]
-
-
 def measure_C(rho: DensityMatrix) -> float:
-    """Structure functional as sum_m -1/2 (Tr[[q_m, rho]^2] + Tr[[p_m, rho]^2]).
-
-    Per mode and tile pair I <= J the commutator tiles K are formed at (I, J)
-    and (J, I), and each trace sums K_IJ o (K_JI)^T. A shift by the stride s
-    moves rho's band w to w + s, so K is 0 on the pairs beyond it.
-    """
-    spec = rho.spec
-    mat, band = _density_matrix(rho)
-    scratch = np.empty((3, min(len(mat), _TILE) ** 2), dtype=np.complex128)
-    spare = np.empty_like(scratch) if len(mat) > _TILE else None  # mirror tiles
-    total = 0.0
-    for mode in range(1, spec.num_modes + 1):
-        stride, lo, hi = _shifts(spec, mode)
-        shifts = (stride, lo[:, None], hi[:, None])
-
-        def term(rows: slice, cols: slice) -> np.ndarray:
-            tiles = _commutator_tiles(mat, rows, cols, shifts, scratch)
-            mirror = tiles if rows == cols else _commutator_tiles(mat, cols, rows, shifts, spare)
-            return np.einsum("kij,kji->k", tiles, mirror)
-
-        q_sq, p_sq = _mirrored_sum(len(mat), band + stride, term)
-        total += -0.25 * _real_after_residue_check(complex(q_sq), "measure C")
-        total += 0.25 * _real_after_residue_check(complex(p_sq), "measure C")
-    return total
+    """Structure functional as sum_m -Tr[[a_m, rho][a_m^dagger, rho]]."""
+    return _real_after_residue_check(_traces(rho)[2], "measure C")
 
 
 def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSpec,
@@ -278,19 +275,23 @@ def measure_report(rho: State, provenance: dict | None = None) -> MeasureReport:
     """Full operator-path report; a pure state is measured by pure_state_measures."""
     if isinstance(rho, PureState):
         return pure_state_measures(rho, provenance)
-    return _checked_report(measure_I(rho), measure_C(rho), purity(rho), rho.spec, provenance)
+    three, two, c_value, p_value = _traces(rho)
+    return _checked_report(_agreeing_I(*_real_I(three, two)),
+                           _real_after_residue_check(c_value, "measure C"),
+                           _real_after_residue_check(p_value, "purity"), rho.spec, provenance)
 
 
-def _pure_measures(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[float, float, float]:
+def _pure_measures(amps: np.ndarray, spec: ModeSpec,
+                   norm_sq: float) -> tuple[complex, complex, complex]:
     """Three- and two-term I and C of rho = |psi><psi|, from one a psi and a^dagger psi per mode.
 
     I is |psi|^2 <n> - <a><a^dagger> or |psi|^2 <n> - |<a>|^2, and C sums
-    |psi|^2 |X psi|^2 - <X>^2 over X = q_m, p_m.
+    |psi|^2 (|a psi|^2 + |a^dagger psi|^2) - 2 <a><a^dagger>, which is
+    |psi|^2 (|q psi|^2 + |p psi|^2) - <q>^2 - <p>^2.
     """
     prob = amps.real ** 2 + amps.imag ** 2
-    lower, upper, quad = (np.empty_like(amps) for _ in range(3))
-    three = two = 0.0 + 0.0j
-    c_value = 0.0
+    lower, upper = np.empty_like(amps), np.empty_like(amps)
+    three = two = c_value = 0.0 + 0.0j
     for mode in range(1, spec.num_modes + 1):
         stride, lo, hi = _shifts(spec, mode)
         _shift(amps, 0, stride, lo, lower)  # a psi
@@ -299,13 +300,9 @@ def _pure_measures(amps: np.ndarray, spec: ModeSpec, norm_sq: float) -> tuple[fl
         sq_n = norm_sq * _occupation(prob, spec, mode)
         three += sq_n - mean_a * mean_adag
         two += sq_n - abs(mean_a) ** 2
-        for combine, scale in ((np.add, _S), (np.subtract, -1j * _S)):  # q psi, then p psi
-            combine(lower, upper, out=quad)
-            quad *= scale
-            mean = _real_after_residue_check(complex(np.vdot(amps, quad)), "measure C")
-            c_value += norm_sq * float(np.vdot(quad, quad).real) - mean * mean
-    return (_real_after_residue_check(three, "measure I"),
-            _real_after_residue_check(two, "measure I (two-term form)"), c_value)
+        shifted_sq = complex(np.vdot(lower, lower) + np.vdot(upper, upper))
+        c_value += norm_sq * shifted_sq - 2.0 * mean_a * mean_adag
+    return three, two, c_value
 
 
 def pure_state_measures(psi: PureState, provenance: dict | None = None) -> MeasureReport:
@@ -319,7 +316,9 @@ def pure_state_measures(psi: PureState, provenance: dict | None = None) -> Measu
     amps = psi.amplitudes
     norm_sq = float(np.vdot(amps, amps).real)
     three, two, c_value = _pure_measures(amps, spec, norm_sq)
-    report = _checked_report(_agreeing_I(three, two), c_value, norm_sq * norm_sq, spec, provenance)
+    report = _checked_report(_agreeing_I(*_real_I(three, two)),
+                             _real_after_residue_check(c_value, "measure C"), norm_sq * norm_sq,
+                             spec, provenance)
     m = spec.num_modes
     residual = abs(report.I / report.P - (report.chi2 / 4.0 - m / 2.0))
     if residual >= TOL.pure_relation_tol:

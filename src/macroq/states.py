@@ -57,13 +57,6 @@ def _tile_pairs(dim: int, band: int) -> list[tuple[slice, slice]]:
             if _gap(rows, cols) <= band]
 
 
-def _mirrored_sum(dim: int, band: int, term: Callable[[slice, slice], complex | np.ndarray]):
-    """Sum of term(rows, cols) over the tile pairs within band, for a term with
-    term(J, I) = term(I, J) that is 0 on every pair beyond the band."""
-    return sum(term(rows, cols) * (1.0 if rows == cols else 2.0)
-               for rows, cols in _tile_pairs(dim, band))
-
-
 def _tile(scratch: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     """Contiguous rows x cols tiles at the start of each flat entry of scratch."""
     shape = (rows.stop - rows.start, cols.stop - cols.start)
@@ -136,7 +129,7 @@ def _real_after_residue_check(value: complex, what: str) -> float:
     if abs(value.imag) > TOL.imag_residue_tol:
         raise ConsistencyError(f"{what} has imaginary residue {value.imag:.2e} "
                                f"(allowed {TOL.imag_residue_tol:.0e})")
-    return value.real
+    return float(value.real)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +568,9 @@ def purity(rho: DensityMatrix) -> float:
     corruption that this sum exposes.
     """
     mat, band = _density_matrix(rho)
-    value = _mirrored_sum(len(mat), band, lambda rows, cols: np.einsum(
-        "ij,ji->", mat[rows, cols], mat[cols, rows]))
+    value = sum(np.einsum("ij,ji->", mat[rows, cols], mat[cols, rows])
+                * (1.0 if rows == cols else 2.0)  # the pair (J, I) adds the same
+                for rows, cols in _tile_pairs(len(mat), band))
     return _real_after_residue_check(complex(value), "purity")
 
 

@@ -96,6 +96,19 @@ def cat_mixture_chi2_exact(alpha: complex) -> float:
 # reference state sets
 # ---------------------------------------------------------------------------
 
+def _thermal(a: float) -> DensityMatrix:
+    return thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+
+
+def _cat_mixture(alpha: complex) -> DensityMatrix:
+    return cat_mixture(ModeSpec(1, default_coherent_truncation(alpha)), alpha)
+
+
+# corpus entries built by the same call as a family reference, by the reference's label
+_SHARED_CORPUS = {"thermal_sqrt2": f"thermal a={math.sqrt(2.0)}",
+                  "cat_mixture_1": f"cat_mixture alpha={1.0}"}
+
+
 def _product_factors() -> dict[str, tuple[DensityMatrix, DensityMatrix]]:
     """The factors of the corpus's two-mode products, by corpus name."""
     return {
@@ -116,10 +129,10 @@ def identity_corpus() -> list[tuple[str, DensityMatrix]]:
             coherent_state(ModeSpec(1, default_coherent_truncation(2 + 0.5j)), 2 + 0.5j))),
         ("cat_even_1.5", as_density(cat_state(ModeSpec(1, 25), 1.5))),
         ("cat_odd_1.2", as_density(cat_state(ModeSpec(1, 22), 1.2, math.pi))),
-        ("cat_mixture_1", cat_mixture(ModeSpec(1, 19), 1.0)),
+        ("cat_mixture_1", _cat_mixture(1.0)),
         ("fock_mixture_d4", fock_mixture(ModeSpec(1, 12), 4, include_vacuum=True)),
         ("fock_mixture_d3_shifted", fock_mixture(ModeSpec(1, 12), 3, include_vacuum=False)),
-        ("thermal_sqrt2", thermal_state(ModeSpec(1, 31), GaussianSpec(math.sqrt(2.0)))),
+        ("thermal_sqrt2", _thermal(math.sqrt(2.0))),
         *((name, product_state(*pair)) for name, pair in _product_factors().items()),
     ]
 
@@ -131,10 +144,8 @@ def wigner_corpus() -> list[tuple[str, DensityMatrix]]:
         ("fock_n1", as_density(fock_state(ModeSpec(1, 12), 1))),
         ("coherent_1", as_density(coherent_state(ModeSpec(1, 19), 1.0))),
         ("cat_1.5", as_density(cat_state(ModeSpec(1, 25), 1.5))),
-        ("cat_mixture_1", cat_mixture(ModeSpec(1, 19), 1.0)),
-        ("thermal_sqrt2", thermal_state(
-            ModeSpec(1, default_thermal_truncation(math.sqrt(2.0))),
-            GaussianSpec(math.sqrt(2.0)))),
+        ("cat_mixture_1", _cat_mixture(1.0)),
+        ("thermal_sqrt2", _thermal(math.sqrt(2.0))),
     ]
 
 
@@ -165,15 +176,15 @@ class ReferenceStates:
         return identity_corpus()
 
     def corpus_reports(self) -> dict[str, MeasureReport]:
-        return {name: self.report(name, lambda: rho) for name, rho in self.corpus}
+        """Each corpus state's report; one that is also a family reference shares its report."""
+        return {name: self.report(_SHARED_CORPUS.get(name, name), lambda: rho)
+                for name, rho in self.corpus}
 
     def thermal_report(self, a: float) -> MeasureReport:
-        return self.report(f"thermal a={a}", lambda: thermal_state(
-            ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a)))
+        return self.report(f"thermal a={a}", lambda: _thermal(a))
 
     def cat_mixture_report(self, alpha: complex) -> MeasureReport:
-        return self.report(f"cat_mixture alpha={alpha}", lambda: cat_mixture(
-            ModeSpec(1, default_coherent_truncation(alpha)), alpha))
+        return self.report(f"cat_mixture alpha={alpha}", lambda: _cat_mixture(alpha))
 
     def fock_mixture_report(self, d: int) -> MeasureReport:
         """The vacuum-anchored uniform mixture of d levels, with four levels above it."""
@@ -212,7 +223,7 @@ def check_gaussian_family_wigner(grid_points: int = DEFAULT_GRID_POINTS,
     tol = 1e-3 * tol_factor
     worst = 0.0
     for a in GAUSSIAN_WIDTHS:
-        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+        rho = _thermal(a)
         with _naming(f"thermal a={a}"):
             report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation, grid_points))
         worst = max(worst, _thermal_deviation(a, report))

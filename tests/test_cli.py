@@ -451,14 +451,14 @@ class TestMeasureCommand:
         out = tmp_path / "thermal.json"
         run("state", "thermal", "a=2", "--out", str(out))
         capsys.readouterr()
-        original = macroq.measures.measure_C
+        original = macroq.measures._traces
         calls = []
 
         def counted(rho):
             calls.append(rho.spec)
             return original(rho)
 
-        monkeypatch.setattr(macroq.measures, "measure_C", counted)
+        monkeypatch.setattr(macroq.measures, "_traces", counted)
         assert run("measure", str(out), "--method", "both") == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(calls) == 1
@@ -589,7 +589,7 @@ class TestMeasureCommand:
             raise AssertionError("a pure state reached the D x D traces")
 
         monkeypatch.setattr(PureState, "projector", counted)
-        monkeypatch.setattr(macroq.measures, "measure_C", refuse)
+        monkeypatch.setattr(macroq.measures, "_traces", refuse)
         csv = tmp_path / "fock.csv"
         assert run("sweep", "--family", "fock", "--parameter", "n",
                    "--values", "0,1,2", "--out", str(csv)) == 0

@@ -331,9 +331,11 @@ class TestMeasureChi2:
     # Each report kind refuses chi2 <= 0 after the identity has held: I is
     # made consistent with C = 0, so only the positivity check can object.
     def test_mixed_report_refuses_nonpositive_chi2(self, monkeypatch):
-        monkeypatch.setattr(macroq.measures, "measure_C", lambda rho: 0.0)
-        monkeypatch.setattr(macroq.measures, "measure_I",
-                            lambda rho: -rho.spec.num_modes * purity(rho) / 2.0)
+        def traces(rho):
+            i_value = -rho.spec.num_modes * purity(rho) / 2.0
+            return complex(i_value), complex(i_value), 0j, complex(purity(rho))
+
+        monkeypatch.setattr(macroq.measures, "_traces", traces)
         with pytest.raises(ConsistencyError, match="chi2 must be positive"):
             measure_report(_thermal(2.0))
 
@@ -386,6 +388,35 @@ class TestMeasureReport:
             assert key in doc
         assert doc["method"] == "operator"
         assert "integrates to 1" in doc["convention_note"]
+
+    @pytest.mark.parametrize("kind", ["operator", "pure", "grid"])
+    def test_every_value_is_a_python_float(self, kind):
+        # a numpy scalar would print as np.float64(...) in verify's notes
+        # and a numpy bool would not serialize
+        rho = cat_mixture(ModeSpec(1, 19), 1.0)
+        report = {"operator": lambda: measure_report(rho),
+                  "pure": lambda: measure_report(cat_state(ModeSpec(1, 19), 1.0)),
+                  "grid": lambda: wigner_measure_report(rho, default_grid_spec(19))}[kind]()
+        values = [report.I, report.C, report.P, report.chi2, report.identity_residual]
+        values += [report.pure_relation_residual] if kind == "pure" else []
+        values += list(report.cross_deltas.values()) if kind == "grid" else []
+        assert [type(value) for value in values] == [float] * len(values)
+
+    def test_mixed_report_walks_rho_once(self, monkeypatch, rng):
+        # every walk over rho's tile pairs enumerates them through _tile_pairs
+        walks = []
+        tile_pairs = macroq.states._tile_pairs
+
+        def counted(dim, band):
+            walks.append(band)
+            return tile_pairs(dim, band)
+
+        rho = random_mixed_state(ModeSpec(2, 12), rng)
+        for module in (macroq.states, macroq.measures):
+            monkeypatch.setattr(module, "_tile_pairs", counted)
+        report = measure_report(rho)
+        assert len(walks) == 1
+        assert report.C == pytest.approx(brute_force_C(rho.matrix, 2, 12), abs=1e-12)
 
 
 class TestPureStateMeasures:
@@ -526,8 +557,13 @@ class TestIdentity:
 
     def test_identity_violation_refused(self, monkeypatch):
         # C moved by 4e-9 puts the residual at 2e-9, past its 1e-9 tolerance
-        measure = macroq.measures.measure_C
-        monkeypatch.setattr(macroq.measures, "measure_C", lambda rho: measure(rho) + 4e-9)
+        traces = macroq.measures._traces
+
+        def moved(rho):
+            three, two, c_value, p_value = traces(rho)
+            return three, two, c_value + 4e-9, p_value
+
+        monkeypatch.setattr(macroq.measures, "_traces", moved)
         with pytest.raises(ConsistencyError, match=r"identity residual \|I - \(C - M\*P\)/2\| "
                                                    "= 2.00e-09"):
             measure_report(_thermal(2.0))
