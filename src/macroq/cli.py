@@ -290,11 +290,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(
-        grid_points=args.grid,
-        tol_factor=args.tol,
-        corpus_paths=tuple(args.corpus or ()),
-    )
+    results = run_verification(tuple(args.corpus or ()))
     for res in results:
         print(f"{res.status:4s} {res.name}: {res.detail}")
     failed = sum(res.status == "FAIL" for res in results)
@@ -303,13 +299,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"summary: {hard - failed}/{hard} checks passed, "
           f"{informational} informational notes")
     if args.json:
-        doc = {
-            "generated_at": _now(),
-            "grid": args.grid,
-            "tol_factor": args.tol,
-            "checks": [{**dataclasses.asdict(r), "status": r.status} for r in results],
-            "failed": failed,
-        }
+        doc = {"generated_at": _now(), "failed": failed,
+               "checks": [{**dataclasses.asdict(r), "status": r.status} for r in results]}
         Path(args.json).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
@@ -365,13 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--corpus", nargs="*", default=None,
                           help="extra state files to validate and include")
-    p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
-                          help="points per axis for the phase-space checks "
-                               f"(default {DEFAULT_GRID_POINTS})")
-    p_verify.add_argument("--tol", type=float, default=1.0,
-                          help="scale the suite's check tolerances by this factor; "
-                               "the refusals inside every report (identity residual, "
-                               "the two forms of I, chi2 > 0) keep their own")
     p_verify.add_argument("--json", default=None, help="also write a JSON summary file")
     p_verify.set_defaults(func=cmd_verify)
 

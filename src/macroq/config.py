@@ -1,7 +1,7 @@
 """Shared numerical tolerances and resource limits.
 
-Every tolerance used by validators and cross-checks lives in one record so
-that the whole package agrees on what "equal" means at double precision.
+Every tolerance that validators and reports enforce lives in one record, so the
+package agrees on what "equal" means; `verify`'s closed-form checks keep literal bounds.
 """
 
 from __future__ import annotations

@@ -529,8 +529,8 @@ def thermal_state(spec: ModeSpec, g: GaussianSpec) -> DensityMatrix:
     return DensityMatrix(spec, np.diag(diag.astype(np.complex128)))
 
 
-def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
-    """Convex combination of density matrices on identical specs."""
+def mix(components: list[tuple[float, State]]) -> DensityMatrix:
+    """Convex combination of states, pure or mixed, on identical specs."""
     if not components:
         raise ValueError("mix requires at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
@@ -544,7 +544,7 @@ def mix(components: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
             raise ValueError("all mixture components must share one ModeSpec")
     matrix = np.zeros((spec.total_dim, spec.total_dim), dtype=np.complex128)
     for w, rho in components:
-        matrix += w * rho.matrix
+        matrix += w * as_density(rho).matrix
     return DensityMatrix(spec, matrix)
 
 
@@ -574,8 +574,8 @@ def purity(rho: DensityMatrix) -> float:
     return _real_after_residue_check(complex(value), "purity")
 
 
-def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix:
-    """Conjugate by the truncated displacement operator on one mode.
+def displaced(rho: State, beta: complex, mode: int = 1) -> DensityMatrix:
+    """Conjugate by the truncated displacement operator on one mode, as a projector if pure.
 
     The N x N single-mode exponential U acts on that mode's axis of the row
     and column indices of rho, viewed as (N^(m-1), N, N^(M-m)) each, so the
@@ -585,6 +585,7 @@ def displaced(rho: DensityMatrix, beta: complex, mode: int = 1) -> DensityMatrix
     N - ceil(4|beta| sqrt(N)) must be below the displacement tail guard,
     otherwise the truncated operator wraps probability around the cutoff.
     """
+    rho = as_density(rho)
     spec = rho.spec
     _check_mode(spec, mode)
     n_total = spec.truncation

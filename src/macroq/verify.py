@@ -203,9 +203,9 @@ def _thermal_deviation(a: float, report: MeasureReport) -> float:
                abs(report.chi2 - chi2_exact) / chi2_exact)
 
 
-def check_gaussian_family(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_gaussian_family(refs: ReferenceStates) -> tuple[bool, str]:
     """Thermal family against its closed forms, operator path."""
-    tol = 1e-9 * tol_factor
+    tol = 1e-9
     worst = 0.0
     for a in GAUSSIAN_WIDTHS:
         report = refs.thermal_report(a)
@@ -217,25 +217,23 @@ def check_gaussian_family(refs: ReferenceStates, tol_factor: float = 1.0) -> tup
         f"I < 0 and 0 < chi2 < 2 for every a > 1")
 
 
-def check_gaussian_family_wigner(grid_points: int = DEFAULT_GRID_POINTS,
-                                 tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_gaussian_family_wigner() -> tuple[bool, str]:
     """Thermal family against closed forms, phase-space path."""
-    tol = 1e-3 * tol_factor
+    tol = 1e-3
     worst = 0.0
     for a in GAUSSIAN_WIDTHS:
         rho = _thermal(a)
         with _naming(f"thermal a={a}"):
-            report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation, grid_points))
+            report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation))
         worst = max(worst, _thermal_deviation(a, report))
     return worst < tol, (
-        f"max relative deviation {worst:.2e} on {grid_points}^2 grids (tol {tol:.0e})")
+        f"max relative deviation {worst:.2e} on {DEFAULT_GRID_POINTS}^2 grids (tol {tol:.0e})")
 
 
-def check_fock_mixture_degeneracy(refs: ReferenceStates,
-                                  tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_fock_mixture_degeneracy(refs: ReferenceStates) -> tuple[bool, str]:
     """Vacuum-anchored number mixtures: I = 0 and chi2 = 2 exactly."""
-    i_tol = 1e-12 * tol_factor
-    chi_tol = 1e-10 * tol_factor
+    i_tol = 1e-12
+    chi_tol = 1e-10
     reports = [refs.fock_mixture_report(d) for d in FOCK_MIXTURE_SIZES]
     worst_i = max(abs(report.I) for report in reports)
     worst_chi = max(abs(report.chi2 - 2.0) for report in reports)
@@ -244,10 +242,10 @@ def check_fock_mixture_degeneracy(refs: ReferenceStates,
         f"max |chi2 - 2| = {worst_chi:.2e} (tol {chi_tol:.0e}) over d in {FOCK_MIXTURE_SIZES}")
 
 
-def check_cat_mixture_values(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_cat_mixture_values(refs: ReferenceStates) -> tuple[bool, str]:
     """Coherent two-component mixtures against their exact closed forms."""
-    i_tol = 1e-9 * tol_factor
-    chi_tol = 1e-6 * tol_factor
+    i_tol = 1e-9
+    chi_tol = 1e-6
     reports = {alpha: refs.cat_mixture_report(alpha) for alpha in CAT_MIXTURE_ALPHAS}
     worst_i = max(abs(r.I - cat_mixture_I_exact(alpha)) for alpha, r in reports.items())
     worst_chi = max(abs(r.chi2 - cat_mixture_chi2_exact(alpha)) for alpha, r in reports.items())
@@ -278,23 +276,22 @@ def note_fock_mixture_convention(refs: ReferenceStates, d: int = 5) -> tuple[boo
         "vacuum-anchored range has vanishing coherence")
 
 
-def check_identity(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
-    """I = (C - M*P)/2 from independently evaluated traces, full corpus."""
-    tol = TOL.identity_tol * tol_factor
+def check_identity(refs: ReferenceStates) -> tuple[bool, str]:
+    """I = (C - M*P)/2 on the full corpus; a report refuses a residual beyond the tolerance."""
     worst_name, worst = max(((name, report.identity_residual)
                              for name, report in refs.corpus_reports().items()),
                             key=lambda item: item[1])
-    return worst < tol, (
+    return True, (
         f"max |I - (C - M*P)/2| = {worst:.2e} at {worst_name!r} "
-        f"over 12 states (tol {tol:.0e})")
+        f"over 12 states (tol {TOL.identity_tol:.0e})")
 
 
-def check_pure_state_relation(tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_pure_state_relation() -> tuple[bool, str]:
     """|I/P - (chi2/4 - M/2)| on seeded random pure states, one and two modes, dense route.
 
     I/P, as pure_state_measures judges: I carries P = |psi|^4 and chi2 does not.
     """
-    tol = TOL.pure_relation_tol * tol_factor
+    tol = TOL.pure_relation_tol
     rng = np.random.default_rng(RANDOM_SEED)
     worst = 0.0
     for count, spec in ((50, ModeSpec(1, 12)), (10, ModeSpec(2, 8))):
@@ -307,26 +304,23 @@ def check_pure_state_relation(tol_factor: float = 1.0) -> tuple[bool, str]:
         f"random pure states (tol {tol:.0e})")
 
 
-def check_dual_pipeline(grid_points: int = DEFAULT_GRID_POINTS,
-                        tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_dual_pipeline() -> tuple[bool, str]:
     """Operator vs phase-space C, P and chi2 on the single-mode corpus; a grid report
     refuses a disagreement beyond the tolerance itself."""
-    tol = TOL.dual_pipeline_rel * tol_factor
     deltas = {}
     for name, rho in wigner_corpus():
         with _naming(name):
-            report = wigner_measure_report(
-                rho, default_grid_spec(rho.spec.truncation, grid_points), cross_tol=tol)
+            report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation))
         deltas[name] = max(report.cross_deltas.values())
     worst_name = max(deltas, key=deltas.get)
     return True, (
         f"max relative pipeline delta {deltas[worst_name]:.2e} at {worst_name!r} "
-        f"on {grid_points}^2 grids (tol {tol:.0e})")
+        f"on {DEFAULT_GRID_POINTS}^2 grids (tol {TOL.dual_pipeline_rel:.0e})")
 
 
-def check_three_two_term(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_three_two_term(refs: ReferenceStates) -> tuple[bool, str]:
     """Literal three-trace form of I against the cyclicity-reduced form."""
-    tol = TOL.three_two_term_tol * tol_factor
+    tol = TOL.three_two_term_tol
     rng = np.random.default_rng(RANDOM_SEED + 1)
     states = [rho for _, rho in refs.corpus]
     states += [random_mixed_state(ModeSpec(1, 12), rng) for _ in range(5)]
@@ -336,10 +330,10 @@ def check_three_two_term(refs: ReferenceStates, tol_factor: float = 1.0) -> tupl
         f"{len(states)} states (tol {tol:.0e})")
 
 
-def check_displacement_invariance(tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_displacement_invariance() -> tuple[bool, str]:
     """I and chi2 are unchanged by displacing interior-supported states."""
-    i_tol = 1e-7 * tol_factor
-    chi_tol = 1e-6 * tol_factor
+    i_tol = 1e-7
+    chi_tol = 1e-6
     states = [
         as_density(coherent_state(ModeSpec(1, 40), 0.5)),
         as_density(fock_state(ModeSpec(1, 40), 2)),
@@ -359,10 +353,10 @@ def check_displacement_invariance(tol_factor: float = 1.0) -> tuple[bool, str]:
         f"max |dchi2| = {worst_chi:.2e} (tol {chi_tol:.0e}) for |beta| <= 1")
 
 
-def check_tensor_composition(refs: ReferenceStates, tol_factor: float = 1.0) -> tuple[bool, str]:
+def check_tensor_composition(refs: ReferenceStates) -> tuple[bool, str]:
     """I(rho1 x rho2) = P2 I1 + P1 I2 and P(rho1 x rho2) = P1 P2 on the corpus products."""
-    i_tol = 1e-9 * tol_factor
-    p_tol = 1e-10 * tol_factor
+    i_tol = 1e-9
+    p_tol = 1e-10
     products = refs.corpus_reports()
     worst_i = 0.0
     worst_p = 0.0
@@ -388,13 +382,10 @@ def check_chi2_positivity(refs: ReferenceStates) -> tuple[bool, str]:
                   "0 < chi2 < 2 for thermal a in (1.2, 2, 5)")
 
 
-def check_corpus_file(path: str | Path, tol_factor: float = 1.0) -> tuple[bool, str]:
-    """Load and measure a state file as `macroq measure` does: tail rule, pure route."""
+def check_corpus_file(path: str | Path) -> tuple[bool, str]:
+    """Load and measure a state file as `macroq measure` does: tail rule, pure route, refusals."""
     state = load_state(path)
     residual = measure_report(state).identity_residual
-    tol = TOL.identity_tol * tol_factor
-    if residual >= tol:
-        return False, f"identity residual {residual:.2e} exceeds {tol:.0e}"
     return True, f"valid {type(state).__name__}, identity residual {residual:.2e}"
 
 
@@ -407,27 +398,21 @@ def _outcome(name: str, run: Callable[[], tuple[bool, str]],
     return CheckResult(name, passed, detail, informational)
 
 
-def run_verification(
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tol_factor: float = 1.0,
-    corpus_paths: tuple[str | Path, ...] = (),
-) -> list[CheckResult]:
-    """Every check, note and corpus file once; a refusal in one, or an unreadable
-    file, is its FAIL line. Checks are called by their global names at call time."""
-    if not (math.isfinite(tol_factor) and tol_factor > 0):
-        raise ValueError(f"tolerance factor must be positive and finite, got {tol_factor}")
+def run_verification(corpus_paths: tuple[str | Path, ...] = ()) -> list[CheckResult]:
+    """Every check, note and corpus file once, on the default grids; a refusal in one,
+    or an unreadable file, is its FAIL line. Checks are called by their global names."""
     refs = ReferenceStates()
     checks = [
-        ("gaussian-family", lambda: check_gaussian_family(refs, tol_factor)),
-        ("gaussian-family-wigner", lambda: check_gaussian_family_wigner(grid_points, tol_factor)),
-        ("fock-mixture-degeneracy", lambda: check_fock_mixture_degeneracy(refs, tol_factor)),
-        ("cat-mixture-values", lambda: check_cat_mixture_values(refs, tol_factor)),
-        ("measure-identity", lambda: check_identity(refs, tol_factor)),
-        ("pure-state-relation", lambda: check_pure_state_relation(tol_factor)),
-        ("dual-pipeline", lambda: check_dual_pipeline(grid_points, tol_factor)),
-        ("three-vs-two-term", lambda: check_three_two_term(refs, tol_factor)),
-        ("displacement-invariance", lambda: check_displacement_invariance(tol_factor)),
-        ("tensor-composition", lambda: check_tensor_composition(refs, tol_factor)),
+        ("gaussian-family", lambda: check_gaussian_family(refs)),
+        ("gaussian-family-wigner", lambda: check_gaussian_family_wigner()),
+        ("fock-mixture-degeneracy", lambda: check_fock_mixture_degeneracy(refs)),
+        ("cat-mixture-values", lambda: check_cat_mixture_values(refs)),
+        ("measure-identity", lambda: check_identity(refs)),
+        ("pure-state-relation", lambda: check_pure_state_relation()),
+        ("dual-pipeline", lambda: check_dual_pipeline()),
+        ("three-vs-two-term", lambda: check_three_two_term(refs)),
+        ("displacement-invariance", lambda: check_displacement_invariance()),
+        ("tensor-composition", lambda: check_tensor_composition(refs)),
         ("chi2-positivity", lambda: check_chi2_positivity(refs)),
     ]
     notes = [
@@ -436,6 +421,6 @@ def run_verification(
     ]
     results = [_outcome(name, run) for name, run in checks]
     results += [_outcome(name, run, informational=True) for name, run in notes]
-    results += [_outcome(f"corpus:{Path(path).name}", lambda: check_corpus_file(path, tol_factor))
+    results += [_outcome(f"corpus:{Path(path).name}", lambda: check_corpus_file(path))
                 for path in corpus_paths]
     return results

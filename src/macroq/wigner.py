@@ -47,6 +47,7 @@ from .measures import MeasureReport, _checked_report, measure_report
 from .states import State, as_density
 
 DEFAULT_GRID_POINTS = 256  # points per axis of every default grid
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,8 @@ def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGri
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
     """Normalized oscillator eigenfunctions psi_n(x), shape (count, len(x)).
 
-    One contiguous row per step of the three-term recurrence.
+    One contiguous row per step of the three-term recurrence. The points
+    where psi_0 is below the normal range, |x| > 37.6, are redone by _rescaled.
     """
     out = np.empty((count, x.size))
     out[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
@@ -365,7 +367,35 @@ def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
     for n in range(2, count):
         out[n] = (math.sqrt(2.0 / n) * x * out[n - 1]
                   - math.sqrt((n - 1) / n) * out[n - 2])
+    deep = np.flatnonzero(out[0] < _TINY)
+    if deep.size:
+        _rescaled(out, x, deep)
     return out
+
+
+def _rescaled(out: np.ndarray, x: np.ndarray, deep: np.ndarray) -> None:
+    """Rewrite columns `deep` of `out` from the recurrence on s_n = psi_n 2^-e, one e per point.
+
+    s_0 = pi^-1/4 exp(-(x^2/2 - k ln 2)), e = -k, k = floor(x^2 / (2 ln 2)) <= 2^20
+    (s_0 is 0 past |x| = 1207). Every 32 levels a point's last two values are
+    divided by the binary power of the larger, which is exact; in between they
+    grow by less than (sqrt(2)|x| + 1)^32 < 2^344, so they stay finite. Entries
+    below the normal range are stored as 0: subnormal operands slow the GEMMs.
+    """
+    x = x[deep]
+    shift = np.minimum(np.floor(x * x / 2.0 / math.log(2.0)), 2.0 ** 20)
+    cur = np.pi ** -0.25 * np.exp(-(x * x / 2.0 - shift * math.log(2.0)))
+    prev = np.zeros_like(cur)
+    exponent = -shift.astype(np.int64)
+    for n in range(len(out)):
+        if n:
+            prev, cur = cur, math.sqrt(2.0 / n) * x * cur - math.sqrt((n - 1) / n) * prev
+        if n % 32 == 0:
+            _, power = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            cur, prev, exponent = np.ldexp(cur, -power), np.ldexp(prev, -power), exponent + power
+        row = np.ldexp(cur, exponent)
+        row[np.abs(row) < _TINY] = 0.0
+        out[n, deep] = row
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +460,6 @@ def wigner_measure_report(
     rho: State,
     gs: GridSpec | None = None,
     *,
-    cross_tol: float | None = None,
     provenance: dict | None = None,
 ) -> MeasureReport:
     """Phase-space-path report, cross-checked against the operator path.
@@ -446,7 +475,6 @@ def wigner_measure_report(
     """
     _require_single_mode(rho, "wigner_measure_report")
     operator = measure_report(rho, provenance=provenance)
-    tol = TOL.dual_pipeline_rel if cross_tol is None else cross_tol
     grid = wigner_from_density(rho, gs)
     c_value = _c_from_values(grid.values, grid.spec.dq, grid.spec.dp)
     p_value = measure_P_wigner(grid)
@@ -456,12 +484,12 @@ def wigner_measure_report(
         "P": abs(report.P - operator.P) / operator.P,
         "chi2": abs(report.chi2 - operator.chi2) / abs(operator.chi2),
     }
-    if max(deltas.values()) > tol:
+    if max(deltas.values()) > TOL.dual_pipeline_rel:
         disagreement = (
             "operator and phase-space pipelines disagree: "
             f"grid C={report.C!r} P={report.P!r} chi2={report.chi2!r} vs "
             f"operator C={operator.C!r} P={operator.P!r} chi2={operator.chi2!r} "
-            f"(relative deltas {deltas}, tolerance {tol})"
+            f"(relative deltas {deltas}, tolerance {TOL.dual_pipeline_rel})"
         )
         try:
             change = _coarsening_change(grid, c_value)

@@ -120,7 +120,15 @@ def connected_blocks(mat: np.ndarray) -> set[frozenset[int]]:
 
 
 def oscillator_eigenfunctions(x: np.ndarray, count: int) -> np.ndarray:
-    """psi_n(x) columns via the normalized recurrence."""
+    """psi_n(x) columns via the normalized recurrence.
+
+    Where psi_0 is below the normal range, the recurrence runs instead on
+    psi_n * 2^-e with one exponent e per point: it starts from
+    pi^-1/4 exp(-(x^2/2 - k ln 2)) with e = -k, k = floor(x^2 / (2 ln 2)),
+    and at every step both of the last two values are divided by the binary
+    power of the larger, which is exact. Entries below the normal range are
+    stored as 0.
+    """
     x = np.asarray(x, dtype=float)
     out = np.zeros((x.size, count))
     out[:, 0] = math.pi ** -0.25 * np.exp(-(x ** 2) / 2.0)
@@ -129,7 +137,44 @@ def oscillator_eigenfunctions(x: np.ndarray, count: int) -> np.ndarray:
     for n in range(2, count):
         out[:, n] = (math.sqrt(2.0 / n) * x * out[:, n - 1]
                      - math.sqrt((n - 1) / n) * out[:, n - 2])
+    tiny = np.finfo(float).tiny
+    deep = out[:, 0] < tiny
+    x = x[deep]
+    shift = np.floor(x ** 2 / 2.0 / math.log(2.0))
+    cur = math.pi ** -0.25 * np.exp(-(x ** 2 / 2.0 - shift * math.log(2.0)))
+    prev = np.zeros_like(cur)
+    exponent = -shift.astype(int)
+    for n in range(count):
+        if n:
+            prev, cur = cur, (math.sqrt(2.0 / n) * x * cur
+                              - math.sqrt((n - 1) / n) * prev)
+        _, power = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+        cur, prev, exponent = np.ldexp(cur, -power), np.ldexp(prev, -power), exponent + power
+        column = np.ldexp(cur, exponent)
+        column[np.abs(column) < tiny] = 0.0
+        out[deep, n] = column
     return out
+
+
+def eigenfunction_at(x: float, n: int) -> float:
+    """psi_n(x) at one point in plain Python floats.
+
+    Each value of the recurrence is held as a mantissa and a binary exponent
+    (math.frexp), so none underflows; psi_0's Gaussian is a product of
+    factors exp(-x^2 / 2j) that each stay in the normal range.
+    """
+    pieces = max(1, math.ceil(x * x / 1000.0))
+    mantissa, exponent = math.pi ** -0.25, 0
+    for _ in range(pieces):
+        mantissa, power = math.frexp(mantissa * math.exp(-x * x / (2.0 * pieces)))
+        exponent += power
+    prev, cur = (0.0, 0), (mantissa, exponent)
+    for level in range(1, n + 1):
+        value = (math.sqrt(2.0 / level) * x * cur[0]
+                 - math.sqrt((level - 1) / level) * math.ldexp(prev[0], prev[1] - cur[1]))
+        mantissa, power = math.frexp(value)
+        prev, cur = cur, (mantissa, cur[1] + power)
+    return math.ldexp(*cur)
 
 
 def wigner_dyad_recurrence(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from macroq import (
     cat_state,
     coherent_state,
     default_coherent_truncation,
+    default_grid_spec,
     default_thermal_truncation,
     fock_mixture,
     fock_state,
@@ -29,7 +30,7 @@ from macroq import (
     save_state,
     thermal_state,
 )
-from macroq import cli, wigner
+from macroq import cli, verify, wigner
 from macroq.cli import main
 
 from oracles import cat_mixture_I, thermal_chi2
@@ -406,7 +407,7 @@ class TestMalformedStateFiles:
 
     def test_verify_corpus_fails_each_file_on_one_line(self, files, capsys):
         # a corpus refusal is a FAIL line of the suite (exit 1), not an error exit
-        assert run("verify", "--grid", "128", "--corpus", *map(str, files.values())) == 1
+        assert run("verify", "--corpus", *map(str, files.values())) == 1
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         fails = [line for line in lines if line.startswith("FAIL ")]
@@ -866,19 +867,22 @@ class TestWignerCommand:
 class TestVerifyCommand:
     def test_coarse_grid_run_passes(self, tmp_path, capsys):
         summary_path = tmp_path / "verify.json"
-        assert run("verify", "--grid", "128", "--json", str(summary_path)) == 0
+        assert run("verify", "--json", str(summary_path)) == 0
         text = capsys.readouterr().out
         assert "PASS dual-pipeline" in text
-        assert "on 128^2 grids (tol 1e-03)" in text
+        assert "on 256^2 grids (tol 1e-03)" in text
         assert "summary: 11/11 checks passed" in text
         assert "INFO fock-mixture-convention" in text
         doc = json.loads(summary_path.read_text())
         assert doc["failed"] == 0
+        assert sorted(doc) == ["checks", "failed", "generated_at"]
 
-    def test_coarsest_grid_fails_the_grid_checks_on_their_lines(self, capsys):
+    def test_coarsest_grid_fails_the_grid_checks_on_their_lines(self, capsys, monkeypatch):
         # 32 points under-resolve the grid: its two checks fail, naming the
         # grid refusal, and every other entry still prints
-        assert run("verify", "--grid", "32") == 1
+        monkeypatch.setattr(verify, "default_grid_spec",
+                            lambda truncation: default_grid_spec(truncation, 32))
+        assert run("verify") == 1
         lines = capsys.readouterr().out.splitlines()
         statuses = [line.split(" ", 1)[0] for line in lines[:-1]]
         assert (statuses.count("PASS"), statuses.count("FAIL"), statuses.count("INFO")) == (9, 2, 2)
@@ -889,18 +893,6 @@ class TestVerifyCommand:
             assert "gradient integral not converged on the 32x32 grid" in line
         assert lines[-1] == "summary: 9/11 checks passed, 2 informational notes"
 
-    def test_grid_below_the_floor_is_usage_error(self, capsys):
-        assert run("verify", "--grid", "31") == 2
-        captured = capsys.readouterr()
-        assert "grids need at least 32 points per axis, got 31x31" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("factor", ["inf", "nan", "0", "-1"])
-    def test_tolerance_factor_must_be_positive_and_finite(self, capsys, factor):
-        assert run("verify", "--tol", factor) == 2
-        err = capsys.readouterr().err
-        assert "tolerance factor must be positive and finite" in err
-
     def test_corrupted_corpus_file_fails_naming_invariant(self, tmp_path, capsys):
         state = tmp_path / "bad.json"
         run("state", "thermal", "a=1.4142135623730951", "--out", str(state))
@@ -908,7 +900,7 @@ class TestVerifyCommand:
         doc["data"] = [[[0.9 * re, 0.9 * im] for re, im in row] for row in doc["data"]]
         state.write_text(json.dumps(doc))
         capsys.readouterr()
-        code = run("verify", "--grid", "128", "--corpus", str(state))
+        code = run("verify", "--corpus", str(state))
         out = capsys.readouterr().out
         assert code == 1
         assert "trace deviates from 1 by" in out
@@ -917,7 +909,7 @@ class TestVerifyCommand:
         state = tmp_path / "good.json"
         run("state", "cat", "alpha=1.2", "--out", str(state))
         capsys.readouterr()
-        assert run("verify", "--grid", "128", "--corpus", str(state)) == 0
+        assert run("verify", "--corpus", str(state)) == 0
         assert "PASS corpus:good.json" in capsys.readouterr().out
 
     def test_corpus_file_judged_by_the_tail_rule(self, tmp_path, capsys):
@@ -928,7 +920,7 @@ class TestVerifyCommand:
         assert run("measure", str(state)) == 3
         message = capsys.readouterr().err.removeprefix("truncation/resource error: ")
         assert "top Fock level holds 1.00e-10 of the population" in message
-        assert run("verify", "--grid", "128", "--corpus", str(state)) == 1
+        assert run("verify", "--corpus", str(state)) == 1
         assert f"FAIL corpus:tail.json: {message}" in capsys.readouterr().out
 
     def test_pure_corpus_file_measured_from_vector(self, tmp_path, capsys, monkeypatch, rng):
@@ -944,14 +936,14 @@ class TestVerifyCommand:
             return projector(self)
 
         monkeypatch.setattr(PureState, "projector", refuse_file_state)
-        assert run("verify", "--grid", "128", "--corpus", str(state)) == 0
+        assert run("verify", "--corpus", str(state)) == 0
         residual = pure_state_measures(psi).identity_residual
         assert f"PASS corpus:pure.json: valid PureState, identity residual {residual:.2e}" \
             in capsys.readouterr().out
 
     def test_missing_corpus_file_is_a_fail_line(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
-        assert run("verify", "--grid", "128", "--corpus", str(missing)) == 1
+        assert run("verify", "--corpus", str(missing)) == 1
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("PASS ") for line in lines) == 11
         fails = [line for line in lines if line.startswith("FAIL ")]

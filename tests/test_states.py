@@ -21,6 +21,7 @@ from macroq import (
     coherent_state,
     default_coherent_truncation,
     default_thermal_truncation,
+    displaced,
     fock_mixture,
     fock_state,
     load_state,
@@ -352,6 +353,22 @@ class TestMix:
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValueError, match="^mix requires at least one component$"):
             mix([])
+
+    def test_pure_components_mix_as_their_projectors(self):
+        spec = ModeSpec(1, 19)
+        plus, minus = coherent_state(spec, 1.0), coherent_state(spec, -1.0)
+        built = mix([(0.25, plus), (0.75, minus)])
+        expected = mix([(0.25, as_density(plus)), (0.75, as_density(minus))])
+        assert np.array_equal(built.matrix, expected.matrix)
+
+
+class TestDisplaced:
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_pure_state_is_displaced_as_its_projector(self, mode):
+        psi = product_state(coherent_state(ModeSpec(1, 20), 0.5), fock_state(ModeSpec(1, 20), 1))
+        assert isinstance(psi, PureState)
+        moved = displaced(psi, 0.3 + 0.2j, mode)
+        assert np.array_equal(moved.matrix, displaced(as_density(psi), 0.3 + 0.2j, mode).matrix)
 
 
 class TestProductState:

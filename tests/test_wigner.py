@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import macroq.wigner
 from macroq import (
     ConsistencyError,
     GaussianSpec,
@@ -50,6 +51,7 @@ from macroq.wigner import (
 )
 
 from oracles import (
+    eigenfunction_at,
     even_cat_wigner,
     gaussian_wigner,
     oscillator_eigenfunctions,
@@ -179,12 +181,37 @@ class TestKernelTransform:
     @pytest.mark.parametrize("count", [1, 2, 54, 1424])
     def test_eigenfunction_table_is_the_oracle_transposed(self, count):
         # one row per level, filled by the oracle's recurrence in the same
-        # operations and order, so every entry is bit-identical, zeros where
-        # psi_0 underflows included
+        # operations, so every entry is bit-identical; at 1424 levels the
+        # window passes |x| = 38.6, where the oracle rescales at every step
+        # and the table every 32 steps, by exact powers of two
         x = default_grid_spec(count, 513).q_vector()
         table = _hermite_functions(x, count)
         assert table.shape == (count, x.size) and table.flags.c_contiguous
         assert np.array_equal(table, oscillator_eigenfunctions(x, count).T)
+
+    def test_eigenfunctions_where_psi_0_underflows(self):
+        # psi_0(40) = pi^-1/4 exp(-800) is below every float, psi_1600(40) is not
+        x = np.array([-40.0, 40.0, 55.0])
+        table = _hermite_functions(x, 1611)
+        for n in range(1590, 1611):
+            expected = [eigenfunction_at(float(v), n) for v in x]
+            assert table[n] == pytest.approx(expected, rel=1e-11, abs=1e-13)
+        assert np.abs(table[1600, :2]).min() > 0.09
+
+    def test_top_levels_orthonormal_past_their_turning_point(self):
+        # N = 1682 (thermal a = 12): psi_n oscillates out to sqrt(2N + 1) = 58.0;
+        # a step of 0.04 resolves the products psi_m psi_n, whose spectra end
+        # near 2 * 58, so the sum is the integral to rounding
+        count, step = 1682, 0.04
+        x = np.arange(-68.0, 68.0 + step / 2, step)
+        band = _hermite_functions(x, count)[count - 12:]
+        gram = band @ band.T * step
+        assert np.abs(gram - np.eye(12)).max() < 1e-11
+
+    @pytest.mark.parametrize("nq, np_", [(31, 32), (32, 31)])
+    def test_grid_below_the_floor_rejected(self, nq, np_):
+        with pytest.raises(ValueError, match=f"at least 32 points per axis, got {nq}x{np_}"):
+            GridSpec(half_width=5.0, nq=nq, np=np_)
 
     def test_undersized_window_rejected(self):
         with pytest.raises(TruncationError, match="integrates"):
@@ -514,17 +541,29 @@ class TestWignerReport:
         assert "operator C=" in str(info.value)
         assert "on the 64x64 grid" in str(info.value)
 
-    def test_unexplained_gap_on_resolved_grid_is_a_consistency_error(self):
+    def test_unexplained_gap_on_resolved_grid_is_a_consistency_error(self, monkeypatch):
         # at 256 points coarsening changes C by about 1e-16, so only a bug is left
         rho = as_density(cat_state(ModeSpec(1, 25), 1.5))
+        monkeypatch.setattr(macroq.wigner, "TOL",
+                            dataclasses.replace(TOL, dual_pipeline_rel=1e-18))
         with pytest.raises(ConsistencyError, match="pipelines disagree") as info:
-            wigner_measure_report(rho, _grid(25, 256), cross_tol=1e-18)
+            wigner_measure_report(rho, _grid(25, 256))
         assert "the 256x256 grid is resolved" in str(info.value)
 
     def test_multimode_rejected(self):
         vac = _vacuum(6)
         with pytest.raises(ValueError, match="single-mode"):
             wigner_measure_report(product_state(vac, vac))
+
+    @pytest.mark.parametrize("a", [11.0, 12.0])
+    def test_widest_thermal_states_on_the_default_grid(self, a):
+        # N = 1424 and 1682: the default windows reach past |x| = 38.6, where psi_0 underflows
+        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
+        report = wigner_measure_report(rho)
+        assert max(report.cross_deltas.values()) < 1e-11
+        grid = wigner_from_density(rho)
+        expected = gaussian_wigner(a, grid.q_vector(), grid.p_vector())
+        assert np.abs(grid.values - expected).max() < 1e-12
 
     def test_keeps_the_operator_report_it_was_checked_against(self):
         cut = default_thermal_truncation(SQRT2)
