@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -690,7 +691,8 @@ def load_state(path: str | Path) -> State:
 
     The tail rule applies too: a state whose top Fock level holds tail_tol
     or more of its population is refused as inadequately truncated. Every
-    refusal names the file.
+    refusal names the file. A matrix is decoded one row at a time, so a load
+    holds about the file's text plus two matrices.
     """
     try:
         return _decode_state(Path(path))
@@ -698,15 +700,95 @@ def load_state(path: str | Path) -> State:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+_JSON = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE
+_MATRIX = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[")  # "[[[" up to whitespace
+
+
+def _skip(text: str, idx: int) -> int:
+    return _SPACE.match(text, idx).end()
+
+
+def _items(text: str, idx: int, close: str, item: Callable[[int], int]) -> int:
+    """Walk the items of the JSON object or array opened just before idx.
+
+    item(start) decodes the item at start and returns where it ends; the
+    walk checks the commas and returns the index past the closing bracket.
+    """
+    idx = _skip(text, idx)
+    if text.startswith(close, idx):
+        return idx + 1
+    while True:
+        idx = _skip(text, item(idx))
+        if text.startswith(close, idx):
+            return idx + 1
+        if not text.startswith(",", idx):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        idx = _skip(text, idx + 1)
+
+
+def _members(text: str) -> dict:
+    """The members of the JSON object that text holds, as json.loads gives them,
+    except that "data" is decoded by _data.
+
+    Whitespace, key order and duplicate keys (the last wins) are read as
+    json reads them. Text that is not one JSON object raises
+    JSONDecodeError, or StateValidationError when it is JSON of another type.
+    """
+    start = _skip(text, 0)
+    if not text.startswith("{", start):
+        _JSON.raw_decode(text, start)  # text that is no JSON value raises here
+        raise StateValidationError("state document must be a JSON object")
+    doc = {}
+
+    def member(idx: int) -> int:
+        if not text.startswith('"', idx):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       text, idx)
+        key, idx = _JSON.raw_decode(text, idx)
+        idx = _skip(text, idx)
+        if not text.startswith(":", idx):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+        decode = _data if key == "data" else _JSON.raw_decode
+        doc[key], idx = decode(text, _skip(text, idx + 1))
+        return idx
+
+    end = _skip(text, _items(text, start + 1, "}", member))
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
+def _data(text: str, idx: int) -> tuple[object, int]:
+    """The JSON value at idx, and where it ends; a matrix comes as a list of float rows.
+
+    An array whose first item is an array of arrays is a matrix: each row is
+    decoded and made a float array at once, so the D x D entries never
+    exist as Python pairs. Any other value, a vector's [re, im] pairs
+    included, is decoded whole, as its lists are O(D).
+    """
+    if not _MATRIX.match(text, idx):
+        return _JSON.raw_decode(text, idx)
+    rows = []
+
+    def decode_row(start: int) -> int:
+        row, end = _JSON.raw_decode(text, start)
+        try:
+            rows.append(np.asarray(row, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            rows.append(row)  # left for the stacking to refuse
+        return end
+
+    return rows, _items(text, idx + 1, "]", decode_row)
+
+
 def _decode_state(path: Path) -> State:
     try:
-        doc = json.loads(path.read_text())  # the text is freed once parsed
-    except json.JSONDecodeError as exc:
+        doc = _members(path.read_text())  # the text is freed before the rows are stacked
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError or json's digit limit
         raise StateValidationError(f"not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise StateValidationError("state document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # True and 1.0 equal 1
         raise StateValidationError(f"unsupported format_version {version!r}")
     try:
         spec = ModeSpec(doc["spec"]["num_modes"], doc["spec"]["truncation"])
@@ -718,11 +800,12 @@ def _decode_state(path: Path) -> State:
         raise StateValidationError(f"unknown state kind {kind!r}")
     state_type, rank, layout = _KINDS[kind]
     try:
-        raw = np.asarray(data, dtype=float)  # a ragged row raises here
+        raw = np.asarray(data, dtype=float)  # stacks a matrix's rows; a ragged row raises here
         if raw.ndim != rank + 1 or raw.shape[-1] != 2:
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise StateValidationError(f"{kind} data must be {layout}") from None
+    del data, doc  # the rows, freed before validation
     state: State = state_type(spec, raw.view(np.complex128)[..., 0])  # bit-exact, no copy
     _require_tail(state)
     return state

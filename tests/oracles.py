@@ -6,6 +6,7 @@ with the package is evidence rather than tautology.
 """
 
 import collections
+import json
 import math
 
 import numpy as np
@@ -262,3 +263,29 @@ def cat_mixture_chi2(alpha: float) -> float:
 def cat_mixture_purity(alpha: float) -> float:
     s = math.exp(-2.0 * alpha * alpha)
     return (1.0 + s * s) / 2.0
+
+
+def state_document_pairs(text: str) -> np.ndarray | None:
+    """The float [re, im] array a version-1 state document holds, read whole
+    by json.loads, or None where the document's structure is refused.
+
+    Only the structure is judged (JSON object, integer format_version 1, a
+    known kind, spec and data present, data of the spec's shape); the values
+    are taken to form a valid state.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict) or not {"format_version", "spec", "kind", "data"} <= doc.keys():
+        return None
+    version, kind, spec = doc["format_version"], doc["kind"], doc["spec"]
+    if type(version) is not int or version != 1 or kind not in ("pure", "mixed"):
+        return None
+    dim = spec["truncation"] ** spec["num_modes"]
+    try:
+        pairs = np.asarray(doc["data"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    shape = (dim,) * (1 if kind == "pure" else 2) + (2,)
+    return pairs if pairs.shape == shape else None

@@ -339,6 +339,9 @@ MALFORMED_FILES = {
     "not-an-object": (lambda mixed, pure: json.dumps([mixed]), 2),
     "format-version": (lambda mixed, pure: _malformed(mixed, format_version=2), 2),
     "format-version-missing": (lambda mixed, pure: _malformed(mixed, format_version=None), 2),
+    # True == 1 == 1.0 in Python; only the integer 1 is version 1
+    "format-version-bool": (lambda mixed, pure: _malformed(mixed, format_version=True), 2),
+    "format-version-float": (lambda mixed, pure: _malformed(mixed, format_version=1.0), 2),
     "kind-unknown": (lambda mixed, pure: _malformed(mixed, kind="squeezed"), 2),
     "kind-swapped": (lambda mixed, pure: _malformed(pure, kind="mixed"), 2),
     "rows-missing": (lambda mixed, pure: _malformed(mixed, data=mixed["data"][:-1]), 2),
@@ -350,6 +353,8 @@ MALFORMED_FILES = {
         mixed, data=[[[math.nan, 0.0]] + mixed["data"][0][1:]] + mixed["data"][1:]), 2),
     "infinite-amplitude": (lambda mixed, pure: _malformed(
         pure, data=[[math.inf, 0.0]] + pure["data"][1:]), 2),
+    "integer-overflow": (lambda mixed, pure: _malformed(
+        mixed, data=[[[10 ** 400, 0]] + mixed["data"][0][1:]] + mixed["data"][1:]), 2),
     "non-hermitian": (lambda mixed, pure: _malformed(
         mixed, data=[[[0.5, 0.0], [0.1, 0.0]] + mixed["data"][0][2:]] + mixed["data"][1:]), 2),
     "trace": (lambda mixed, pure: _malformed(mixed, data=_diagonal(0.45, 0.45, 0, 0, 0, 0)), 2),

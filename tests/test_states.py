@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,7 @@ from oracles import (
     connected_blocks,
     even_cat_I,
     gaussian_wigner,
+    state_document_pairs,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -757,6 +759,20 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 2 * state.matrix.nbytes
 
+    def test_read_peak_memory_is_below_three_matrices(self, tmp_path):
+        # the rows become float arrays as they are decoded: the text, the rows
+        # and their stacked copy, never the entries as Python pairs
+        state = thermal_state(ModeSpec(1, default_thermal_truncation(6.0)), GaussianSpec(6.0))
+        save_state(state, tmp_path / "thermal.json")
+        tracemalloc.start()
+        try:
+            loaded = load_state(tmp_path / "thermal.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.matrix, state.matrix)
+        assert peak < 3 * state.matrix.nbytes
+
     def test_indented_layout_still_loads(self, tmp_path, rng):
         # files in the indented layout (same keys and [re, im] pairs, one
         # value per line) exist and must keep loading
@@ -817,3 +833,99 @@ class TestSerialization:
         path.write_text("not json at all {{{")
         with pytest.raises(StateValidationError, match="JSON"):
             load_state(path)
+
+    @pytest.mark.parametrize("text", [
+        b'{"format_version": 1, "kind": "\xff"}',
+        b'{"format_version": 1, "data": [[1' + b"0" * 5000 + b', 0.0]]}',
+    ], ids=["not-utf8", "over-json-digit-limit"])
+    def test_unreadable_text_refused_with_the_file(self, tmp_path, text):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(text)
+        with pytest.raises(StateValidationError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            load_state(path)
+
+
+def _object_text(members: list[tuple[str, object]]) -> str:
+    """One JSON object with these members in this order, duplicates kept."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}"
+                           for key, value in members) + "}"
+
+
+class TestReaderAgainstJsonLoads:
+    """load_state walks the document; json.loads of the whole text is the oracle.
+
+    Each text must load the oracle's arrays bit for bit exactly when the
+    oracle accepts it, and otherwise be refused with the file named.
+    """
+
+    @pytest.fixture(params=["pure", "mixed"])
+    def document(self, request, tmp_path, rng):
+        """The writer's text of a small state, and its members in order."""
+        spec = ModeSpec(1, 4)
+        state = (random_pure_state(spec, rng) if request.param == "pure"
+                 else random_mixed_state(spec, rng))
+        save_state(state, tmp_path / "state.json", metadata={"note": "oracle"})
+        text = (tmp_path / "state.json").read_text()
+        return text, list(json.loads(text).items())
+
+    def assert_agrees(self, path, text):
+        """Check load_state of text against the oracle; True when both accept it."""
+        path.write_text(text)
+        expected = state_document_pairs(text)
+        if expected is None:
+            with pytest.raises(StateValidationError, match=f"^{re.escape(str(path))}: "):
+                load_state(path)
+            return False
+        state = load_state(path)
+        got = state.amplitudes if isinstance(state, PureState) else state.matrix
+        assert np.array_equal(got.view(np.uint64).reshape(expected.shape),
+                              expected.view(np.uint64))
+        return True
+
+    def test_layouts_and_members(self, tmp_path, document):
+        text, members = document
+        data = dict(members)["data"]
+        rest = [(key, value) for key, value in members if key != "data"]
+        variants = {
+            "as-written": text,
+            "data-first": _object_text([("data", data)] + rest),
+            "data-middle": _object_text(rest[:2] + [("data", data)] + rest[2:]),
+            "data-last": _object_text(rest + [("data", data)]),
+            "escaped-data-key": _object_text(rest).replace("{", '{"d\\u0061ta": '
+                                                           + json.dumps(data) + ", ", 1),
+            "duplicate-data-last-wins": _object_text([("data", "stale")] + rest + [("data", data)]),
+            "duplicate-data-last-stale": _object_text([("data", data)] + rest + [("data", "stale")]),
+            "duplicate-data-shorter-first": _object_text([("data", data[:1])] + rest
+                                                         + [("data", data)]),
+            "duplicate-kind": _object_text([("data", data)] + rest + [("kind", "squeezed")]),
+            "indented": json.dumps(dict(members), indent=1),
+            "indented-tabs": json.dumps(dict(members), indent="\t"),
+            "surrounding-whitespace": "\n\t " + text + " \r\n",
+            "trailing-text": text + "x",
+            "trailing-object": text + " {}",
+            "trailing-comma": text.rstrip()[:-1] + ", }",
+            "member-comma-replaced": text.replace(', "kind"', ' ;"kind"', 1),
+            "row-comma-replaced": text.replace("]], [[", "]] ;[[", 1),
+            "number-key": "{1: 2, " + text[1:],
+            "colon-replaced": text.replace('"kind":', '"kind";', 1),
+            "not-an-object": json.dumps([dict(members)]),
+            "empty-object": "{}",
+            "data-empty-array": _object_text(rest + [("data", [])]),
+            "data-string": _object_text(rest + [("data", json.dumps(data))]),
+            "data-object": _object_text(rest + [("data", {"re": 1.0, "im": 0.0})]),
+            "data-ragged": _object_text(rest + [("data", data[:-1] + [data[-1][:-1]])]),
+            "data-deeper-row": _object_text(rest + [("data", [data] + data[1:])]),
+            "data-extra-string-row": _object_text(rest + [("data", data + ["x"])]),
+        }
+        accepted = {name for name, variant in variants.items()
+                    if self.assert_agrees(tmp_path / f"{name}.json", variant)}
+        assert {"as-written", "data-first", "data-middle", "data-last", "escaped-data-key",
+                "duplicate-data-last-wins", "duplicate-data-shorter-first", "indented",
+                "indented-tabs", "surrounding-whitespace"} <= accepted
+        assert "trailing-text" not in accepted and "data-string" not in accepted
+
+    def test_truncated_at_every_offset(self, tmp_path, document):
+        text, _ = document
+        accepted = [cut for cut in range(len(text) + 1)
+                    if self.assert_agrees(tmp_path / "cut.json", text[:cut])]
+        assert accepted == [len(text) - 1, len(text)]  # with and without the newline
