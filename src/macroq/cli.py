@@ -199,8 +199,8 @@ def _sweep_values(args: argparse.Namespace) -> tuple:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
     if integer:
         raise ValueError(f"integer parameter {args.parameter!r} needs --values")
-    if args.steps == 1:
-        return (float(args.start),)
+    if args.steps > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+        raise ValueError(f"--steps {args.steps} is more values than an array can hold")
     return tuple(float(v) for v in np.linspace(args.start, args.stop, args.steps))
 
 
@@ -370,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except TruncationError as exc:
-        print(f"truncation/resource error: {exc}", file=sys.stderr)
+    except (TruncationError, MemoryError) as exc:
+        print(f"truncation/resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_TRUNCATION
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

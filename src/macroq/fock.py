@@ -6,9 +6,10 @@ a|n> = sqrt(n)|n-1>. Dimensionless quadratures follow
     q = (a + a^dagger)/sqrt(2),    p = (a - a^dagger)/(i sqrt(2)),
 
 so [q, p] = i holds exactly on the interior block n < N-1; the (N-1, N-1)
-corner entry is a truncation artifact. Multimode operators embed the
-single-mode matrix with identities on the other modes, mode 1 being the
-slowest-varying tensor index.
+corner entry is a truncation artifact. _shifts states the ladder rule once,
+for the operator traces and the dense builders alike: mode m's stride is
+N^(M-m), mode 1 being the slowest-varying tensor index, and its weights are
+sqrt(n) and sqrt(n+1). A builder places them on the full space directly.
 """
 
 from __future__ import annotations
@@ -86,58 +87,57 @@ def _check_mode(spec: ModeSpec, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range 1..{spec.num_modes}")
 
 
-def _single_mode_matrix(truncation: int, label: str) -> ComplexMatrix:
-    n = np.arange(1, truncation)
-    a = np.zeros((truncation, truncation), dtype=np.complex128)
-    a[n - 1, n] = np.sqrt(n)
-    if label == "a":
-        out = a
-    elif label == "adag":
-        out = a.conj().T
-    elif label == "q":
-        out = (a + a.conj().T) / np.sqrt(2.0)
-    elif label == "p":
-        out = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    else:  # pragma: no cover - internal labels only
-        raise ValueError(f"unknown operator label {label!r}")
+def _shifts(spec: ModeSpec, mode: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Stride s = N^(M-m) and weights of mode m's ladder shifts, n = n_m(i):
+
+    (a x)_i = lo_i x_{i+s} with lo = sqrt(n+1), 0 at n = N-1; (a^dagger x)_i =
+    hi_i x_{i-s} with hi = sqrt(n); (X a)_j = hi_j X_{j-s}; (X a^dagger)_j =
+    lo_j X_{j+s}. Past either edge the weight is 0: i + s >= D only at n = N-1.
+    """
+    levels = spec.truncation
+    stride = levels ** (spec.num_modes - mode)
+    root = np.sqrt(np.arange(levels + 1.0))
+    root[levels] = 0.0  # lo at n = N-1; hi never reads it
+    n = np.arange(spec.total_dim) // stride % levels
+    return stride, root[n + 1], root[n]
+
+
+def _placed(spec: ModeSpec, mode: int, lowering: int, raising: int,
+            scale: complex = 1.0) -> ComplexMatrix:
+    """(lowering a + raising a^dagger) / scale on mode m, as a read-only D x D matrix.
+
+    With s, lo and hi from _shifts, a holds lo_i at (i, i+s) and a^dagger
+    hi_(i+s) at (i+s, i). Each weight is divided as a complex number, so q
+    and p round as the complex128 expressions in their docstrings do.
+    """
+    _check_mode(spec, mode)
+    stride, lo, hi = _shifts(spec, mode)
+    dim = spec.total_dim
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    np.fill_diagonal(out[:, stride:], lowering * lo[:dim - stride] / complex(scale))  # (i, i+s)
+    np.fill_diagonal(out[stride:], raising * hi[stride:] / complex(scale))  # (i+s, i)
     out.flags.writeable = False
     return out
 
 
-def _embedded_matrix(op: ComplexMatrix, num_modes: int, mode: int) -> ComplexMatrix:
-    truncation = op.shape[0]
-    eye_left = np.eye(truncation ** (mode - 1), dtype=np.complex128)
-    eye_right = np.eye(truncation ** (num_modes - mode), dtype=np.complex128)
-    full = np.kron(np.kron(eye_left, op), eye_right)
-    full.flags.writeable = False
-    return full
-
-
-def _build(spec: ModeSpec, mode: int, label: str) -> ModeOperator:
-    _check_mode(spec, mode)
-    op = _single_mode_matrix(spec.truncation, label)
-    matrix = _embedded_matrix(op, spec.num_modes, mode)
-    return ModeOperator(spec=spec, matrix=matrix, label=label, mode=mode)
-
-
 def annihilation_op(spec: ModeSpec, mode: int = 1) -> ModeOperator:
     """Lowering operator for the given mode, embedded in the full space."""
-    return _build(spec, mode, "a")
+    return ModeOperator(spec, _placed(spec, mode, 1, 0), "a", mode)
 
 
 def creation_op(spec: ModeSpec, mode: int = 1) -> ModeOperator:
     """Raising operator, the adjoint of annihilation_op on the same mode."""
-    return _build(spec, mode, "adag")
+    return ModeOperator(spec, _placed(spec, mode, 0, 1), "adag", mode)
 
 
 def quadrature_q(spec: ModeSpec, mode: int = 1) -> ModeOperator:
     """Hermitian position-like quadrature (a + a^dagger)/sqrt(2)."""
-    return _build(spec, mode, "q")
+    return ModeOperator(spec, _placed(spec, mode, 1, 1, np.sqrt(2.0)), "q", mode)
 
 
 def quadrature_p(spec: ModeSpec, mode: int = 1) -> ModeOperator:
     """Hermitian momentum-like quadrature (a - a^dagger)/(i sqrt(2))."""
-    return _build(spec, mode, "p")
+    return ModeOperator(spec, _placed(spec, mode, 1, -1, 1j * np.sqrt(2.0)), "p", mode)
 
 
 def _single_mode_displacement(truncation: int, beta: complex) -> ComplexMatrix:
@@ -149,7 +149,7 @@ def _single_mode_displacement(truncation: int, beta: complex) -> ComplexMatrix:
     """
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    a = _single_mode_matrix(truncation, "a")
-    gen = beta * a.conj().T - np.conj(beta) * a
+    spec = ModeSpec(1, truncation)
+    gen = beta * _placed(spec, 1, 0, 1) - np.conj(beta) * _placed(spec, 1, 1, 0)
     w, v = np.linalg.eigh(1j * gen)
     return (v * np.exp(-1j * w)) @ v.conj().T

@@ -70,7 +70,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConsistencyError
-from .fock import ModeSpec
+from .fock import ModeSpec, _shifts
 from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _gap,
                      _real_after_residue_check, _tile, _tile_pairs)
 
@@ -113,21 +113,6 @@ class MeasureReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _shifts(spec: ModeSpec, mode: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Stride s = N^(M-m) and weights of mode m's ladder shifts, n = n_m(i):
-
-    (a x)_i = lo_i x_{i+s} with lo = sqrt(n+1), 0 at n = N-1; (a^dagger x)_i =
-    hi_i x_{i-s} with hi = sqrt(n); (X a)_j = hi_j X_{j-s}; (X a^dagger)_j =
-    lo_j X_{j+s}. Past either edge the weight is 0: i + s >= D only at n = N-1.
-    """
-    levels = spec.truncation
-    stride = levels ** (spec.num_modes - mode)
-    root = np.sqrt(np.arange(levels + 1.0))
-    root[levels] = 0.0  # lo at n = N-1; hi never reads it
-    n = np.arange(spec.total_dim) // stride % levels
-    return stride, root[n + 1], root[n]
 
 
 def _shift(src: np.ndarray, start: int, step: int, weight: np.ndarray, out: np.ndarray) -> None:

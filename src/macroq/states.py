@@ -414,6 +414,15 @@ def _single_mode(spec: ModeSpec, name: str) -> None:
         raise ValueError(f"{name} builds single-mode states; combine with product_state")
 
 
+def _below_guard_level(spec: ModeSpec, what: str, top: int) -> None:
+    """Refuse an occupied level at or above the guard level N-1, naming the cutoff that holds it."""
+    if top > spec.truncation - 2:
+        raise TruncationError(
+            f"{what} occupies level {top}, truncation {spec.truncation} "
+            f"requires top level <= {spec.truncation - 2}; use N >= {top + 2}"
+        )
+
+
 def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
     """Number state |n>, or |n1, n2, ...> for multimode specs.
 
@@ -428,12 +437,7 @@ def fock_state(spec: ModeSpec, n: int | tuple[int, ...]) -> PureState:
         )
     if min(levels) < 0:
         raise ValueError(f"occupation must be non-negative, got {min(levels)}")
-    top = max(levels)
-    if top > spec.truncation - 2:
-        raise TruncationError(
-            f"fock_state occupies level {top}, truncation {spec.truncation} "
-            f"requires top level <= {spec.truncation - 2}; use N >= {top + 2}"
-        )
+    _below_guard_level(spec, "fock_state", max(levels))
     index = 0
     for lev in levels:
         index = index * spec.truncation + lev
@@ -491,12 +495,7 @@ def fock_mixture(spec: ModeSpec, d: int, include_vacuum: bool = True) -> Density
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     start = 0 if include_vacuum else 1
-    top = start + d - 1
-    if top > spec.truncation - 2:
-        raise TruncationError(
-            f"fock_mixture occupies level {top}, truncation {spec.truncation} "
-            f"requires top level <= {spec.truncation - 2}; use N >= {top + 2}"
-        )
+    _below_guard_level(spec, "fock_mixture", start + d - 1)
     diag = np.zeros(spec.truncation, dtype=np.complex128)
     diag[start:start + d] = 1.0 / d
     return DensityMatrix(spec, np.diag(diag))

@@ -211,7 +211,12 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     there, which keeps it finite for tiny windows.
     """
     limit = math.pi / gs.half_width
-    refine = max(1, math.ceil(gs.dq / limit))
+    coarseness = gs.dq / limit
+    if not math.isfinite(coarseness):
+        raise TruncationError(f"half-width {gs.half_width!r} needs an eta step of "
+                              f"pi/half-width = {limit:.3g}, which no finite refinement "
+                              f"of the q step {gs.dq:.3g} reaches")
+    refine = max(1, math.ceil(coarseness))
     stride = max(1, math.floor(min(limit * refine / gs.dq, 2 * refine * gs.nq)))
     return refine, stride
 

@@ -286,6 +286,49 @@ FAMILY_PARAMS = [(family, name) for family, entry in cli._TABLE.items()
                  for name, _, _ in entry.params]
 
 
+class TestOutOfMemory:
+    """A request too large for memory is a resource error on one line, never a traceback.
+
+    The allocations are patched to fail: whether a 149 GiB request fails at
+    once depends on the host's overcommit policy, so no test makes one.
+    """
+
+    @staticmethod
+    def _refused(code, capsys, message):
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_TRUNCATION
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"truncation/resource error: {message}")
+
+    @staticmethod
+    def _out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape "
+                          "(2, 200000, 50000) and data type float64")
+
+    @pytest.mark.parametrize("argv", [
+        ("wigner", "{state}", "--out", "{tmp}/g.csv"),
+        ("measure", "{state}", "--method", "both"),
+    ], ids=["wigner", "measure-both"])
+    def test_transform_out_of_memory_is_resource_error(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        state = tmp_path / "cat.json"
+        assert run("state", "cat", "alpha=2", "--out", str(state)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(wigner, "_defining_integral", self._out_of_memory)
+        code = run(*(arg.format(state=state, tmp=tmp_path) for arg in argv))
+        self._refused(code, capsys, "Unable to allocate 149. GiB")
+
+    def test_empty_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "linspace", out_of_memory)
+        code = run("sweep", "--family", "thermal", "--parameter", "a", "--start", "1",
+                   "--stop", "2", "--steps", "100000000000", "--out", str(tmp_path / "s.csv"))
+        self._refused(code, capsys, "out of memory")
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestRefusalSweep:
     """Every family parameter at every edge value exits with a code, never a traceback."""
 
@@ -765,6 +808,9 @@ class TestSweepCommand:
          "steps must be >= 1, got 0"),
         ("fock", "n", ("--start", "1", "--stop", "2", "--steps", "2"),
          "integer parameter 'n' needs --values"),
+        # np.linspace would fail inside with an IndexError
+        ("thermal", "a", ("--start", "1", "--stop", "2", "--steps", str(2 ** 63 - 1)),
+         f"--steps {2 ** 63 - 1} is more values than an array can hold"),
     ])
     def test_unusable_range_is_usage_error(self, tmp_path, capsys, family, parameter, options,
                                            message):
@@ -859,6 +905,7 @@ class TestWignerCommand:
     @pytest.mark.parametrize("half_width, code, message", [
         ("inf", 2, "half_width must be positive and finite"),
         ("1e-300", 3, "grid integrates to"),
+        ("1e200", 3, "half-width 1e+200 needs an eta step of pi/half-width"),
     ])
     def test_degenerate_half_width(self, tmp_path, capsys, half_width, code, message):
         state = tmp_path / "vac.json"

@@ -23,7 +23,7 @@ from macroq import (
 
 from macroq.fock import _single_mode_displacement
 
-from oracles import expm_reference, ladder_matrix
+from oracles import embed, expm_reference, ladder_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,6 +75,19 @@ class TestLadderOperators:
         adag = creation_op(ModeSpec(1, n_levels)).matrix
         top = np.eye(n_levels, dtype=complex)[n_levels - 1]
         assert np.allclose(adag @ top, 0.0)
+
+    @pytest.mark.parametrize("builder, single_mode", [
+        (annihilation_op, lambda a: a),
+        (creation_op, lambda a: a.conj().T),
+        (quadrature_q, lambda a: (a + a.conj().T) / SQRT2),
+        (quadrature_p, lambda a: (a - a.conj().T) / (1j * SQRT2)),
+    ], ids=["a", "adag", "q", "p"])
+    @pytest.mark.parametrize("num_modes, mode", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_placement_matches_the_kron_oracle(self, builder, single_mode, num_modes, mode):
+        n_levels = 4
+        got = builder(ModeSpec(num_modes, n_levels), mode=mode).matrix
+        expected = embed(single_mode(ladder_matrix(n_levels)), mode, num_modes, n_levels)
+        assert np.array_equal(got, expected)
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -103,7 +103,7 @@ class TestSliceTracesAgainstOracle:
         def refuse(*args):
             raise AssertionError("the measure path built an embedded D x D operator")
 
-        monkeypatch.setattr(macroq.fock, "_embedded_matrix", refuse)
+        monkeypatch.setattr(macroq.fock, "_placed", refuse)
         report = measure_report(random_mixed_state(ModeSpec(2, 5), rng))
         assert report.identity_residual < 1e-9
         pure = pure_state_measures(random_pure_state(ModeSpec(2, 5), rng))

@@ -1,10 +1,15 @@
-"""Property tests: the operator traces against the dense brute-force oracles.
+"""Property tests: the operator traces against the dense brute-force oracles,
+and the state file round trip.
 
 Random mixed states at M <= 2 and D <= 256, drawn so that the band-limited
 walks skip tile pairs and the corner term of a populated top level is
-exercised. The run is derandomized and keeps no example database, so every
-run draws the same examples.
+exercised; random pure and mixed states, and products of them, through
+save_state and load_state. The runs are derandomized and keep no example
+database, so every run draws the same examples.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import macroq.states
-from macroq import DensityMatrix, ModeSpec, measure_C, measure_I_forms, purity
+from macroq import (DensityMatrix, ModeSpec, PureState, load_state, measure_C, measure_I_forms,
+                    product_state, purity, random_mixed_state, random_pure_state, save_state)
 
 from oracles import brute_force_C, brute_force_I, brute_force_purity
 
@@ -59,3 +65,41 @@ def test_traces_match_the_brute_force_oracles(rho):
     assert two == pytest.approx(expected_I, abs=1e-12)
     assert measure_C(rho) == pytest.approx(brute_force_C(rho.matrix, m, n), abs=1e-12)
     assert purity(rho) == pytest.approx(brute_force_purity(rho.matrix), abs=1e-12)
+
+
+@st.composite
+def random_states(draw, spec: ModeSpec):
+    """A random pure state on spec, or a random mixture of one to four of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    components = draw(st.integers(0, 4))  # 0: the pure state itself
+    if components == 0:
+        return random_pure_state(spec, rng)
+    return random_mixed_state(spec, rng, components)
+
+
+@st.composite
+def stored_states(draw):
+    """A state at M <= 2 and D <= 256, drawn whole or as a product of two single-mode ones."""
+    if draw(st.booleans()):
+        num_modes = draw(st.sampled_from([1, 2]))
+        truncation = draw(st.integers(2, MAX_DIM if num_modes == 1 else 16))
+        return draw(random_states(ModeSpec(num_modes, truncation)))
+    single = ModeSpec(1, draw(st.integers(2, 16)))
+    return product_state(draw(random_states(single)), draw(random_states(single)))
+
+
+def _bits(state) -> np.ndarray:
+    values = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stored_states())
+def test_state_files_round_trip_bit_exact(state):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        save_state(state, path)
+        loaded = load_state(path)
+    assert type(loaded) is type(state) and loaded.spec == state.spec
+    assert np.array_equal(_bits(loaded), _bits(state))
