@@ -72,7 +72,7 @@ from .config import TOL
 from .errors import ConsistencyError
 from .fock import ModeSpec, _shifts
 from .states import (_TILE, DensityMatrix, PureState, State, _density_matrix, _gap,
-                     _real_after_residue_check, _tile, _tile_pairs)
+                     _real_after_residue_check, _require_tail, _tile, _tile_pairs)
 
 WIGNER_CONVENTION_NOTE = (
     "normalization: W integrates to 1 over phase space; "
@@ -257,7 +257,13 @@ def _checked_report(i_value: float, c_value: float, p_value: float, spec: ModeSp
 
 
 def measure_report(rho: State, provenance: dict | None = None) -> MeasureReport:
-    """Full operator-path report; a pure state is measured by pure_state_measures."""
+    """Full operator-path report; a pure state is measured by pure_state_measures.
+
+    The tail rule comes first: a state whose top Fock level holds tail_tol or
+    more of its population is refused with TruncationError, since the
+    identity's corner term would otherwise refuse it as a broken build.
+    """
+    _require_tail(rho)
     if isinstance(rho, PureState):
         return pure_state_measures(rho, provenance)
     three, two, c_value, p_value = _traces(rho)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +209,9 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     that is at most pi/half_width. W sampled that way is periodic in p with
     period 2pi/d_eta >= 2*half_width, so its images fall outside the window.
     A stride beyond the kernel's width samples eta = 0 alone, so m is capped
-    there, which keeps it finite for tiny windows.
+    there, which keeps it finite for tiny windows. A refinement whose
+    2r(nq - 1) + 1 position sites are more than one float64 array can hold
+    is refused before anything is allocated.
     """
     limit = math.pi / gs.half_width
     coarseness = gs.dq / limit
@@ -217,6 +220,11 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
                               f"pi/half-width = {limit:.3g}, which no finite refinement "
                               f"of the q step {gs.dq:.3g} reaches")
     refine = max(1, math.ceil(coarseness))
+    sites = 2 * refine * (gs.nq - 1) + 1
+    if sites > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+        raise TruncationError(f"half-width {gs.half_width:.6g} needs 2r(nq - 1) + 1 = "
+                              f"{Decimal(sites):.3g} position sites (refinement r = "
+                              f"{refine:.3g}), more than one float64 array can hold")
     stride = max(1, math.floor(min(limit * refine / gs.dq, 2 * refine * gs.nq)))
     return refine, stride
 

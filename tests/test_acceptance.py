@@ -1,4 +1,12 @@
-"""Acceptance suite: one test per exit criterion, each printing a verdict line.
+"""Acceptance suite: the exit criteria, each test printing a verdict line.
+
+Criterion 1 (the thermal closed forms on both pipelines), criterion 2's
+vacuum-anchored Fock mixtures and criterion 6 (displacement invariance,
+tensor composition, chi2 positivity, the three- vs two-term forms of I) are
+judged by `macroq verify` alone, with the same inputs and tolerances: its
+checks must all pass in criterion 7, and tests/test_verify.py pins its closed
+forms to tests/oracles.py. This module keeps the tests with a stricter
+tolerance or inputs of their own.
 
 Criterion 2's cat-mixture clause checks the idealized targets (I = 0,
 chi2 = 2) in the form the exact closed forms guarantee. With
@@ -10,35 +18,23 @@ envelope is negligible. The companion oracle test checks the same values
 against the closed forms and a brute-force oracle.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from macroq import (
-    GaussianSpec,
     ModeSpec,
     as_density,
     cat_mixture,
-    cat_state,
-    coherent_state,
     default_coherent_truncation,
-    default_thermal_truncation,
-    displaced,
     fock_mixture,
-    fock_state,
     measure_C,
     measure_C_wigner,
     measure_I,
-    measure_I_forms,
     measure_P_wigner,
     measure_report,
-    product_state,
     purity,
     random_pure_state,
-    thermal_state,
     wigner_from_density,
-    wigner_measure_report,
 )
 from macroq.cli import main
 from macroq.verify import identity_corpus, wigner_corpus
@@ -49,62 +45,14 @@ from oracles import (
     cat_mixture_chi2,
     cat_mixture_I,
     thermal_chi2,
-    thermal_I,
 )
-
-SQRT2 = math.sqrt(2.0)
-GAUSSIAN_WIDTHS = (1.0, SQRT2, 2.0, 5.0)
 
 
 def _verdict(criterion: str, passed: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-class TestCriterion1GaussianFamily:
-    def test_operator_path_closed_forms(self):
-        worst = 0.0
-        for a in GAUSSIAN_WIDTHS:
-            rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-            report = measure_report(rho)
-            i_exact, chi2_exact = thermal_I(a), thermal_chi2(a)
-            dev_i = abs(report.I - i_exact) / max(abs(i_exact), 1.0)
-            dev_chi = abs(report.chi2 - chi2_exact) / chi2_exact
-            worst = max(worst, dev_i, dev_chi)
-            if a > 1.0:
-                assert report.I < 0.0, f"I must be negative at a={a}"
-                assert 0.0 < report.chi2 < 2.0, f"chi2 outside (0,2) at a={a}"
-        passed = worst < 1e-9
-        _verdict("1 (operator)", passed, f"max relative deviation {worst:.2e} (tol 1e-9)")
-        assert passed
-
-    def test_wigner_path_closed_forms(self):
-        worst = 0.0
-        for a in GAUSSIAN_WIDTHS:
-            cut = default_thermal_truncation(a)
-            rho = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
-            report = wigner_measure_report(rho, default_grid_spec(cut, 256))
-            dev_i = abs(report.I - thermal_I(a)) / max(abs(thermal_I(a)), 1.0)
-            dev_chi = abs(report.chi2 - thermal_chi2(a)) / thermal_chi2(a)
-            worst = max(worst, dev_i, dev_chi)
-        passed = worst < 1e-3
-        _verdict("1 (wigner)", passed, f"max relative deviation {worst:.2e} at 256^2 (tol 1e-3)")
-        assert passed
-
-
 class TestCriterion2MixtureDegeneracy:
-    def test_fock_mixtures_with_vacuum(self):
-        worst_i = 0.0
-        worst_chi = 0.0
-        for d in (1, 2, 3, 5, 8):
-            rho = fock_mixture(ModeSpec(1, d + 4), d, include_vacuum=True)
-            worst_i = max(worst_i, abs(measure_I(rho)))
-            worst_chi = max(worst_chi, abs(measure_report(rho).chi2 - 2.0))
-        passed = worst_i < 1e-12 and worst_chi < 1e-10
-        _verdict("2 (fock mixtures)", passed,
-                 f"max |I| = {worst_i:.2e} (tol 1e-12), "
-                 f"max |chi2-2| = {worst_chi:.2e} (tol 1e-10)")
-        assert passed
-
     def test_fock_mixture_shifted_convention_reported(self):
         rows = []
         for d in (1, 2, 3, 5, 8):
@@ -255,57 +203,6 @@ class TestCriterion5DualPipeline:
                  "1e-12; " + "; ".join(rows))
         assert agreement_ok, rows
         assert refinement_ok, rows
-
-
-class TestCriterion6PropertySuite:
-    def test_displacement_invariance(self):
-        states = [
-            as_density(coherent_state(ModeSpec(1, 40), 0.5)),
-            as_density(fock_state(ModeSpec(1, 40), 2)),
-            thermal_state(ModeSpec(1, 60), GaussianSpec(SQRT2)),
-        ]
-        worst_i = 0.0
-        worst_chi = 0.0
-        for rho in states:
-            i_ref, chi_ref = measure_I(rho), measure_report(rho).chi2
-            for beta in (0.3, 1.0, 0.5 + 0.5j):
-                moved = displaced(rho, beta)
-                worst_i = max(worst_i, abs(measure_I(moved) - i_ref))
-                worst_chi = max(worst_chi, abs(measure_report(moved).chi2 - chi_ref))
-        passed = worst_i < 1e-7 and worst_chi < 1e-6
-        _verdict("6 (displacement)", passed,
-                 f"max |dI| = {worst_i:.2e} (tol 1e-7), "
-                 f"max |dchi2| = {worst_chi:.2e} (tol 1e-6)")
-        assert passed
-
-    def test_tensor_composition(self):
-        thermal26 = thermal_state(ModeSpec(1, 26), GaussianSpec(SQRT2))
-        catmix26 = cat_mixture(ModeSpec(1, 26), 1.0)
-        prod = product_state(thermal26, catmix26)
-        expected = (purity(catmix26) * measure_I(thermal26)
-                    + purity(thermal26) * measure_I(catmix26))
-        residual = abs(measure_I(prod) - expected)
-        passed = residual < 1e-9
-        _verdict("6 (tensor composition)", passed,
-                 f"|I12 - (P2 I1 + P1 I2)| = {residual:.2e} (tol 1e-9)")
-        assert passed
-
-    def test_chi2_positive_on_corpus(self):
-        values = [measure_report(rho).chi2 for _, rho in identity_corpus()]
-        passed = all(v > 0.0 for v in values)
-        _verdict("6 (chi2 positivity)", passed,
-                 f"min chi2 = {min(values):.3e} over the corpus")
-        assert passed
-
-    def test_three_vs_two_term_agreement(self):
-        worst = 0.0
-        for _, rho in identity_corpus():
-            three, two = measure_I_forms(rho)
-            worst = max(worst, abs(three - two))
-        passed = worst < 1e-10
-        _verdict("6 (trace forms)", passed,
-                 f"max |three-term - two-term| = {worst:.2e} (tol 1e-10)")
-        assert passed
 
 
 class TestCriterion7CliReproduction:

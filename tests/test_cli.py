@@ -91,11 +91,11 @@ class TestStateCommand:
 
         assert run("state", "product", f"left={thermal}", f"right={coherent}",
                    "--out", str(mixed)) == 0
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["kind"] == "mixed"
         psi = load_state(coherent).amplitudes
         dense = np.kron(load_state(thermal).matrix, np.outer(psi, psi.conj()))
-        prod = load_state(mixed)
-        assert json.loads(mixed.read_text())["kind"] == "mixed"
+        prod = load_state(mixed)  # the loader's type is the file's kind, read once
+        assert type(prod) is DensityMatrix
         assert np.array_equal(prod.matrix, dense)
 
     @pytest.mark.parametrize("family", ["coherent", "cat", "cat-mixture"])
@@ -905,6 +905,8 @@ class TestWignerCommand:
     @pytest.mark.parametrize("half_width, code, message", [
         ("inf", 2, "half_width must be positive and finite"),
         ("1e-300", 3, "grid integrates to"),
+        ("1e10", 3, "half-width 1e+10 needs 2r(nq - 1) + 1 = 1.27e+20 position sites"),
+        ("1e150", 3, "half-width 1e+150 needs 2r(nq - 1) + 1 = 1.27e+300 position sites"),
         ("1e200", 3, "half-width 1e+200 needs an eta step of pi/half-width"),
     ])
     def test_degenerate_half_width(self, tmp_path, capsys, half_width, code, message):

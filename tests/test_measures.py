@@ -547,14 +547,6 @@ class TestIdentity:
             rhs = (measure_C(rho) - purity(rho)) / 2.0
             assert abs(lhs - rhs) < 1e-9
 
-    def test_identity_on_two_mode_product(self):
-        thermal = thermal_state(ModeSpec(1, 26), GaussianSpec(SQRT2))
-        catmix = cat_mixture(ModeSpec(1, 26), 1.0)
-        prod = product_state(thermal, catmix)
-        lhs = measure_I(prod)
-        rhs = (measure_C(prod) - 2.0 * purity(prod)) / 2.0
-        assert abs(lhs - rhs) < 1e-9
-
     def test_identity_violation_refused(self, monkeypatch):
         # C moved by 4e-9 puts the residual at 2e-9, past its 1e-9 tolerance
         traces = macroq.measures._traces
@@ -567,6 +559,17 @@ class TestIdentity:
         with pytest.raises(ConsistencyError, match=r"identity residual \|I - \(C - M\*P\)/2\| "
                                                    "= 2.00e-09"):
             measure_report(_thermal(2.0))
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_populated_top_level_refused_by_the_tail_rule(self, kind):
+        # built directly, so no constructor ran the tail rule; the identity's corner
+        # term (residual 8.4e-3) must not be what refuses it, as a broken build
+        amps = np.zeros(12, dtype=complex)
+        amps[[0, -1]] = math.sqrt(1.0 - 1.4e-3), math.sqrt(1.4e-3)
+        state = (PureState(ModeSpec(1, 12), amps) if kind == "pure"
+                 else DensityMatrix(ModeSpec(1, 12), np.outer(amps, amps.conj())))
+        with pytest.raises(TruncationError, match=r"^top Fock level holds 1\.40e-03 "):
+            measure_report(state)
 
 
 class TestDisplacement:

@@ -750,7 +750,7 @@ class TestSerialization:
         assert path.read_text() == per_row
 
     def test_write_peak_memory_is_below_two_matrices(self, tmp_path):
-        state = thermal_state(ModeSpec(1, default_thermal_truncation(6.0)), GaussianSpec(6.0))
+        state = thermal_state(ModeSpec(1, default_thermal_truncation(4.0)), GaussianSpec(4.0))
         tracemalloc.start()
         try:
             save_state(state, tmp_path / "thermal.json")
@@ -762,7 +762,7 @@ class TestSerialization:
     def test_read_peak_memory_is_below_three_matrices(self, tmp_path):
         # the rows become float arrays as they are decoded: the text, the rows
         # and their stacked copy, never the entries as Python pairs
-        state = thermal_state(ModeSpec(1, default_thermal_truncation(6.0)), GaussianSpec(6.0))
+        state = thermal_state(ModeSpec(1, default_thermal_truncation(4.0)), GaussianSpec(4.0))
         save_state(state, tmp_path / "thermal.json")
         tracemalloc.start()
         try:

@@ -5,10 +5,32 @@ import math
 
 import macroq.verify
 from macroq import ConsistencyError, PureState, random_pure_state
-from macroq.verify import check_pure_state_relation, run_verification
+from macroq.verify import (
+    CAT_MIXTURE_ALPHAS,
+    GAUSSIAN_WIDTHS,
+    cat_mixture_chi2_exact,
+    cat_mixture_I_exact,
+    check_pure_state_relation,
+    run_verification,
+    thermal_chi2_exact,
+    thermal_I_exact,
+)
+
+from oracles import cat_mixture_chi2, cat_mixture_I, thermal_chi2, thermal_I
 
 CHECK_NAMES = [name for name in vars(macroq.verify)
                if name.startswith(("check_", "note_")) and name != "check_corpus_file"]
+
+
+def test_closed_forms_are_the_oracles():
+    # the checks judge the thermal and cat-mixture reports against these forms,
+    # so they stand in for acceptance tests only while they equal the oracles
+    for a in GAUSSIAN_WIDTHS:
+        assert thermal_I_exact(a) == thermal_I(a)
+        assert thermal_chi2_exact(a) == thermal_chi2(a)
+    for alpha in CAT_MIXTURE_ALPHAS:
+        assert cat_mixture_I_exact(alpha) == cat_mixture_I(alpha)
+        assert cat_mixture_chi2_exact(alpha) == cat_mixture_chi2(alpha)
 
 
 def _counting(monkeypatch, name, calls, keep=None):
