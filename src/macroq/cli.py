@@ -254,6 +254,8 @@ def _run_point(args: argparse.Namespace, value):
         return value, report, None
     except (StateValidationError, TruncationError, ConsistencyError, ValueError) as exc:
         return value, None, f"{type(exc).__name__}: {exc}"
+    except MemoryError as exc:
+        return value, None, f"MemoryError: {str(exc) or 'out of memory'}"
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, max_dimension
 from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import (
     ComplexMatrix,
@@ -693,6 +693,7 @@ def load_state(path: str | Path) -> State:
     refusal names the file. A matrix is decoded one row at a time, so a load
     holds about the file's text plus two matrices.
     """
+    max_dimension()  # a malformed MACROQ_MAX_DIM is refused as itself, not as the file's fault
     try:
         return _decode_state(Path(path))
     except (StateValidationError, TruncationError) as exc:

@@ -395,6 +395,8 @@ def _outcome(name: str, run: Callable[[], tuple[bool, str]],
         passed, detail = run()
     except (MacroqError, OSError) as exc:
         return CheckResult(name, False, str(exc))
+    except MemoryError as exc:
+        return CheckResult(name, False, str(exc) or "out of memory")
     return CheckResult(name, passed, detail, informational)
 
 

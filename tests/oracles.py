@@ -265,6 +265,12 @@ def cat_mixture_purity(alpha: float) -> float:
     return (1.0 + s * s) / 2.0
 
 
+def state_bits(state) -> np.ndarray:
+    """A state's stored amplitudes or matrix as a uint64 view: equal views are equal bits."""
+    values = state.amplitudes if hasattr(state, "amplitudes") else state.matrix
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
 def state_document_pairs(text: str) -> np.ndarray | None:
     """The float [re, im] array a version-1 state document holds, read whole
     by json.loads, or None where the document's structure is refused.

@@ -18,6 +18,8 @@ envelope is negligible. The companion oracle test checks the same values
 against the closed forms and a brute-force oracle.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -206,13 +208,21 @@ class TestCriterion5DualPipeline:
 
 
 class TestCriterion7CliReproduction:
-    def test_verify_exits_clean(self, capsys):
-        code = main(["verify"])
+    def test_verify_exits_clean(self, tmp_path, capsys):
+        summary_path = tmp_path / "verify.json"
+        code = main(["verify", "--json", str(summary_path)])
         out = capsys.readouterr().out
         passed = code == 0
         with capsys.disabled():
             _verdict("7 (verify)", passed, f"exit code {code}")
         assert passed, out
+        assert "summary: 11/11 checks passed" in out
+        assert "PASS dual-pipeline" in out
+        assert "on 256^2 grids (tol 1e-03)" in out
+        assert "INFO fock-mixture-convention" in out
+        doc = json.loads(summary_path.read_text())
+        assert doc["failed"] == 0
+        assert sorted(doc) == ["checks", "failed", "generated_at"]
 
     def test_thermal_sweep_reproduction_and_determinism(self, tmp_path, capsys):
         outputs = []
@@ -225,9 +235,12 @@ class TestCriterion7CliReproduction:
             outputs.append(path.read_bytes())
         capsys.readouterr()
         worst = 0.0
-        lines = outputs[0].decode().splitlines()[1:]
+        header, *lines = outputs[0].decode().splitlines()
+        assert header == "parameter,I,C,P,chi2,errors"
+        assert len(lines) == 9
         for line in lines:
-            a_text, _, _, _, chi2_text, _ = line.split(",")
+            a_text, _, _, _, chi2_text, err = line.split(",")
+            assert err == ""
             a = float(a_text)
             worst = max(worst, abs(float(chi2_text) - thermal_chi2(a)))
             if a > 1.0:

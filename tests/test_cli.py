@@ -33,7 +33,7 @@ from macroq import (
 from macroq import cli, verify, wigner
 from macroq.cli import main
 
-from oracles import cat_mixture_I, thermal_chi2
+from oracles import cat_mixture_I, state_bits
 
 
 def run(*argv):
@@ -179,9 +179,15 @@ class TestStateCommand:
     ])
     def test_bad_dimension_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, raw,
                                               message):
+        state = tmp_path / "fock.json"
+        run("state", "fock", "n=1", "--out", str(state))
+        capsys.readouterr()
         monkeypatch.setenv("MACROQ_MAX_DIM", raw)
         assert run("state", "thermal", "a=2", "--out", str(tmp_path / "x.json")) == 2
         assert message in capsys.readouterr().err
+        # refused as itself, not blamed on the file it was read for
+        assert run("measure", str(state)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_inadequate_truncation_exit_code(self, tmp_path, capsys):
         code = run("state", "coherent", "alpha=3", "--truncation", "12",
@@ -328,6 +334,31 @@ class TestOutOfMemory:
         self._refused(code, capsys, "out of memory")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_sweep_point_out_of_memory_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        thermal_state = cli.thermal_state
+
+        def thermal(spec, gaussian):
+            if gaussian.a == 2.0:
+                self._out_of_memory()
+            if gaussian.a == 3.0:
+                raise MemoryError
+            return thermal_state(spec, gaussian)
+
+        monkeypatch.setattr(cli, "thermal_state", thermal)
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--family", "thermal", "--parameter", "a", "--values", "1.2,2",
+                   "--out", str(out)) == cli.EXIT_OK
+        allocation = ("MemoryError: Unable to allocate 149. GiB for an array with shape "
+                      "(2; 200000; 50000) and data type float64")
+        assert [row.split(",")[5] for row in out.read_text().splitlines()[1:]] == [
+            "", allocation]
+        # every point failed: the sweep's own rule, with the rows written
+        assert run("sweep", "--family", "thermal", "--parameter", "a", "--values", "2,3",
+                   "--out", str(out)) == cli.EXIT_TRUNCATION
+        assert [row.split(",")[5] for row in out.read_text().splitlines()[1:]] == [
+            allocation, "MemoryError: out of memory"]
+        assert "every sweep point failed" in capsys.readouterr().err
+
 
 class TestRefusalSweep:
     """Every family parameter at every edge value exits with a code, never a traceback."""
@@ -453,13 +484,26 @@ class TestMalformedStateFiles:
         assert f": {files[name]}: " in captured.err
         assert captured.out == ""
 
-    def test_verify_corpus_fails_each_file_on_one_line(self, files, capsys):
-        # a corpus refusal is a FAIL line of the suite (exit 1), not an error exit
-        assert run("verify", "--corpus", *map(str, files.values())) == 1
+    def test_verify_corpus_fails_each_file_on_one_line(self, tmp_path, files, capsys):
+        # a corpus refusal is a FAIL line of the suite (exit 1), not an error exit,
+        # carrying the message measure refuses the same file with
+        paths = [*files.values(), tmp_path / "missing.json"]
+        messages = []
+        for path in paths:
+            run("measure", str(path))
+            prefix, _, message = capsys.readouterr().err.rstrip("\n").partition(": ")
+            assert prefix in ("error", "truncation/resource error")
+            messages.append(message)
+        assert "trace deviates from 1 by" in messages[list(files).index("trace")]
+        assert ("top Fock level holds 1.00e-06 of the population"
+                in messages[list(files).index("top-level-overfull")])
+        assert "No such file or directory" in messages[-1]
+        assert run("verify", "--corpus", *map(str, paths)) == 1
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         fails = [line for line in lines if line.startswith("FAIL ")]
-        assert [line.split(":")[1] for line in fails] == [f"{name}.json" for name in files]
+        assert fails == [f"FAIL corpus:{path.name}: {message}"
+                         for path, message in zip(paths, messages)]
         assert sum(line.startswith("PASS ") for line in lines) == 11
         assert captured.err == ""
 
@@ -708,33 +752,6 @@ class TestMeasureCommand:
 
 
 class TestSweepCommand:
-    def test_thermal_sweep_reproduces_closed_form(self, tmp_path, capsys):
-        out = tmp_path / "thermal.csv"
-        assert run("sweep", "--family", "thermal", "--parameter", "a",
-                   "--start", "1", "--stop", "5", "--steps", "9",
-                   "--out", str(out)) == 0
-        capsys.readouterr()
-        lines = out.read_text().splitlines()
-        assert lines[0] == "parameter,I,C,P,chi2,errors"
-        assert len(lines) == 10
-        for line in lines[1:]:
-            a_text, _, _, _, chi2_text, err = line.split(",")
-            assert err == ""
-            a = float(a_text)
-            assert float(chi2_text) == pytest.approx(thermal_chi2(a), abs=1e-6)
-            if a > 1:
-                assert 0.0 < float(chi2_text) < 2.0
-
-    def test_sweep_is_byte_deterministic(self, tmp_path, capsys):
-        first = tmp_path / "one.csv"
-        second = tmp_path / "two.csv"
-        for out in (first, second):
-            assert run("sweep", "--family", "thermal", "--parameter", "a",
-                       "--start", "1", "--stop", "2", "--steps", "3",
-                       "--out", str(out)) == 0
-        capsys.readouterr()
-        assert first.read_bytes() == second.read_bytes()
-
     def test_fock_sweep_counts_excitations(self, tmp_path, capsys):
         out = tmp_path / "fock.csv"
         assert run("sweep", "--family", "fock", "--parameter", "n",
@@ -919,18 +936,6 @@ class TestWignerCommand:
 
 
 class TestVerifyCommand:
-    def test_coarse_grid_run_passes(self, tmp_path, capsys):
-        summary_path = tmp_path / "verify.json"
-        assert run("verify", "--json", str(summary_path)) == 0
-        text = capsys.readouterr().out
-        assert "PASS dual-pipeline" in text
-        assert "on 256^2 grids (tol 1e-03)" in text
-        assert "summary: 11/11 checks passed" in text
-        assert "INFO fock-mixture-convention" in text
-        doc = json.loads(summary_path.read_text())
-        assert doc["failed"] == 0
-        assert sorted(doc) == ["checks", "failed", "generated_at"]
-
     def test_coarsest_grid_fails_the_grid_checks_on_their_lines(self, capsys, monkeypatch):
         # 32 points under-resolve the grid: its two checks fail, naming the
         # grid refusal, and every other entry still prints
@@ -947,40 +952,13 @@ class TestVerifyCommand:
             assert "gradient integral not converged on the 32x32 grid" in line
         assert lines[-1] == "summary: 9/11 checks passed, 2 informational notes"
 
-    def test_corrupted_corpus_file_fails_naming_invariant(self, tmp_path, capsys):
-        state = tmp_path / "bad.json"
-        run("state", "thermal", "a=1.4142135623730951", "--out", str(state))
-        doc = json.loads(state.read_text())
-        doc["data"] = [[[0.9 * re, 0.9 * im] for re, im in row] for row in doc["data"]]
-        state.write_text(json.dumps(doc))
-        capsys.readouterr()
-        code = run("verify", "--corpus", str(state))
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "trace deviates from 1 by" in out
-
-    def test_valid_corpus_file_joins_suite(self, tmp_path, capsys):
-        state = tmp_path / "good.json"
-        run("state", "cat", "alpha=1.2", "--out", str(state))
-        capsys.readouterr()
-        assert run("verify", "--corpus", str(state)) == 0
-        assert "PASS corpus:good.json" in capsys.readouterr().out
-
-    def test_corpus_file_judged_by_the_tail_rule(self, tmp_path, capsys):
-        state = tmp_path / "tail.json"
-        populations = np.full(12, (1.0 - 1e-10) / 11)
-        populations[-1] = 1e-10
-        save_state(DensityMatrix(ModeSpec(1, 12), np.diag(populations)), state)
-        assert run("measure", str(state)) == 3
-        message = capsys.readouterr().err.removeprefix("truncation/resource error: ")
-        assert "top Fock level holds 1.00e-10 of the population" in message
-        assert run("verify", "--corpus", str(state)) == 1
-        assert f"FAIL corpus:tail.json: {message}" in capsys.readouterr().out
-
-    def test_pure_corpus_file_measured_from_vector(self, tmp_path, capsys, monkeypatch, rng):
-        state = tmp_path / "pure.json"
+    def test_valid_corpus_file_joins_suite(self, tmp_path, capsys, monkeypatch, rng):
+        cat = tmp_path / "cat.json"
+        run("state", "cat", "alpha=1.2", "--out", str(cat))
+        pure = tmp_path / "pure.json"
         psi = random_pure_state(ModeSpec(2, 20), rng)
-        save_state(psi, state)
+        save_state(psi, pure)
+        capsys.readouterr()
         projector = PureState.projector
 
         def refuse_file_state(self):
@@ -990,20 +968,12 @@ class TestVerifyCommand:
             return projector(self)
 
         monkeypatch.setattr(PureState, "projector", refuse_file_state)
-        assert run("verify", "--corpus", str(state)) == 0
-        residual = pure_state_measures(psi).identity_residual
-        assert f"PASS corpus:pure.json: valid PureState, identity residual {residual:.2e}" \
-            in capsys.readouterr().out
-
-    def test_missing_corpus_file_is_a_fail_line(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        assert run("verify", "--corpus", str(missing)) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert sum(line.startswith("PASS ") for line in lines) == 11
-        fails = [line for line in lines if line.startswith("FAIL ")]
-        assert len(fails) == 1
-        assert fails[0].startswith("FAIL corpus:missing.json: ")
-        assert "No such file or directory" in fails[0]
+        assert run("verify", "--corpus", str(cat), str(pure)) == 0
+        out = capsys.readouterr().out
+        for path, state in ((cat, load_state(cat)), (pure, psi)):
+            residual = pure_state_measures(state).identity_residual
+            assert (f"PASS corpus:{path.name}: valid PureState, identity residual {residual:.2e}"
+                    in out)
 
 
 class TestDeterminism:
@@ -1056,8 +1026,7 @@ FAMILY_CASES = [
 
 
 def _bits(state):
-    values = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return type(state), state.spec, values.view(np.uint64).tolist()
+    return type(state), state.spec, state_bits(state).tolist()
 
 
 class TestFamilyTable:

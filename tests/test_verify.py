@@ -47,27 +47,24 @@ def _counting(monkeypatch, name, calls, keep=None):
 
 
 def test_every_check_and_note_is_called_once_by_its_global_name(monkeypatch):
-    # rebinding a module global after import reaches the run, as a tracer does
+    # rebinding a module global after import reaches the run, as a tracer does;
+    # the same run counts the shared reference states built and measured
     calls = {}
+    shared = {}
+    measured = []
     for name in CHECK_NAMES:
         _counting(monkeypatch, name, calls)
+    _counting(monkeypatch, "identity_corpus", shared)
+    _counting(monkeypatch, "measure_report", shared, keep=measured)
+    _counting(monkeypatch, "measure_I", shared)
     results = run_verification()
     assert len(CHECK_NAMES) == 13
     assert calls == {name: 1 for name in CHECK_NAMES}
     assert [r.status for r in results].count("PASS") == 11
-
-
-def test_shared_reference_states_are_built_and_measured_once(monkeypatch):
-    calls = {}
-    measured = []
-    _counting(monkeypatch, "identity_corpus", calls)
-    _counting(monkeypatch, "measure_report", calls, keep=measured)
-    _counting(monkeypatch, "measure_I", calls)
-    run_verification()
-    assert calls["identity_corpus"] == 1
-    assert calls["measure_I"] == 1  # the note's shifted mixture, the only one not shared
+    assert shared["identity_corpus"] == 1
+    assert shared["measure_I"] == 1  # the note's shifted mixture, the only one not shared
     assert "purity" not in vars(macroq.verify)
-    assert calls["measure_report"] == len(measured) <= 100
+    assert shared["measure_report"] == len(measured) <= 100
     # the list keeps each state alive, so equal ids mean the same state measured twice
     assert len({id(state) for state in measured}) == len(measured)
 
@@ -88,11 +85,16 @@ def test_refusal_in_a_check_is_its_fail_line(monkeypatch):
     def refuse(*args, **kwargs):
         raise ConsistencyError("broken on purpose")
 
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
     monkeypatch.setattr(macroq.verify, "measure_I_forms", refuse)
+    monkeypatch.setattr(macroq.verify, "displaced", out_of_memory)
     results = {r.name: r for r in run_verification()}
-    assert results["three-vs-two-term"].status == "FAIL"
-    assert results["three-vs-two-term"].detail == "broken on purpose"
-    assert [r.status for r in results.values()].count("PASS") == 10
+    fails = {name: r.detail for name, r in results.items() if r.status == "FAIL"}
+    assert fails == {"three-vs-two-term": "broken on purpose",
+                     "displacement-invariance": "out of memory"}
+    assert [r.status for r in results.values()].count("PASS") == 9
 
 
 def test_refused_reference_state_fails_every_check_that_reads_it(monkeypatch):

@@ -229,8 +229,8 @@ class TestEtaSampling:
         (lambda: _vacuum(), 33, 33, 2, 1),
         (lambda: thermal_state(ModeSpec(1, default_thermal_truncation(2.0)), GaussianSpec(2.0)),
          160, 160, 1, 1),
-        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 256, 256, 1, 2),
-        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 257, 257, 1, 2),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 188, 188, 1, 2),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 189, 189, 1, 2),
         (lambda: as_density(fock_state(ModeSpec(1, 12), 5)), 512, 512, 1, 8),
         (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5 * np.exp(0.7j))), 64, 96, 2, 1),
     ])
