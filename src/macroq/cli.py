@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import max_dimension
 from .errors import ConsistencyError, StateValidationError, TruncationError
 from .fock import ModeSpec
 from .measures import measure_report
@@ -164,10 +165,10 @@ def cmd_state(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _measure_one(state: State, method: str, grid_points: int, provenance: dict) -> dict:
+def _measure_one(state: State, method: str, grid_points: int | None, provenance: dict) -> dict:
     if method == "operator":
         return measure_report(state, provenance=provenance).to_dict()
-    gs = default_grid_spec(state.spec.truncation, grid_points)
+    gs = None if grid_points is None else default_grid_spec(state.spec.truncation, grid_points)
     grid_side = wigner_measure_report(state, gs, provenance=provenance)
     if method == "wigner":
         return grid_side.to_dict()
@@ -210,6 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family not in allowed:
         raise ValueError(
             f"parameter {args.parameter!r} applies to families {allowed}, not {args.family!r}")
+    max_dimension()  # a malformed MACROQ_MAX_DIM is a usage error, not every point's failure
     ordered = sorted(values)
     outcomes = [_run_point(args, value) for value in ordered]
     successes = sum(1 for _, report, err in outcomes if err is None)
@@ -266,9 +268,10 @@ def cmd_wigner(args: argparse.Namespace) -> int:
                          "give --out a suffix other than .json")
     state = load_state(args.state)
     if args.half_width is None:
-        gs = default_grid_spec(state.spec.truncation, args.grid)
+        gs = None if args.grid is None else default_grid_spec(state.spec.truncation, args.grid)
     else:
-        gs = GridSpec(half_width=args.half_width, nq=args.grid, np=args.grid)
+        points = DEFAULT_GRID_POINTS + 1 if args.grid is None else args.grid
+        gs = GridSpec(half_width=args.half_width, nq=points, np=points)
     grid = wigner_from_density(state, gs)
     written = []
     if args.format in ("csv", "both"):
@@ -280,12 +283,12 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     peak = np.unravel_index(np.argmax(np.abs(grid.values)), grid.values.shape)
     summary = {
         "written": written,
-        "nq": gs.nq,
-        "np": gs.np,
-        "half_width": gs.half_width,
+        "nq": grid.nq,
+        "np": grid.np,
+        "half_width": grid.spec.half_width,
         "normalization": grid.normalization(),
         "extreme_value": float(grid.values[peak]),
-        "extreme_at": [float(gs.q_vector()[peak[0]]), float(gs.p_vector()[peak[1]])],
+        "extreme_at": [float(grid.q_vector()[peak[0]]), float(grid.p_vector()[peak[1]])],
     }
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
@@ -326,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("state", help="state file written by the state command")
     p_measure.add_argument("--method", choices=("operator", "wigner", "both"),
                            default="operator")
-    p_measure.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
-                           help="points per axis for the wigner method "
-                                f"(default {DEFAULT_GRID_POINTS})")
+    p_measure.add_argument("--grid", type=int, default=None,
+                           help="points per axis for the wigner method (default: from the "
+                                f"state, at least {DEFAULT_GRID_POINTS})")
     p_measure.set_defaults(func=cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="measure a family over a parameter range")
@@ -347,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wigner = sub.add_parser("wigner", help="export a sampled phase-space grid")
     p_wigner.add_argument("state", help="single-mode state file")
     p_wigner.add_argument("--out", required=True)
-    p_wigner.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS + 1,
-                          help=f"points per axis (default {DEFAULT_GRID_POINTS + 1}, "
-                               "which samples the origin)")
+    p_wigner.add_argument("--grid", type=int, default=None,
+                          help="points per axis (default: from the state, at least "
+                               f"{DEFAULT_GRID_POINTS + 1}, which samples the origin)")
     p_wigner.add_argument("--half-width", type=float, default=None,
                           help="override the default window sqrt(2N) + 5")
     p_wigner.add_argument("--format", choices=("csv", "json", "both"), default="csv")

@@ -30,8 +30,7 @@ class Tolerances:
 
     # phase-space pipeline
     grid_norm_tol: float = 1e-6      # | integral of W - 1 |
-    dual_pipeline_rel: float = 1e-3  # relative C/P disagreement, operator vs grid
-    gradient_resolution_tol: float = 1e-4    # admissible change of C under step halving
+    dual_pipeline_rel: float = 1e-10  # relative C/P disagreement, operator vs grid
 
     # displacement guard
     displaced_tail_tol: float = 1e-10

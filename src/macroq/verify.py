@@ -44,7 +44,7 @@ from .states import (
     random_pure_state,
     thermal_state,
 )
-from .wigner import DEFAULT_GRID_POINTS, default_grid_spec, wigner_measure_report
+from .wigner import DEFAULT_GRID_POINTS, wigner_measure_report
 
 RANDOM_SEED = 987654321
 
@@ -224,7 +224,7 @@ def check_gaussian_family_wigner() -> tuple[bool, str]:
     for a in GAUSSIAN_WIDTHS:
         rho = _thermal(a)
         with _naming(f"thermal a={a}"):
-            report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation))
+            report = wigner_measure_report(rho)
         worst = max(worst, _thermal_deviation(a, report))
     return worst < tol, (
         f"max relative deviation {worst:.2e} on {DEFAULT_GRID_POINTS}^2 grids (tol {tol:.0e})")
@@ -310,7 +310,7 @@ def check_dual_pipeline() -> tuple[bool, str]:
     deltas = {}
     for name, rho in wigner_corpus():
         with _naming(name):
-            report = wigner_measure_report(rho, default_grid_spec(rho.spec.truncation))
+            report = wigner_measure_report(rho)
         deltas[name] = max(report.cross_deltas.values())
     worst_name = max(deltas, key=deltas.get)
     return True, (

@@ -47,7 +47,7 @@ from .fock import _store_integers
 from .measures import MeasureReport, _checked_report, measure_report
 from .states import State, as_density
 
-DEFAULT_GRID_POINTS = 256  # points per axis of every default grid
+DEFAULT_GRID_POINTS = 256  # points per axis of a default grid, unless W needs more
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
@@ -185,10 +185,8 @@ def _finish(values: np.ndarray, imag_terms: tuple[np.ndarray, np.ndarray], gs: G
     grid = PhaseSpaceGrid(gs, values)
     norm = grid.normalization()
     if abs(norm - 1.0) > TOL.grid_norm_tol:
-        raise TruncationError(
-            f"{what}: grid integrates to {norm!r}, not 1; "
-            "enlarge the half-width or refine the grid"
-        )
+        raise TruncationError(f"{what}: grid integrates to {norm!r}, not 1; "
+                              "enlarge the half-width")
     return grid
 
 
@@ -214,12 +212,12 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     is refused before anything is allocated.
     """
     limit = math.pi / gs.half_width
-    coarseness = gs.dq / limit
-    if not math.isfinite(coarseness):
+    steps = gs.dq / limit
+    if not math.isfinite(steps):
         raise TruncationError(f"half-width {gs.half_width!r} needs an eta step of "
                               f"pi/half-width = {limit:.3g}, which no finite refinement "
                               f"of the q step {gs.dq:.3g} reaches")
-    refine = max(1, math.ceil(coarseness))
+    refine = max(1, math.ceil(steps))
     sites = 2 * refine * (gs.nq - 1) + 1
     if sites > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
         raise TruncationError(f"half-width {gs.half_width:.6g} needs 2r(nq - 1) + 1 = "
@@ -229,29 +227,80 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
     return refine, stride
 
 
-def _defining_integral(mat: np.ndarray, gs: GridSpec
-                       ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(1/2pi) sum_j d_eta <q_i + eta_j/2| rho |q_i - eta_j/2> exp(-i eta_j p_k).
+def _kernel(mats: list[np.ndarray], gs: GridSpec) -> tuple[tuple, list[tuple[int, int]]]:
+    """The kernel <x_a|rho|x_b> = Psi rho Psi^T of the last of mats, formed after the others
+    into the same blocks, with its layout, and the point counts each one's eta reach asks.
 
-    The position kernel <x_a|rho|x_b> = Psi rho Psi^T lives on
-    x_a = -h + a*dq/(2r), where q_i sits at a = 2ri and q_i +- eta_j/2 at
-    a, b = 2ri +- mj. Every such a and b is a multiple of g = gcd(2r, m). On
-    the S sites s = a/g the pairs read are (s_a, s_b) = (ci + m'j, ci - m'j),
-    with c = 2r/g and m' = m/g coprime, so s_b = s_a (mod 2m') and
-    s_b = -s_a (mod 2c): the class of s_a modulo M = 2cm' fixes that of s_b.
-    The sites are split into these M classes, each padded to n = ceil(S/M),
-    and the kernel is formed as one n x n block per class, Psi_k rho
+    The kernel lives on x_a = -h + a*dq/(2r), where q_i sits at a = 2ri and
+    q_i +- eta_j/2 at a, b = 2ri +- mj. Every such a and b is a multiple of
+    g = gcd(2r, m). On the S sites s = a/g the pairs read are
+    (s_a, s_b) = (ci + m'j, ci - m'j), with c = 2r/g and m' = m/g coprime,
+    so s_b = s_a (mod 2m') and s_b = -s_a (mod 2c): the class of s_a modulo
+    M = 2cm' fixes that of s_b. The sites are split into these M classes,
+    each padded to n = ceil(S/M) with sites whose eigenfunctions are set to
+    zero, and the kernel is formed as one n x n block per class, Psi_k rho
     Psi_pi(k)^T for the partner class pi(k) of the s_b sites: about
-    S^2 N / M multiply-adds beside the S N^2 of Psi rho, and every entry is
-    read once, apart from the padding. One zero sentinel after the blocks
-    stands in for every pair that leaves the window. Both products are real
-    GEMMs on float views, so no complex copy of Psi is made: the
-    eigenfunction table is stored (N x S), so each class is a transposed
-    view of it, Psi_pi(k) rho.view(float64) gives the rows of Psi rho on
-    class pi(k), and Psi_k times the float view of their transpose stores
-    block k transposed, with the s_b sites as rows. A thermal state at
-    a = 5 on 256 points has S = 1531 sites in M = 12 classes of 128: its
-    blocks take 3 MiB, where the full kernel took 36 MiB.
+    S^2 N / M multiply-adds beside the S N^2 of Psi rho. Every pair of a
+    block is a (q_i, eta_j) pair, and every pair read is in one block. One
+    zero sentinel after the blocks stands in for every pair that leaves the
+    window. Both products are real GEMMs on float views, so no complex copy
+    of Psi is made: the eigenfunction table is stored (N x S), so each class
+    is a transposed view of it, Psi_pi(k) rho.view(float64) gives the rows
+    of Psi rho on class pi(k), and Psi_k times the float view of their
+    transpose stores block k transposed, with the s_b sites as rows.
+
+    Reach rule: the kernel along eta is W's Fourier transform in p. |K|^2 is summed along
+    each block diagonal (one eta step), weighted by 1 + eta^2 as C weighs it; W sampled in p
+    to the eta beyond which at most dual_pipeline_rel * grid_norm_tol of that lies takes
+    ceil(2 h eta / pi) + 1 points, and one eta step less gives the second count. The eta sum
+    ends at the window, so a grid with the count of its last eta is not measured.
+    """
+    refine, stride = _eta_sampling(gs)
+    size = 2 * refine * (gs.nq - 1) + 1
+    lattice = math.gcd(2 * refine, stride)
+    row_step, step = 2 * refine // lattice, stride // lattice
+    classes = 2 * row_step * step
+    count = (size - 1) // lattice + 1
+    rows = -(-count // classes)
+    # class k holds the sites k, k + M, k + 2M, ...; the padding sites are zero
+    x = np.zeros(classes * rows)
+    x[:count] = np.linspace(-gs.half_width, gs.half_width, size)[::lattice]
+    psi = _hermite_functions(x.reshape(rows, classes).T.ravel(), len(mats[-1]))
+    psi[:, (np.arange(x.size) >= count).reshape(rows, classes).T.ravel()] = 0.0
+    psi = psi.reshape(len(mats[-1]), classes, rows)
+    # the partner of class k holds the site k - 2m'j whose sum with k is a multiple of 2c
+    label = np.arange(classes)
+    partner = (label - 2 * step * (label * pow(step, -1, row_step) % row_step)) % classes
+    flat = np.zeros(classes * rows * rows + 1, dtype=np.complex128)  # the last is the sentinel
+    blocks = flat[:-1].view(np.float64).reshape(classes, rows, 2 * rows)
+    # diagonal t = column - row of block k holds s_a - s_b = pi(k) - k + Mt = 2m' j
+    diagonal = (np.arange(rows) - np.arange(rows)[:, None] + rows - 1).ravel()
+    apart = np.abs((partner - label)[:, None] + classes * np.arange(1 - rows, rows)) // (2 * step)
+    d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
+    weight = 1.0 + (d_eta * np.arange(apart.max() + 1)) ** 2
+
+    def points(j: int) -> int:
+        return math.ceil(2.0 * gs.half_width * d_eta * j / math.pi) + 1
+    whole = points((size - 1) // (2 * stride))
+    counts = [(whole, whole)] if min(gs.nq, gs.np) >= whole else []
+    for mat in mats[-1:] if counts else mats:
+        real = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+        for k, other in enumerate(partner.tolist()):
+            inner = (psi[:, other].T @ real).view(np.complex128)
+            np.matmul(psi[:, k].T, np.ascontiguousarray(inner.T).view(np.float64),
+                      out=blocks[k])
+        if min(gs.nq, gs.np) < whole:
+            power = np.square(blocks)
+            energy = [np.bincount(diagonal, (one[:, 0::2] + one[:, 1::2]).ravel()) for one in power]
+            beyond = np.cumsum((weight * np.bincount(apart.ravel(), np.ravel(energy)))[::-1])
+            steps = np.count_nonzero(beyond[-2::-1] > TOL.dual_pipeline_rel * TOL.grid_norm_tol
+                                     * beyond[-1])
+            counts.append((points(steps), points(max(steps - 1, 0))))
+    return (flat, refine, stride, size, row_step, step, classes, rows, d_eta), counts
+
+
+def _defining_integral(kernel: tuple, gs: GridSpec) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(1/2pi) sum_j d_eta <q_i + eta_j/2| rho |q_i - eta_j/2> exp(-i eta_j p_k) from _kernel.
 
     The eta sum is regrouped by parity: with S_j = K_j + K_-j (S_0 = K_0)
     and D_j = K_j - K_-j it is sum_j S_j cos(eta_j p) - i sum_j D_j sin(eta_j p)
@@ -274,30 +323,7 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec
     Hermitian: the imaginary part is formed in full and left for _finish to
     judge.
     """
-    refine, stride = _eta_sampling(gs)
-    size = 2 * refine * (gs.nq - 1) + 1
-    lattice = math.gcd(2 * refine, stride)
-    row_step, step = 2 * refine // lattice, stride // lattice
-    classes = 2 * row_step * step
-    count = (size - 1) // lattice + 1
-    rows = -(-count // classes)
-    # class k holds the sites k, k + M, k + 2M, ...; the padding is never read
-    x = np.zeros(classes * rows)
-    x[:count] = np.linspace(-gs.half_width, gs.half_width, size)[::lattice]
-    psi = _hermite_functions(x.reshape(rows, classes).T.ravel(), mat.shape[0])
-    psi = psi.reshape(mat.shape[0], classes, rows)
-    # the partner of class k holds the site k - 2m'j whose sum with k is a multiple of 2c
-    label = np.arange(classes)
-    partner = (label - 2 * step * (label * pow(step, -1, row_step) % row_step)) % classes
-    real = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
-    flat = np.empty(classes * rows * rows + 1, dtype=np.complex128)
-    blocks = flat[:-1].view(np.float64).reshape(classes, rows, 2 * rows)
-    for k, other in enumerate(partner.tolist()):
-        inner = (psi[:, other].T @ real).view(np.complex128)
-        np.matmul(psi[:, k].T, np.ascontiguousarray(inner.T).view(np.float64), out=blocks[k])
-    flat[-1] = 0.0
-    del psi, inner, blocks
-    d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
+    flat, refine, stride, size, row_step, step, classes, rows, d_eta = kernel
     centre = 2 * refine * np.arange(gs.nq)
     room = np.minimum(centre, size - 1 - centre)
     # K_j at q_i pairs s_a = ci + m'j with s_b = ci - m'j: block s_b % M, row
@@ -347,7 +373,6 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec
             np.matmul(diff.view(np.float64).T, sin, out=odd)
         # freed before the next block allocates, so that it reuses their memory
         del outside, at, ahead, behind, summed, diff, theta, cos, sin
-    del flat
     scale = d_eta / (2.0 * np.pi)
     sums *= scale
     # Re W = Re C + Im S at the columns p >= 0 and Re C - Im S at their mirrors -p
@@ -358,13 +383,29 @@ def _defining_integral(mat: np.ndarray, gs: GridSpec
     return values, (even[1::2], odd[0::2])
 
 
-def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGrid:
-    """Sample W for a single-mode state, pure or mixed, by the vectorised defining integral."""
+def _sampled(rho: State, gs: GridSpec, grow: bool) -> PhaseSpaceGrid:
+    """W on gs, or with grow at least gs, once its counts resolve the kernel's reach (_kernel)."""
     _require_single_mode(rho, "wigner_from_density")
-    if gs is None:
-        gs = default_grid_spec(rho.spec.truncation)
-    values, imag_terms = _defining_integral(as_density(rho).matrix, gs)
-    return _finish(values, imag_terms, gs, "wigner_from_density")
+    rho = as_density(rho)
+    # R rho R^dagger, R = diag((-i)^n), turns W a quarter; a rho of band 0 is its own turn
+    turn = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(rho.spec.truncation) % 4]
+    mats = [turn[:, None] * rho.matrix * turn.conj()] if rho._band else []
+    kernel, counts = _kernel(mats + [rho.matrix], gs)
+    q_need, p_need = counts[0], counts[-1]
+    if grow and (need := max(q_need[0], p_need[0])) > gs.nq:
+        gs = GridSpec(gs.half_width, nq=need, np=need)
+        kernel = _kernel([rho.matrix], gs)[0]
+    elif gs.nq < q_need[1] or gs.np < p_need[1]:
+        raise TruncationError(f"wigner_from_density: the {gs.nq}x{gs.np} grid under-samples W; the "
+                              f"reach of its kernel needs {q_need[0]}x{p_need[0]} points or more")
+    return _finish(*_defining_integral(kernel, gs), gs, "wigner_from_density")
+
+
+def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGrid:
+    """Sample W for a single-mode state, pure or mixed, by the vectorised defining integral;
+    the default grid has DEFAULT_GRID_POINTS + 1 points, which sample the origin, or more."""
+    floor = default_grid_spec(rho.spec.truncation, DEFAULT_GRID_POINTS + 1)
+    return _sampled(rho, gs or floor, grow=gs is None)
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
@@ -421,33 +462,8 @@ def measure_P_wigner(w: PhaseSpaceGrid) -> float:
 
 
 def measure_C_wigner(w: PhaseSpaceGrid) -> float:
-    """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) on the grid.
-
-    Refused with TruncationError when the grid is under-resolved, as
-    _coarsening_change judges it.
-    """
-    value = _c_from_values(w.values, w.spec.dq, w.spec.dp)
-    _coarsening_change(w, value)
-    return value
-
-
-def _coarsening_change(w: PhaseSpaceGrid, value: float) -> float:
-    """Relative change in C on the 2x-coarsened grid; TruncationError past the limit.
-
-    The spectral C is exact to round-off on any grid that resolves W, so a
-    change beyond gradient_resolution_tol means the half grid, and possibly
-    the grid itself, is under-resolved. The guard is conservative: it also
-    refuses resolved grids whose half is aliased (cat alpha=5 at 256 points).
-    """
-    coarse_value = _c_from_values(w.values[::2, ::2], 2.0 * w.spec.dq, 2.0 * w.spec.dp)
-    change = abs(coarse_value - value) / abs(value)
-    limit = TOL.gradient_resolution_tol
-    if change > limit:
-        raise TruncationError(
-            f"gradient integral not converged on the {w.spec.nq}x{w.spec.np} grid: coarsening "
-            f"changes C by {change:.2e} relative (limit {limit:.2e}); use a finer grid"
-        )
-    return change
+    """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) on the grid."""
+    return _c_from_values(w.values, w.spec.dq, w.spec.dp)
 
 
 def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
@@ -481,14 +497,13 @@ def wigner_measure_report(
     and the report is built as the operator one is, refusing chi2 <= 0. The
     same state is first measured through the operator traces, and the two
     pipelines must agree on C, P and chi2 within the relative tolerance.
-    A disagreement carries both sets of values and is judged by the
-    coarsening guard: TruncationError on an under-resolved grid, otherwise
-    ConsistencyError. The operator report is kept as the result's
-    checked_against.
+    The transform has already refused a grid that under-samples W, so a
+    disagreement is a ConsistencyError carrying both sets of values. The
+    operator report is kept as the result's checked_against.
     """
     _require_single_mode(rho, "wigner_measure_report")
     operator = measure_report(rho, provenance=provenance)
-    grid = wigner_from_density(rho, gs)
+    grid = _sampled(rho, gs or default_grid_spec(rho.spec.truncation), grow=gs is None)
     c_value = _c_from_values(grid.values, grid.spec.dq, grid.spec.dp)
     p_value = measure_P_wigner(grid)
     report = _checked_report((c_value - p_value) / 2.0, c_value, p_value, rho.spec, provenance)
@@ -498,19 +513,12 @@ def wigner_measure_report(
         "chi2": abs(report.chi2 - operator.chi2) / abs(operator.chi2),
     }
     if max(deltas.values()) > TOL.dual_pipeline_rel:
-        disagreement = (
-            "operator and phase-space pipelines disagree: "
+        raise ConsistencyError(
+            "operator and phase-space pipelines disagree on the "
+            f"{grid.spec.nq}x{grid.spec.np} grid: "
             f"grid C={report.C!r} P={report.P!r} chi2={report.chi2!r} vs "
             f"operator C={operator.C!r} P={operator.P!r} chi2={operator.chi2!r} "
             f"(relative deltas {deltas}, tolerance {TOL.dual_pipeline_rel})"
-        )
-        try:
-            change = _coarsening_change(grid, c_value)
-        except TruncationError as exc:
-            raise TruncationError(f"{disagreement}; {exc}") from None
-        raise ConsistencyError(
-            f"{disagreement}; the {grid.spec.nq}x{grid.spec.np} grid is resolved "
-            f"(coarsening changes C by {change:.2e})"
         )
     report.method = "wigner"
     report.cross_deltas = deltas

@@ -209,6 +209,36 @@ def wigner_dyad_recurrence(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.
     return total
 
 
+def kernel_reach_points(rho: np.ndarray, half_width: float, step: float = 0.05
+                        ) -> tuple[int, int]:
+    """Points per axis that W needs in q and in p, from the dense position kernel.
+
+    K(x, y) = <x|rho|y> is formed in full on a lattice of spacing <= step
+    over [-half_width, half_width]; the energy |K|^2 of each separation
+    eta = x - y, summed over every pair inside the window and weighted by
+    1 + eta^2, is cut where at most 1e-16 of it lies beyond (the package's
+    share, dual_pipeline_rel * grid_norm_tol), and W sampled in p to that
+    reach needs ceil(2 * half_width * reach / pi) + 1 points. The q count
+    is the same rule on R rho R^dagger, R = diag((-i)^n), whose W is W
+    turned a quarter.
+    """
+    sites = math.ceil(2.0 * half_width / step) + 1
+    x = np.linspace(-half_width, half_width, sites)
+    psi = oscillator_eigenfunctions(x, rho.shape[0])
+    turn = np.diag((-1j) ** np.arange(rho.shape[0]))
+    apart = np.abs(np.arange(sites)[:, None] - np.arange(sites)[None, :])
+    counts = []
+    for mat in (turn @ rho @ turn.conj().T, rho):
+        kernel = psi @ mat @ psi.T
+        energy = np.bincount(apart.ravel(), (np.abs(kernel) ** 2).ravel())
+        eta = (x[1] - x[0]) * np.arange(sites)
+        energy *= 1.0 + eta ** 2
+        beyond = energy[::-1].cumsum()[::-1]
+        reach = eta[np.flatnonzero(np.append(beyond[1:], 0.0) <= 1e-16 * beyond[0])[0]]
+        counts.append(math.ceil(2.0 * half_width * reach / math.pi) + 1)
+    return tuple(counts)
+
+
 def even_cat_wigner(alpha: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """W of the untruncated (|alpha> + |-alpha>) / norm for real alpha."""
     q0 = math.sqrt(2.0) * alpha

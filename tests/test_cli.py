@@ -19,7 +19,6 @@ from macroq import (
     cat_state,
     coherent_state,
     default_coherent_truncation,
-    default_grid_spec,
     default_thermal_truncation,
     fock_mixture,
     fock_state,
@@ -30,7 +29,7 @@ from macroq import (
     save_state,
     thermal_state,
 )
-from macroq import cli, verify, wigner
+from macroq import cli, wigner
 from macroq.cli import main
 
 from oracles import cat_mixture_I, state_bits
@@ -188,6 +187,12 @@ class TestStateCommand:
         # refused as itself, not blamed on the file it was read for
         assert run("measure", str(state)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        # a sweep reads it once, before its points, not as every point's failure
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--family", "thermal", "--parameter", "a", "--values", "2",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_inadequate_truncation_exit_code(self, tmp_path, capsys):
         code = run("state", "coherent", "alpha=3", "--truncation", "12",
@@ -568,7 +573,7 @@ class TestMeasureCommand:
         assert doc["operator"]["truncation"] == 115
         assert max(doc["cross_deltas"].values()) < 1e-3
 
-    @pytest.mark.parametrize("alpha", ["3", "5"])
+    @pytest.mark.parametrize("alpha", ["3", "5", "10"])
     def test_large_cat_both_methods_at_default_grid(self, tmp_path, capsys, alpha):
         out = tmp_path / "cat.json"
         assert run("state", "cat", f"alpha={alpha}", "--out", str(out)) == 0
@@ -577,14 +582,19 @@ class TestMeasureCommand:
         doc = json.loads(capsys.readouterr().out)
         assert max(doc["cross_deltas"].values()) <= 1e-12
 
-    def test_under_resolved_cat_at_default_grid_fails(self, tmp_path, capsys):
-        out = tmp_path / "cat7.json"
-        assert run("state", "cat", "alpha=7", "--out", str(out)) == 0
+    @pytest.mark.parametrize("alpha, method, points, count", [
+        ("7", "both", "256", "219x362"), ("1.5", "wigner", "64", "69x99")])
+    def test_under_sampled_explicit_grid_fails_naming_the_count(self, tmp_path, capsys, alpha,
+                                                                 method, points, count):
+        # the transform refuses the grid before the pipelines are compared: a
+        # truncation error naming the count, not a disagreement or a bug
+        out = tmp_path / "cat.json"
+        assert run("state", "cat", f"alpha={alpha}", "--out", str(out)) == 0
         capsys.readouterr()
-        assert run("measure", str(out), "--method", "both") == 3
-        err = capsys.readouterr().err
-        assert "relative deltas" in err
-        assert "on the 256x256 grid: coarsening changes C by 2.53e-01" in err
+        assert run("measure", str(out), "--method", method, "--grid", points) == 3
+        assert capsys.readouterr().err == (
+            f"truncation/resource error: wigner_from_density: the {points}x{points} grid "
+            f"under-samples W; the reach of its kernel needs {count} points or more\n")
 
     def test_wigner_method_is_the_grid_half_of_both(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
@@ -713,17 +723,6 @@ class TestMeasureCommand:
         assert run("measure", str(out)) == 2
         assert "must be an integer" in capsys.readouterr().err
 
-    def test_pipeline_disagreement_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "cat.json"
-        run("state", "cat", "alpha=1.5", "--out", str(out))
-        capsys.readouterr()
-        code = run("measure", str(out), "--method", "wigner", "--grid", "64")
-        err = capsys.readouterr().err
-        # the 64-point grid under-resolves the fringes: a truncation error, not a bug
-        assert code == 3
-        assert "disagree" in err and "relative deltas" in err
-        assert "on the 64x64 grid" in err
-
     def test_unexplained_gap_on_resolved_grid_exit_code(self, tmp_path, capsys,
                                                         monkeypatch):
         out = tmp_path / "cat.json"
@@ -732,7 +731,7 @@ class TestMeasureCommand:
         monkeypatch.setattr(wigner, "TOL", dataclasses.replace(TOL, dual_pipeline_rel=1e-18))
         assert run("measure", str(out), "--method", "both") == 4
         err = capsys.readouterr().err
-        assert "disagree" in err and "the 256x256 grid is resolved" in err
+        assert "disagree on the 256x256 grid" in err and "relative deltas" in err
 
     def test_round_trip_matches_in_process_values(self, tmp_path, capsys):
         out = tmp_path / "thermal.json"
@@ -936,11 +935,10 @@ class TestWignerCommand:
 
 
 class TestVerifyCommand:
-    def test_coarsest_grid_fails_the_grid_checks_on_their_lines(self, capsys, monkeypatch):
-        # 32 points under-resolve the grid: its two checks fail, naming the
-        # grid refusal, and every other entry still prints
-        monkeypatch.setattr(verify, "default_grid_spec",
-                            lambda truncation: default_grid_spec(truncation, 32))
+    def test_grid_refusal_fails_the_grid_checks_on_their_lines(self, capsys, monkeypatch):
+        # a cross-check no grid can meet: the two grid checks fail, naming the
+        # refusal, and every other entry still prints
+        monkeypatch.setattr(wigner, "TOL", dataclasses.replace(TOL, dual_pipeline_rel=1e-18))
         assert run("verify") == 1
         lines = capsys.readouterr().out.splitlines()
         statuses = [line.split(" ", 1)[0] for line in lines[:-1]]
@@ -949,7 +947,7 @@ class TestVerifyCommand:
         assert [line.split(":", 1)[0] for line in fails] == [
             "FAIL gaussian-family-wigner", "FAIL dual-pipeline"]
         for line in fails:
-            assert "gradient integral not converged on the 32x32 grid" in line
+            assert "pipelines disagree on the 256x256 grid" in line
         assert lines[-1] == "summary: 9/11 checks passed, 2 informational notes"
 
     def test_valid_corpus_file_joins_suite(self, tmp_path, capsys, monkeypatch, rng):

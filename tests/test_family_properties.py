@@ -1,4 +1,5 @@
-"""Property tests over the CLI's family table: build, file round trip and operator report.
+"""Property tests over the CLI's family table: build, file round trip, operator report
+and both pipelines on the default grid.
 
 Each family's parameters are drawn as strings and go through that family's
 own parsers in build_state, so a family added to the table with the
@@ -8,6 +9,9 @@ derandomized and keeps no example database, so every run draws the same
 examples.
 """
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from macroq import (
     measure_report,
     save_state,
 )
-from macroq.cli import _TABLE, _parse_bool, _parse_complex, build_state
+from macroq.cli import _TABLE, _parse_bool, _parse_complex, build_state, main
 
 # a derandomized test draws its examples from a hash of its own source, so the
 # test bodies keep the name _bits
@@ -81,3 +85,25 @@ def test_built_states_round_trip_and_match_the_oracles(inputs):
     assert report.I == pytest.approx(brute_force_I(mat, m, n), rel=1e-9, abs=1e-12)
     assert report.C == pytest.approx(brute_force_C(mat, m, n), rel=1e-9, abs=1e-12)
     assert report.P == pytest.approx(brute_force_purity(mat), rel=1e-9, abs=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family_inputs())
+def test_both_pipelines_agree_on_the_default_grid(inputs):
+    # every state a family accepts is measured on both pipelines at the
+    # default grid; only a resource limit may refuse it, never the grid
+    family, params, truncation = inputs
+    try:
+        state, _ = build_state(family, params, truncation)
+    except (StateValidationError, TruncationError, ValueError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        save_state(state, path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["measure", str(path), "--method", "both"])
+    assert code == 0 or (code == 3 and "out of memory" in err.getvalue()), err.getvalue()
+    if code == 0:
+        assert max(json.loads(out.getvalue())["cross_deltas"].values()) <= 1e-10

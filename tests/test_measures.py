@@ -351,7 +351,7 @@ class TestMeasureChi2:
     def test_grid_report_refuses_nonpositive_chi2(self, monkeypatch):
         monkeypatch.setattr(macroq.wigner, "_c_from_values", lambda values, dq, dp: 0.0)
         with pytest.raises(ConsistencyError, match="chi2 must be positive"):
-            wigner_measure_report(fock_mixture(ModeSpec(1, 12), 3), default_grid_spec(12, 64))
+            wigner_measure_report(fock_mixture(ModeSpec(1, 12), 3))
 
 
 class TestMeasureReport:

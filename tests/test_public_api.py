@@ -108,12 +108,12 @@ def test_public_surface(tmp_path):
         # the wrappers read the grid's counts and methods, so run one of each
         rho = macroq.fock_state(macroq.ModeSpec(1, 6), 1)
         half_width = macroq.default_grid_spec(6).half_width
-        grid = macroq.wigner_from_density(rho, macroq.GridSpec(half_width, 33, 40))
+        grid = macroq.wigner_from_density(rho, macroq.GridSpec(half_width, 57, 64))
         grid.to_csv(tmp_path / "grid.csv")
     finally:
         tracer.uninstall()
     spans = {span.name: span for span in tracer.spans}
-    assert spans["wigner.transform"].attrs == {"cell_dyads": 33 * 40 * 6 ** 2}
+    assert spans["wigner.transform"].attrs == {"cell_dyads": 57 * 64 * 6 ** 2}
     assert "wigner.export" in spans
     for target, (owner, name) in targets.items():
         assert vars(owner)[name] is originals[target], target

@@ -37,12 +37,14 @@ from macroq import (
     wigner_from_density,
     wigner_measure_report,
 )
+from macroq.cli import build_state
 from macroq.config import TOL
 from macroq.wigner import (
     PhaseSpaceGrid,
     _c_from_values,
     _defining_integral,
     _ETA_BLOCK,
+    _kernel,
     _eta_sampling,
     _finish,
     _hermite_functions,
@@ -54,6 +56,7 @@ from oracles import (
     eigenfunction_at,
     even_cat_wigner,
     gaussian_wigner,
+    kernel_reach_points,
     oscillator_eigenfunctions,
     wigner_dyad_recurrence,
 )
@@ -89,6 +92,11 @@ def _eta_sum_pair_by_pair(mat, gs):
         kernel = np.einsum("jn,nm,jm->j", left, mat, right, optimize=True)
         expected[i] = kernel @ np.exp(-1j * np.outer(e, p)) * d_eta / (2.0 * np.pi)
     return expected
+
+
+def _raw_transform(mat, gs):
+    """The transform's real plane and half-plane terms of Im W, with no resolution check."""
+    return _defining_integral(_kernel([mat], gs)[0], gs)
 
 
 def _assembled(gs, values, imag_terms):
@@ -226,13 +234,13 @@ class TestEtaSampling:
     # and an odd site count, M = 4 (g = 1), and M = 8 from g = 2 with m = 8
     # and from r = 2, on odd, even and non-square point counts.
     @pytest.mark.parametrize("make, nq, np_, refine, stride", [
-        (lambda: _vacuum(), 33, 33, 2, 1),
+        (lambda: _vacuum(), 61, 61, 2, 1),
         (lambda: thermal_state(ModeSpec(1, default_thermal_truncation(2.0)), GaussianSpec(2.0)),
          160, 160, 1, 1),
         (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 188, 188, 1, 2),
         (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 189, 189, 1, 2),
         (lambda: as_density(fock_state(ModeSpec(1, 12), 5)), 512, 512, 1, 8),
-        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5 * np.exp(0.7j))), 64, 96, 2, 1),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5 * np.exp(0.7j))), 90, 96, 2, 1),
     ])
     def test_matches_dyad_oracle(self, make, nq, np_, refine, stride):
         rho = make()
@@ -256,7 +264,7 @@ class TestEtaSampling:
         assert math.gcd(2 * refine, stride) == lattice
         assert refine * (nq - 1) // stride == reach
         expected = _eta_sum_pair_by_pair(rho.matrix, gs)
-        raw = _assembled(gs, *_defining_integral(rho.matrix, gs))
+        raw = _assembled(gs, *_raw_transform(rho.matrix, gs))
         assert np.max(np.abs(raw.real - expected.real)) < 1e-12
         assert np.max(np.abs(raw.imag - expected.imag)) < 1e-12
 
@@ -286,7 +294,7 @@ class TestEtaSampling:
         rng = np.random.default_rng(nq * np_)
         mat = rng.standard_normal((levels, levels)) + 1j * rng.standard_normal((levels, levels))
         gs = GridSpec(half_width, nq=nq, np=np_)
-        values, imag_terms = _defining_integral(mat, gs)
+        values, imag_terms = _raw_transform(mat, gs)
         expected = _eta_sum_pair_by_pair(mat, gs)
         raw = _assembled(gs, values, imag_terms)
         assert np.max(np.abs(raw.real - expected.real)) < 1e-12
@@ -303,7 +311,7 @@ class TestEtaSampling:
         noise = np.random.default_rng(11).standard_normal((2,) + rho.matrix.shape)
         mat = rho.matrix + 1e-6 * (noise[0] + 1j * noise[1])
         gs = GridSpec(default_grid_spec(rho.spec.truncation).half_width, nq=48, np=33)
-        values, imag_terms = _defining_integral(mat, gs)
+        values, imag_terms = _raw_transform(mat, gs)
         expected = _eta_sum_pair_by_pair(mat, gs)
         raw = _assembled(gs, values, imag_terms)
         assert np.max(np.abs(raw.real - expected.real)) < 1e-12
@@ -354,7 +362,7 @@ class TestDirectTransform:
     """wigner_from_density compared point by point with closed forms and the oracle."""
 
     def test_vacuum_matches_analytic(self):
-        gs = _grid(12, 49)
+        gs = _grid(12, 65)
         grid = wigner_from_density(_vacuum(), gs)
         q = gs.q_vector()[:, None]
         p = gs.p_vector()[None, :]
@@ -371,10 +379,12 @@ class TestDirectTransform:
         assert abs(grid.p_vector()[peak[1]] - 0.0) <= cell
 
     def test_default_grid(self):
+        # 257 points, which sample the origin, resolve the kernel's reach here
         psi = coherent_state(ModeSpec(1, 19), 1.0)
         grid = wigner_from_density(psi)
-        assert grid.spec == default_grid_spec(19)
-        assert np.array_equal(grid.values, wigner_from_density(psi, default_grid_spec(19)).values)
+        assert grid.spec == default_grid_spec(19, 257)
+        assert np.array_equal(grid.values,
+                              wigner_from_density(psi, default_grid_spec(19, 257)).values)
 
     @pytest.mark.parametrize("make", [
         lambda: _vacuum(),
@@ -384,7 +394,7 @@ class TestDirectTransform:
     ])
     def test_agrees_with_kernel_transform(self, make):
         rho = make()
-        gs = _grid(rho.spec.truncation, 61)
+        gs = _grid(rho.spec.truncation, 101)
         kernel = wigner_from_density(rho, gs)
         assert _oracle_gap(rho, kernel) < 1e-10
 
@@ -402,6 +412,46 @@ class TestGaussianProfile:
             gs = GridSpec(half_width=5.0 * a + 1.0, nq=256, np=256)
             grid = _gaussian_grid(a, gs)
             assert grid.normalization() == pytest.approx(1.0, abs=1e-8)
+
+
+class TestKernelReach:
+    """The point count from the kernel's eta reach, against a dense kernel, and the
+    default grid it sets across the sizes of each family."""
+
+    @pytest.mark.parametrize("family, params", [
+        ("cat", {"alpha": "1.5"}), ("cat", {"alpha": "3"}), ("cat", {"alpha": "7"}),
+        ("cat", {"alpha": "7j"}), ("fock", {"n": "66"}), ("thermal", {"a": "5"}),
+        ("cat-mixture", {"alpha": "1"}),
+    ])
+    def test_counts_match_the_dense_kernel(self, family, params):
+        # 64 points are fewer than the count of each window's last eta, so the reach is
+        # measured, and the counts hardly depend on the grid they are measured on
+        rho = as_density(build_state(family, params, None)[0])
+        gs = _grid(rho.spec.truncation, 64)
+        turn = (-1j) ** np.arange(rho.spec.truncation)
+        counts = [full for full, _ in _kernel([np.outer(turn, turn.conj()) * rho.matrix,
+                                               rho.matrix], gs)[1]]
+        assert counts == pytest.approx(kernel_reach_points(rho.matrix, gs.half_width), rel=0.03)
+
+    def test_grid_with_the_window_count_is_not_measured(self):
+        # the eta sum ends at the window, so a grid that samples its last eta
+        # resolves every W on it: the kernel is formed once, its count is the window's
+        rho = as_density(cat_state(ModeSpec(1, 25), 1.5))
+        (flat, *_), counts = _kernel([rho.matrix, rho.matrix], _grid(25, 256))
+        assert counts == [(186, 186)]
+        assert np.array_equal(flat, _kernel([rho.matrix], _grid(25, 256))[0][0])
+
+    @pytest.mark.parametrize("family, params", [
+        ("cat", {"alpha": "3"}), ("cat", {"alpha": "5"}), ("cat", {"alpha": "7"}),
+        ("cat", {"alpha": "7j"}), ("cat", {"alpha": "10"}), ("fock", {"n": "66"}),
+        ("fock", {"n": "72"}), ("fock", {"n": "150"}), ("fock-mixture", {"d": "100"}),
+        ("thermal", {"a": "5"}),
+    ])
+    def test_default_grid_resolves_every_size(self, family, params):
+        # at 256 points the cats from alpha = 7, Fock n = 72 and the d = 100
+        # mixture were refused, and Fock n = 66 was 1.9e-4 off
+        report = wigner_measure_report(build_state(family, params, None)[0])
+        assert max(report.cross_deltas.values()) <= 3.3e-11
 
 
 class TestGridMeasures:
@@ -444,15 +494,20 @@ class TestGridMeasures:
         assert ratio == pytest.approx(1.0, abs=1e-3)
 
     def test_resolution_guard_fires_on_coarse_grid(self):
-        # cat alpha=7 at 256 points is below Nyquist: its grid C is 99% off;
-        # at 1024 points the guard admits it and C is exact to round-off
+        # cat alpha=7's fringes run along p, and 256 points sample them below
+        # Nyquist (its grid C was 99% off there): the transform refuses the
+        # grid, naming the count that its kernel's reach needs; the default
+        # grid takes that count, and its C is exact to round-off
         n_levels = default_coherent_truncation(7.0)
         rho = as_density(cat_state(ModeSpec(1, n_levels), 7.0))
-        grid = wigner_from_density(rho, _grid(n_levels, 256))
-        with pytest.raises(TruncationError, match="finer grid"):
-            measure_C_wigner(grid)
-        fine = wigner_from_density(rho, _grid(n_levels, 1024))
-        assert measure_C_wigner(fine) == pytest.approx(measure_C(rho), rel=1e-12)
+        with pytest.raises(TruncationError, match=r"wigner_from_density: the 256x256 grid "
+                           r"under-samples W; the reach of its kernel needs 219x362 points"):
+            wigner_from_density(rho, _grid(n_levels, 256))
+        grid = wigner_from_density(rho)
+        assert grid.spec == _grid(n_levels, 363)
+        assert measure_C_wigner(grid) == pytest.approx(measure_C(rho), rel=1e-12)
+        # the count a refusal names is enough on that count's own grid
+        assert wigner_from_density(rho, _grid(n_levels, 362)).values.shape == (362, 362)
 
     def test_resolution_guard_passes_resolved_grids(self):
         for rho, points in ((as_density(cat_state(ModeSpec(1, 25), 1.5)), 128),
@@ -463,7 +518,8 @@ class TestGridMeasures:
     def test_spectral_refinement(self):
         # Parseval converges exponentially: cat alpha=1.5 goes from under-resolved
         # at 65 points to round-off at 129; the Gaussian-like states are at
-        # round-off on all three grids
+        # round-off on all three grids. The 65-point cat is sampled by the raw
+        # transform, since wigner_from_density refuses it (its reach needs 99).
         cases = (
             (_vacuum(), 0.0, 1e-12),
             (as_density(coherent_state(ModeSpec(1, 19), 1.0)), 0.0, 1e-12),
@@ -473,11 +529,14 @@ class TestGridMeasures:
             reference = measure_C(rho)
             errs = []
             for points in (65, 129, 257):
-                grid = wigner_from_density(rho, _grid(rho.spec.truncation, points))
-                value = _c_from_values(grid.values, grid.spec.dq, grid.spec.dp)
-                errs.append(abs(value - reference) / reference)
+                gs = _grid(rho.spec.truncation, points)
+                values = _raw_transform(rho.matrix, gs)[0]
+                errs.append(abs(_c_from_values(values, gs.dq, gs.dp) - reference) / reference)
             assert coarse_low <= errs[0] < coarse_high, errs
             assert max(errs[1:]) < 1e-12, errs
+        with pytest.raises(TruncationError, match="the 65x65 grid under-samples W; the reach "
+                           "of its kernel needs 70x99 points or more"):
+            wigner_from_density(rho, _grid(25, 65))
 
     @pytest.mark.parametrize("shape", [(64, 64), (65, 65), (64, 65), (48, 81)])
     def test_half_spectrum_matches_full_spectrum(self, shape):
@@ -533,22 +592,24 @@ class TestWignerReport:
         report = wigner_measure_report(rho, _grid(12, 256))
         assert max(report.cross_deltas.values()) < 1e-3
 
-    def test_disagreement_raises_with_both_values(self):
-        # 64 points under-resolve the fringes (coarsening changes C by 0.35)
+    def test_under_sampled_grid_is_refused_before_the_cross_check(self):
+        # 64 points under-sample the fringes: a truncation error naming the
+        # count, not a disagreement between the pipelines
         rho = as_density(cat_state(ModeSpec(1, 25), 1.5))
-        with pytest.raises(TruncationError, match="pipelines disagree") as info:
+        with pytest.raises(TruncationError, match="the 64x64 grid under-samples W; the "
+                           "reach of its kernel needs 69x99 points or more"):
             wigner_measure_report(rho, _grid(25, 64))
-        assert "operator C=" in str(info.value)
-        assert "on the 64x64 grid" in str(info.value)
 
     def test_unexplained_gap_on_resolved_grid_is_a_consistency_error(self, monkeypatch):
-        # at 256 points coarsening changes C by about 1e-16, so only a bug is left
+        # 256 points resolve the kernel's reach, so a gap past the tolerance
+        # is a bug, reported with both sets of values
         rho = as_density(cat_state(ModeSpec(1, 25), 1.5))
         monkeypatch.setattr(macroq.wigner, "TOL",
                             dataclasses.replace(TOL, dual_pipeline_rel=1e-18))
-        with pytest.raises(ConsistencyError, match="pipelines disagree") as info:
+        with pytest.raises(ConsistencyError,
+                           match="pipelines disagree on the 256x256 grid: grid C=") as info:
             wigner_measure_report(rho, _grid(25, 256))
-        assert "the 256x256 grid is resolved" in str(info.value)
+        assert "operator C=" in str(info.value)
 
     def test_multimode_rejected(self):
         vac = _vacuum(6)
@@ -558,19 +619,21 @@ class TestWignerReport:
     @pytest.mark.parametrize("a", [11.0, 12.0])
     def test_widest_thermal_states_on_the_default_grid(self, a, monkeypatch):
         # N = 1424 and 1682: the default windows reach past |x| = 38.6, where psi_0 underflows;
-        # the report's own grid is judged, so each state is transformed once
+        # the report's own grid is judged, so each state is transformed once. Its
+        # kernel's reach asks for far fewer than the 256 points of the floor.
         rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
         grids = []
-        transform = macroq.wigner.wigner_from_density
+        transform = macroq.wigner._sampled
 
-        def kept(*args):
-            grids.append(transform(*args))
+        def kept(*args, **kwargs):
+            grids.append(transform(*args, **kwargs))
             return grids[-1]
 
-        monkeypatch.setattr(macroq.wigner, "wigner_from_density", kept)
+        monkeypatch.setattr(macroq.wigner, "_sampled", kept)
         report = wigner_measure_report(rho)
         assert max(report.cross_deltas.values()) < 1e-11
         (grid,) = grids
+        assert grid.spec == default_grid_spec(rho.spec.truncation, 256)
         expected = gaussian_wigner(a, grid.q_vector(), grid.p_vector())
         assert np.abs(grid.values - expected).max() < 1e-12
 
@@ -590,12 +653,12 @@ class TestWignerReport:
 
 class TestGridExport:
     def test_csv_round_trips_at_full_precision(self, tmp_path):
-        grid = wigner_from_density(_vacuum(), _grid(12, 33))
+        grid = wigner_from_density(_vacuum(), _grid(12, 65))
         path = tmp_path / "grid.csv"
         grid.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "q,p,w"
-        assert len(lines) == 1 + 33 * 33
+        assert len(lines) == 1 + 65 * 65
         q0, p0, w0 = (float(x) for x in lines[1].split(","))
         assert q0 == grid.q_vector()[0]
         assert p0 == grid.p_vector()[0]
@@ -614,11 +677,11 @@ class TestGridExport:
         assert path.read_bytes() == "".join(reference).encode()
 
     def test_json_envelope(self, tmp_path):
-        grid = wigner_from_density(_vacuum(), default_grid_spec(12, 33))
+        grid = wigner_from_density(_vacuum(), default_grid_spec(12, 65))
         doc = grid.to_json_dict()
         h = math.sqrt(24.0) + 5.0
         assert doc["grid_spec"] == {"q_min": -h, "q_max": h, "p_min": -h, "p_max": h,
-                                    "nq": 33, "np": 33}
+                                    "nq": 65, "np": 65}
         parsed = json.loads(json.dumps(doc))
         assert np.array_equal(np.array(parsed["values"]), grid.values)
 
@@ -633,11 +696,11 @@ class TestGridExport:
                              ((64, np.bool_(True)), "np"), (("64", 64), "nq")):
             with pytest.raises(ValueError, match=f"grid {name} must be an integer"):
                 GridSpec(6.0, *counts)
-        gs = GridSpec(6.0, np.int64(40), np.int32(33))
+        gs = GridSpec(6.0, np.int64(48), np.int32(41))
         assert (type(gs.nq), type(gs.np)) == (int, int)
-        assert gs == GridSpec(6.0, 40, 33)
-        assert wigner_from_density(_vacuum(), gs).values.shape == (40, 33)
-        with pytest.raises(ValueError, match=r"values shape \(33, 40\) does not match 40x33"):
-            PhaseSpaceGrid(gs, np.zeros((33, 40)))
+        assert gs == GridSpec(6.0, 48, 41)
+        assert wigner_from_density(_vacuum(), gs).values.shape == (48, 41)
+        with pytest.raises(ValueError, match=r"values shape \(41, 48\) does not match 48x41"):
+            PhaseSpaceGrid(gs, np.zeros((41, 48)))
         with pytest.raises(ValueError, match="non-finite"):
             PhaseSpaceGrid(GridSpec(1.0, 33, 33), np.full((33, 33), np.nan))
