@@ -43,7 +43,7 @@ from .states import (
 )
 from .verify import run_verification
 from .wigner import (DEFAULT_GRID_POINTS, GridSpec, default_grid_spec, wigner_from_density,
-                     wigner_measure_report)
+                     wigner_measure_report, wigner_on_window)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -269,10 +269,11 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     state = load_state(args.state)
     if args.half_width is None:
         gs = None if args.grid is None else default_grid_spec(state.spec.truncation, args.grid)
+        grid = wigner_from_density(state, gs)
+    elif args.grid is None:
+        grid = wigner_on_window(state, args.half_width)
     else:
-        points = DEFAULT_GRID_POINTS + 1 if args.grid is None else args.grid
-        gs = GridSpec(half_width=args.half_width, nq=points, np=points)
-    grid = wigner_from_density(state, gs)
+        grid = wigner_from_density(state, GridSpec(args.half_width, nq=args.grid, np=args.grid))
     written = []
     if args.format in ("csv", "both"):
         grid.to_csv(out)

@@ -13,15 +13,20 @@ class, so the kernel is one block per class: about S^2 N / M multiply-adds
 for S sites and N levels, on real GEMMs. Each q row gathers its
 anti-diagonal from the blocks, a block of eta pairs at a time and only on
 the q rows with room for it, since q +- eta/2 must stay in the window. The
-eta sum is split by parity into a cosine and a sine transform, each one
-real matrix product evaluated on the columns p >= 0 only; the columns
-p < 0 are their mirror, W(q, -p) = C + i S where W(q, p) = C - i S. The
-real part of W is assembled into one real plane, which the grid keeps;
-the imaginary part is formed in full as two half-plane terms and checked
-from them, never assumed zero. The eta step is the largest multiple of the
-position step not above pi/half_width, so the periodic images of W in p
-stay outside the window. The independent judge of the transform, a
-number-basis dyad recurrence, lives in the test suite.
+kernel is in rho's own field: real blocks, gathers and products for a rho
+whose Fock matrix is real (thermal states, number mixtures, Fock states,
+cats at real alpha), complex ones otherwise. The eta sum is split by
+parity into a cosine and a sine transform, each one real matrix product
+evaluated on the columns p >= 0 only; the columns p < 0 are their mirror,
+W(q, -p) = C + i S where W(q, p) = C - i S. Their cos and sin factors
+come from one table over the first block of eta steps, turned to each
+later block by angle addition. The real part of W is assembled into one
+real plane, which the grid keeps; every term of the imaginary part that
+can be nonzero is formed as a half-plane term and checked, never assumed
+zero. The eta step is the largest multiple of the position step not above
+pi/half_width, so the periodic images of W in p stay outside the window.
+The independent judge of the transform, a number-basis dyad recurrence,
+lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
 C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over the half
@@ -35,6 +40,7 @@ N-truncated state's W has decayed far below the quadrature tolerances.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -159,22 +165,24 @@ def _require_single_mode(rho: State, what: str) -> None:
         )
 
 
-def _imaginary_residue(imag_terms: tuple[np.ndarray, np.ndarray], gs: GridSpec) -> float:
+def _imaginary_residue(imag_terms: tuple[np.ndarray | None, np.ndarray], gs: GridSpec) -> float:
     """max |Im W| over every sample, from the half-plane terms (a, b) of _defining_integral.
 
     Im W = a - b at p >= 0 and a + b at -p, and the larger of the two is
     |a| + |b|. Only the unmirrored p = 0 column of an odd count is a - b alone.
+    A real kernel has no a (None), and |Im W| = |b| everywhere.
     """
     a, b = imag_terms
-    worst = np.abs(a)
-    worst += np.abs(b)
-    if gs.np % 2:
-        worst[:, 0] = np.abs(a[:, 0] - b[:, 0])
+    worst = np.abs(b)
+    if a is not None:
+        worst += np.abs(a)
+        if gs.np % 2:
+            worst[:, 0] = np.abs(a[:, 0] - b[:, 0])
     return float(np.max(worst))
 
 
-def _finish(values: np.ndarray, imag_terms: tuple[np.ndarray, np.ndarray], gs: GridSpec,
-            what: str) -> PhaseSpaceGrid:
+def _finish(values: np.ndarray, imag_terms: tuple[np.ndarray | None, np.ndarray],
+            gs: GridSpec, what: str) -> PhaseSpaceGrid:
     """The grid on the real plane of W, once its imaginary residue and normalization pass."""
     residue = _imaginary_residue(imag_terms, gs)
     if residue > TOL.imag_residue_tol:
@@ -228,8 +236,8 @@ def _eta_sampling(gs: GridSpec) -> tuple[int, int]:
 
 
 def _kernel(mats: list[np.ndarray], gs: GridSpec) -> tuple[tuple, list[tuple[int, int]]]:
-    """The kernel <x_a|rho|x_b> = Psi rho Psi^T of the last of mats, formed after the others
-    into the same blocks, with its layout, and the point counts each one's eta reach asks.
+    """The kernel <x_a|rho|x_b> = Psi rho Psi^T of the last of mats, formed after the others,
+    with its layout, and the point counts each one's eta reach asks.
 
     The kernel lives on x_a = -h + a*dq/(2r), where q_i sits at a = 2ri and
     q_i +- eta_j/2 at a, b = 2ri +- mj. Every such a and b is a multiple of
@@ -243,10 +251,12 @@ def _kernel(mats: list[np.ndarray], gs: GridSpec) -> tuple[tuple, list[tuple[int
     S^2 N / M multiply-adds beside the S N^2 of Psi rho. Every pair of a
     block is a (q_i, eta_j) pair, and every pair read is in one block. One
     zero sentinel after the blocks stands in for every pair that leaves the
-    window. Both products are real GEMMs on float views, so no complex copy
-    of Psi is made: the eigenfunction table is stored (N x S), so each class
-    is a transposed view of it, Psi_pi(k) rho.view(float64) gives the rows
-    of Psi rho on class pi(k), and Psi_k times the float view of their
+    window. Each kernel is in its matrix's own field: float64 when the
+    matrix has no nonzero imaginary part, as Psi is real, else complex128.
+    Both products are real GEMMs on float views, so no complex copy of Psi
+    is made: the eigenfunction table is stored (N x S), so each class is a
+    transposed view of it, Psi_pi(k) rho.view(float64) gives the rows of
+    Psi rho on class pi(k), and Psi_k times the float view of their
     transpose stores block k transposed, with the s_b sites as rows.
 
     Reach rule: the kernel along eta is W's Fourier transform in p. |K|^2 is summed along
@@ -271,27 +281,37 @@ def _kernel(mats: list[np.ndarray], gs: GridSpec) -> tuple[tuple, list[tuple[int
     # the partner of class k holds the site k - 2m'j whose sum with k is a multiple of 2c
     label = np.arange(classes)
     partner = (label - 2 * step * (label * pow(step, -1, row_step) % row_step)) % classes
-    flat = np.zeros(classes * rows * rows + 1, dtype=np.complex128)  # the last is the sentinel
-    blocks = flat[:-1].view(np.float64).reshape(classes, rows, 2 * rows)
-    # diagonal t = column - row of block k holds s_a - s_b = pi(k) - k + Mt = 2m' j
-    diagonal = (np.arange(rows) - np.arange(rows)[:, None] + rows - 1).ravel()
-    apart = np.abs((partner - label)[:, None] + classes * np.arange(1 - rows, rows)) // (2 * step)
     d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
-    weight = 1.0 + (d_eta * np.arange(apart.max() + 1)) ** 2
 
     def points(j: int) -> int:
         return math.ceil(2.0 * gs.half_width * d_eta * j / math.pi) + 1
     whole = points((size - 1) // (2 * stride))
-    counts = [(whole, whole)] if min(gs.nq, gs.np) >= whole else []
-    for mat in mats[-1:] if counts else mats:
-        real = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+    measured = min(gs.nq, gs.np) < whole
+    if measured:
+        # diagonal t = column - row of block k holds s_a - s_b = pi(k) - k + Mt = 2m' j
+        diagonal = (np.arange(rows) - np.arange(rows)[:, None] + rows - 1).ravel()
+        apart = (np.abs((partner - label)[:, None] + classes * np.arange(1 - rows, rows))
+                 // (2 * step))
+        weight = 1.0 + (d_eta * np.arange(apart.max() + 1)) ** 2
+    counts = [] if measured else [(whole, whole)]
+    for mat in mats if measured else mats[-1:]:
+        # each matrix's kernel is in its own field: real blocks for a real matrix. The last
+        # matrix's kernel is allocated once the one before it is freed
+        field = np.complex128 if mat.imag.any() else np.float64
+        flat = blocks = power = None
+        flat = np.empty(classes * rows * rows + 1, dtype=field)
+        flat[-1] = 0.0  # the sentinel
+        blocks = flat[:-1].view(np.float64).reshape(classes, rows, -1)
+        real = np.ascontiguousarray(mat if field is np.complex128 else mat.real, dtype=field)
         for k, other in enumerate(partner.tolist()):
-            inner = (psi[:, other].T @ real).view(np.complex128)
+            inner = (psi[:, other].T @ real.view(np.float64)).view(field)
             np.matmul(psi[:, k].T, np.ascontiguousarray(inner.T).view(np.float64),
                       out=blocks[k])
-        if min(gs.nq, gs.np) < whole:
+        if measured:
             power = np.square(blocks)
-            energy = [np.bincount(diagonal, (one[:, 0::2] + one[:, 1::2]).ravel()) for one in power]
+            if field is np.complex128:
+                power = power[..., 0::2] + power[..., 1::2]
+            energy = [np.bincount(diagonal, one.ravel()) for one in power]
             beyond = np.cumsum((weight * np.bincount(apart.ravel(), np.ravel(energy)))[::-1])
             steps = np.count_nonzero(beyond[-2::-1] > TOL.dual_pipeline_rel * TOL.grid_norm_tol
                                      * beyond[-1])
@@ -310,18 +330,20 @@ def _defining_integral(kernel: tuple, gs: GridSpec) -> tuple[np.ndarray, tuple[n
     in refined steps, so a block of eta pairs from j = first on is read only
     by the rows [low, nq - low), low = ceil(m*first / 2r): it is gathered
     from the kernel blocks as (eta, q) on those rows alone, and its cosine
-    and sine sums, real products on the float views of the complex S and D
-    columns, are added into the same rows of the accumulators. A pair of
-    those rows that leaves the window still reads the sentinel. The factor
-    d_eta/2pi is applied to the accumulators once.
+    and sine sums, real products on the float views of the S and D columns,
+    are added into the same rows of the accumulators. A pair of those rows
+    that leaves the window still reads the sentinel. The cos and sin
+    factors, d_eta/2pi included, come from _phases.
 
     Returned: the real plane of W, (nq, np) and contiguous, with
     Re W(q, +-p) = Re C +- Im S at p >= 0 (on an odd count the p = 0 column
     is computed, not mirrored), and the two half-plane terms (a, b) of its
     imaginary part, a = sum Im S_j cos and b = sum Re D_j sin on the columns
-    p >= 0, so that Im W = a - b there and a + b at -p. Nothing assumes rho
-    Hermitian: the imaginary part is formed in full and left for _finish to
-    judge.
+    p >= 0, so that Im W = a - b there and a + b at -p. A real kernel has
+    real S and D, so Im S and a are zero and are not formed: its sums are
+    C and b alone, Re W = C at +-p, and a is returned as None. Nothing
+    assumes rho Hermitian: every term of the imaginary part that can be
+    nonzero is formed and left for _finish to judge.
     """
     flat, refine, stride, size, row_step, step, classes, rows, d_eta = kernel
     centre = 2 * refine * np.arange(gs.nq)
@@ -340,11 +362,12 @@ def _defining_integral(kernel: tuple, gs: GridSpec) -> tuple[np.ndarray, tuple[n
     behind_at = upper_class * (rows * rows) + upper_row * rows + lower_row
     reach = (size - 1) // (2 * stride)
     cut = gs.np // 2
-    p = gs.p_vector()[cut:]
-    # the cosine and sine sums; rows 2i and 2i + 1 of each are Re and Im at q_i
-    even, odd = sums = np.empty((2, 2 * gs.nq, p.size))
-    for first in range(0, reach + 1, _ETA_BLOCK):
-        j = np.arange(first, min(first + _ETA_BLOCK, reach + 1))
+    width = 2 if np.iscomplexobj(flat) else 1
+    # the cosine and sine sums; in a complex kernel's, rows 2i and 2i + 1 are Re and Im at q_i
+    even, odd = np.empty((2, width * gs.nq, cut + gs.np % 2))
+    phases = _phases(d_eta, gs.p_vector()[cut:], reach)
+    for first, (cos, sin) in zip(range(0, reach + 1, _ETA_BLOCK), phases):
+        j = np.arange(first, first + len(cos))
         # the rows with room for eta_first; the window is symmetric about q = 0
         low = -(-stride * first // (2 * refine))
         read = slice(low, gs.nq - low)
@@ -362,25 +385,48 @@ def _defining_integral(kernel: tuple, gs: GridSpec) -> tuple[np.ndarray, tuple[n
         behind = flat[at]
         summed = ahead + behind
         diff = np.subtract(ahead, behind, out=ahead)
-        theta = np.outer(j * d_eta, p)
-        cos = np.cos(theta)
-        sin = np.sin(theta, out=theta)
         if first:
-            even[2 * low:2 * (gs.nq - low)] += summed.view(np.float64).T @ cos
-            odd[2 * low:2 * (gs.nq - low)] += diff.view(np.float64).T @ sin
+            even[width * low:width * (gs.nq - low)] += summed.view(np.float64).T @ cos
+            odd[width * low:width * (gs.nq - low)] += diff.view(np.float64).T @ sin
         else:
             np.matmul(summed.view(np.float64).T, cos, out=even)
             np.matmul(diff.view(np.float64).T, sin, out=odd)
         # freed before the next block allocates, so that it reuses their memory
-        del outside, at, ahead, behind, summed, diff, theta, cos, sin
-    scale = d_eta / (2.0 * np.pi)
-    sums *= scale
-    # Re W = Re C + Im S at the columns p >= 0 and Re C - Im S at their mirrors -p
+        del outside, at, ahead, behind, summed, diff, cos, sin
     values = np.empty((gs.nq, gs.np))
-    np.add(even[0::2], odd[1::2], out=values[:, cut:])
     mirrored = slice(gs.np % 2, None)
+    if width == 1:
+        # a real kernel: Re W = C is even in p and Im W = -b at p >= 0
+        values[:, cut:] = even
+        values[:, cut - 1::-1] = even[:, mirrored]
+        return values, (None, odd)
+    # Re W = Re C + Im S at the columns p >= 0 and Re C - Im S at their mirrors -p
+    np.add(even[0::2], odd[1::2], out=values[:, cut:])
     np.subtract(even[0::2, mirrored], odd[1::2, mirrored], out=values[:, cut - 1::-1])
     return values, (even[1::2], odd[0::2])
+
+
+def _phases(d_eta: float, p: np.ndarray, reach: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """cos(eta_j p) and sin(eta_j p) times d_eta/2pi, for j = 0..reach in blocks of _ETA_BLOCK.
+
+    One table over the offsets t < min(_ETA_BLOCK, reach + 1) is evaluated
+    directly and is the first block; the block from j = first on is that
+    table turned by the angle A = first*d_eta*p, with cos(A + B) =
+    cos A cos B - sin A sin B and sin(A + B) = sin A cos B + cos A sin B,
+    so each later block costs one row of cos and sin, four products and two sums.
+    """
+    theta = np.outer(d_eta * np.arange(min(_ETA_BLOCK, reach + 1)), p)
+    cos, sin = table = np.stack((np.cos(theta), np.sin(theta)))
+    table *= d_eta / (2.0 * np.pi)
+    yield cos, sin
+    for first in range(_ETA_BLOCK, reach + 1, _ETA_BLOCK):
+        # the angle in long double where it is wider: the rounding of the float64 product
+        # first*d_eta*p would otherwise be the table's largest error
+        angle = first * np.longdouble(d_eta) * p
+        turn_cos, turn_sin = np.cos(angle).astype(np.float64), np.sin(angle).astype(np.float64)
+        rows = slice(0, min(_ETA_BLOCK, reach + 1 - first))
+        yield (cos[rows] * turn_cos - sin[rows] * turn_sin,
+               sin[rows] * turn_cos + cos[rows] * turn_sin)
 
 
 def _sampled(rho: State, gs: GridSpec, grow: bool) -> PhaseSpaceGrid:
@@ -402,10 +448,18 @@ def _sampled(rho: State, gs: GridSpec, grow: bool) -> PhaseSpaceGrid:
 
 
 def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGrid:
-    """Sample W for a single-mode state, pure or mixed, by the vectorised defining integral;
-    the default grid has DEFAULT_GRID_POINTS + 1 points, which sample the origin, or more."""
-    floor = default_grid_spec(rho.spec.truncation, DEFAULT_GRID_POINTS + 1)
-    return _sampled(rho, gs or floor, grow=gs is None)
+    """Sample W for a single-mode state, pure or mixed, by the vectorised defining integral,
+    on gs or on the default window sqrt(2N) + 5, sampled as wigner_on_window samples it."""
+    if gs is None:
+        return wigner_on_window(rho, default_grid_spec(rho.spec.truncation).half_width)
+    return _sampled(rho, gs, grow=False)
+
+
+def wigner_on_window(rho: State, half_width: float) -> PhaseSpaceGrid:
+    """W on the square window of that half-width, at DEFAULT_GRID_POINTS + 1 points per axis,
+    which sample the origin, or at the count its kernel's reach needs there if that is more."""
+    floor = DEFAULT_GRID_POINTS + 1
+    return _sampled(rho, GridSpec(half_width, nq=floor, np=floor), grow=True)
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
@@ -480,7 +534,9 @@ def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
     count[0] = 1.0
     if np_ % 2 == 0:
         count[-1] = 1.0
-    power = np.abs(np.fft.rfft2(values)) ** 2
+    spectrum = np.fft.rfft2(values)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
     weighted = (k_q ** 2) @ (power @ count) + power.sum(axis=0) @ (count * k_p ** 2)
     return float(np.pi * dq * dp / (nq * np_) * weighted)
 

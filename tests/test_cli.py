@@ -918,6 +918,24 @@ class TestWignerCommand:
         capsys.readouterr()
         assert run("wigner", str(prod), "--out", str(tmp_path / "p.csv")) == 2
 
+    def test_custom_window_grows_without_grid(self, tmp_path, capsys):
+        # cat alpha = 1.5 on a window of half-width 40 needs more than 257
+        # points: an explicit --grid is refused naming the count, and without
+        # one the window takes that count, as the default window does
+        state = tmp_path / "cat.json"
+        run("state", "cat", "alpha=1.5", "--out", str(state))
+        capsys.readouterr()
+        out = str(tmp_path / "w.json")
+        assert run("wigner", str(state), "--out", out, "--format", "json", "--half-width", "40",
+                   "--grid", "257") == 3
+        assert "the 257x257 grid under-samples W; the reach of its kernel needs 226x326 points" \
+            in capsys.readouterr().err
+        assert run("wigner", str(state), "--out", out, "--format", "json",
+                   "--half-width", "40") == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["nq"], summary["np"], summary["half_width"]) == (326, 326, 40.0)
+        assert summary["normalization"] == pytest.approx(1.0, abs=TOL.grid_norm_tol)
+
     @pytest.mark.parametrize("half_width, code, message", [
         ("inf", 2, "half_width must be positive and finite"),
         ("1e-300", 3, "grid integrates to"),

@@ -49,6 +49,8 @@ from macroq.wigner import (
     _finish,
     _hermite_functions,
     _imaginary_residue,
+    _phases,
+    DEFAULT_GRID_POINTS,
     default_grid_spec,
 )
 
@@ -102,6 +104,7 @@ def _raw_transform(mat, gs):
 def _assembled(gs, values, imag_terms):
     """Complex W from the transform's real plane and the half-plane terms of Im W."""
     a, b = imag_terms
+    a = 0.0 if a is None else a  # a real kernel has no a
     cut = gs.np // 2
     imag = np.empty((gs.nq, gs.np))
     imag[:, cut:] = a - b
@@ -289,18 +292,27 @@ class TestEtaSampling:
         # a matrix with no symmetry at all: every block and its partner hold
         # unrelated entries, so a swapped pair or class would show in W. Its
         # levels reach past the window edge, sqrt(2N + 1) >= half_width, so
-        # every eta block carries pairs that a row it skips would need.
+        # every eta block carries pairs that a row it skips would need. Its
+        # real part takes the real kernel, whose residue sum D_j sin is still
+        # formed and refused; with eta = 0 alone there is no sine term, and
+        # the W of a real matrix is real.
         levels = max(20, math.ceil(half_width ** 2 / 2))
         rng = np.random.default_rng(nq * np_)
         mat = rng.standard_normal((levels, levels)) + 1j * rng.standard_normal((levels, levels))
         gs = GridSpec(half_width, nq=nq, np=np_)
-        values, imag_terms = _raw_transform(mat, gs)
-        expected = _eta_sum_pair_by_pair(mat, gs)
-        raw = _assembled(gs, values, imag_terms)
-        assert np.max(np.abs(raw.real - expected.real)) < 1e-12
-        assert np.max(np.abs(raw.imag - expected.imag)) < 1e-12
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            _finish(values, imag_terms, gs, "non-Hermitian input")
+        refine, stride = _eta_sampling(gs)
+        for field, one in ((np.float64, mat.real), (np.complex128, mat)):
+            assert _kernel([one], gs)[0][0].dtype == field
+            values, imag_terms = _raw_transform(one, gs)
+            expected = _eta_sum_pair_by_pair(one, gs)
+            raw = _assembled(gs, values, imag_terms)
+            assert np.max(np.abs(raw.real - expected.real)) < 1e-12
+            assert np.max(np.abs(raw.imag - expected.imag)) < 1e-12
+            if field is np.float64 and refine * (nq - 1) // stride == 0:
+                assert not raw.imag.any()
+                continue
+            with pytest.raises(ConsistencyError, match="imaginary residue"):
+                _finish(values, imag_terms, gs, "non-Hermitian input")
 
     def test_imaginary_residue_is_formed_and_refused(self):
         # DensityMatrix would refuse this matrix; the raw transform must carry
@@ -321,6 +333,27 @@ class TestEtaSampling:
         assert _imaginary_residue(imag_terms, gs) == pytest.approx(residue, rel=1e-12)
         with pytest.raises(ConsistencyError, match=f"imaginary residue {residue:.2e} "):
             _finish(values, imag_terms, gs, "non-Hermitian input")
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="long double is no wider than float64 here")
+    def test_phase_tables_as_accurate_as_direct_evaluation(self):
+        # every eta step of thermal a = 12's default grid, J = 2551: the tables turned
+        # block by block against cos and sin of the rounded float64 products, both
+        # judged by a long-double evaluation of the exact products
+        gs = _grid(default_thermal_truncation(12.0), DEFAULT_GRID_POINTS)
+        refine, stride = _eta_sampling(gs)
+        d_eta = stride * 2.0 * gs.half_width / (refine * (gs.nq - 1))
+        reach = refine * (gs.nq - 1) // stride
+        p = gs.p_vector()[gs.np // 2:]
+        scale = d_eta / (2.0 * np.pi)
+        tables = [np.concatenate(part) / scale for part in zip(*_phases(d_eta, p, reach))]
+        theta = np.outer(np.arange(reach + 1) * d_eta, p)
+        exact = np.outer(np.arange(reach + 1, dtype=np.longdouble) * np.longdouble(d_eta),
+                         p.astype(np.longdouble))
+        assert reach + 1 == 2551 and tables[0].shape == theta.shape
+        for table, direct, reference in ((tables[0], np.cos(theta), np.cos(exact)),
+                                         (tables[1], np.sin(theta), np.sin(exact))):
+            assert np.max(np.abs(table - reference)) <= np.max(np.abs(direct - reference))
 
     def test_eta_step_keeps_images_outside_window(self):
         for points in (32, 33, 64, 128, 256, 257, 512, 1024):
@@ -432,6 +465,28 @@ class TestKernelReach:
         counts = [full for full, _ in _kernel([np.outer(turn, turn.conj()) * rho.matrix,
                                                rho.matrix], gs)[1]]
         assert counts == pytest.approx(kernel_reach_points(rho.matrix, gs.half_width), rel=0.03)
+
+    @pytest.mark.parametrize("family, params, points, field", [
+        ("thermal", {"a": "2"}, 256, np.float64), ("fock", {"n": "5"}, 256, np.float64),
+        ("cat", {"alpha": "3"}, 256, np.float64), ("cat", {"alpha": "1+1j"}, 256, np.complex128),
+        ("coherent", {"alpha": "2"}, 128, np.float64),
+    ])
+    def test_kernel_is_in_the_field_of_rho(self, family, params, points, field, monkeypatch):
+        # rho real in the Fock basis has a real kernel; the coherent state's
+        # quarter turn is complex, and measuring its reach on a 128-point grid
+        # leaves rho's own kernel real
+        formed = []
+
+        def kernel(mats, gs):
+            formed.append((mats, _kernel(mats, gs)))
+            return formed[-1][1]
+        monkeypatch.setattr(macroq.wigner, "_kernel", kernel)
+        rho = as_density(build_state(family, params, None)[0])
+        wigner_from_density(rho, _grid(rho.spec.truncation, points))
+        [(mats, ((flat, *_), counts))] = formed
+        assert flat.dtype == field
+        if family == "coherent":
+            assert len(counts) == 2 and np.iscomplexobj(mats[0]) and mats[0].imag.any()
 
     def test_grid_with_the_window_count_is_not_measured(self):
         # the eta sum ends at the window, so a grid that samples its last eta
