@@ -60,8 +60,10 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"parameters take the form key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in pair.split("=", 1))
+        if key in out:
+            raise ValueError(f"parameter {key!r} is given more than once")
+        out[key] = value
     return out
 
 
@@ -165,11 +167,10 @@ def cmd_state(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _measure_one(state: State, method: str, grid_points: int | None, provenance: dict) -> dict:
+def _measure_one(state: State, method: str, provenance: dict) -> dict:
     if method == "operator":
         return measure_report(state, provenance=provenance).to_dict()
-    gs = None if grid_points is None else default_grid_spec(state.spec.truncation, grid_points)
-    grid_side = wigner_measure_report(state, gs, provenance=provenance)
+    grid_side = wigner_measure_report(state, provenance=provenance)
     if method == "wigner":
         return grid_side.to_dict()
     return {
@@ -182,7 +183,7 @@ def _measure_one(state: State, method: str, grid_points: int | None, provenance:
 def cmd_measure(args: argparse.Namespace) -> int:
     state = load_state(args.state)
     provenance = {"state_file": str(args.state)}
-    result = _measure_one(state, args.method, args.grid, provenance)
+    result = _measure_one(state, args.method, provenance)
     print(json.dumps(result, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -267,13 +268,12 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         raise ValueError(f"--format both would write the CSV and the JSON both to {out}; "
                          "give --out a suffix other than .json")
     state = load_state(args.state)
-    if args.half_width is None:
-        gs = None if args.grid is None else default_grid_spec(state.spec.truncation, args.grid)
-        grid = wigner_from_density(state, gs)
-    elif args.grid is None:
-        grid = wigner_on_window(state, args.half_width)
+    half_width = (default_grid_spec(state.spec.truncation).half_width
+                  if args.half_width is None else args.half_width)
+    if args.grid is None:
+        grid = wigner_on_window(state, half_width)
     else:
-        grid = wigner_from_density(state, GridSpec(args.half_width, nq=args.grid, np=args.grid))
+        grid = wigner_from_density(state, GridSpec(half_width, nq=args.grid, np=args.grid))
     written = []
     if args.format in ("csv", "both"):
         grid.to_csv(out)
@@ -330,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("state", help="state file written by the state command")
     p_measure.add_argument("--method", choices=("operator", "wigner", "both"),
                            default="operator")
-    p_measure.add_argument("--grid", type=int, default=None,
-                           help="points per axis for the wigner method (default: from the "
-                                f"state, at least {DEFAULT_GRID_POINTS})")
     p_measure.set_defaults(func=cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="measure a family over a parameter range")
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wigner.add_argument("--out", required=True)
     p_wigner.add_argument("--grid", type=int, default=None,
                           help="points per axis (default: from the state, at least "
-                               f"{DEFAULT_GRID_POINTS + 1}, which samples the origin)")
+                               f"{DEFAULT_GRID_POINTS})")
     p_wigner.add_argument("--half-width", type=float, default=None,
                           help="override the default window sqrt(2N) + 5")
     p_wigner.add_argument("--format", choices=("csv", "json", "both"), default="csv")

@@ -44,7 +44,7 @@ from .states import (
     random_pure_state,
     thermal_state,
 )
-from .wigner import DEFAULT_GRID_POINTS, wigner_measure_report
+from .wigner import wigner_measure_report
 
 RANDOM_SEED = 987654321
 
@@ -219,7 +219,7 @@ def check_gaussian_family(refs: ReferenceStates) -> tuple[bool, str]:
 
 def check_gaussian_family_wigner() -> tuple[bool, str]:
     """Thermal family against closed forms, phase-space path."""
-    tol = 1e-3
+    tol = 1e-9
     worst = 0.0
     for a in GAUSSIAN_WIDTHS:
         rho = _thermal(a)
@@ -227,7 +227,7 @@ def check_gaussian_family_wigner() -> tuple[bool, str]:
             report = wigner_measure_report(rho)
         worst = max(worst, _thermal_deviation(a, report))
     return worst < tol, (
-        f"max relative deviation {worst:.2e} on {DEFAULT_GRID_POINTS}^2 grids (tol {tol:.0e})")
+        f"max relative deviation {worst:.2e} on the default grids (tol {tol:.0e})")
 
 
 def check_fock_mixture_degeneracy(refs: ReferenceStates) -> tuple[bool, str]:
@@ -315,7 +315,7 @@ def check_dual_pipeline() -> tuple[bool, str]:
     worst_name = max(deltas, key=deltas.get)
     return True, (
         f"max relative pipeline delta {deltas[worst_name]:.2e} at {worst_name!r} "
-        f"on {DEFAULT_GRID_POINTS}^2 grids (tol {TOL.dual_pipeline_rel:.0e})")
+        f"on the default grids (tol {TOL.dual_pipeline_rel:.0e})")
 
 
 def check_three_two_term(refs: ReferenceStates) -> tuple[bool, str]:

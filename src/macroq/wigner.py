@@ -53,7 +53,8 @@ from .fock import _store_integers
 from .measures import MeasureReport, _checked_report, measure_report
 from .states import State, as_density
 
-DEFAULT_GRID_POINTS = 256  # points per axis of a default grid, unless W needs more
+# points per axis of a default grid, unless W needs more; odd, so that the origin is a sample
+DEFAULT_GRID_POINTS = 257
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
@@ -456,10 +457,10 @@ def wigner_from_density(rho: State, gs: GridSpec | None = None) -> PhaseSpaceGri
 
 
 def wigner_on_window(rho: State, half_width: float) -> PhaseSpaceGrid:
-    """W on the square window of that half-width, at DEFAULT_GRID_POINTS + 1 points per axis,
-    which sample the origin, or at the count its kernel's reach needs there if that is more."""
-    floor = DEFAULT_GRID_POINTS + 1
-    return _sampled(rho, GridSpec(half_width, nq=floor, np=floor), grow=True)
+    """W on the square window of that half-width, at DEFAULT_GRID_POINTS per axis, or at the
+    count its kernel's reach needs there if that is more."""
+    gs = GridSpec(half_width, nq=DEFAULT_GRID_POINTS, np=DEFAULT_GRID_POINTS)
+    return _sampled(rho, gs, grow=True)
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
@@ -516,17 +517,14 @@ def measure_P_wigner(w: PhaseSpaceGrid) -> float:
 
 
 def measure_C_wigner(w: PhaseSpaceGrid) -> float:
-    """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) on the grid."""
-    return _c_from_values(w.values, w.spec.dq, w.spec.dp)
-
-
-def _c_from_values(values: np.ndarray, dq: float, dp: float) -> float:
-    """pi * integral |grad W|^2 by Parseval over the half spectrum of the real samples.
+    """Structure functional pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over the half
+    spectrum of the real samples.
 
     The spectrum of real W is Hermitian, so each half-spectrum column
     k_p > 0 stands for itself and -k_p; the zero column, and the Nyquist
     column of an even axis, stand for themselves alone.
     """
+    values, dq, dp = w.values, w.spec.dq, w.spec.dp
     nq, np_ = values.shape
     k_q = 2.0 * np.pi * np.fft.fftfreq(nq, d=dq)
     k_p = 2.0 * np.pi * np.fft.rfftfreq(np_, d=dp)
@@ -549,7 +547,8 @@ def wigner_measure_report(
 ) -> MeasureReport:
     """Phase-space-path report, cross-checked against the operator path.
 
-    C and P come from the grid; I is reconstructed through I = (C - M*P)/2,
+    C and P come from wigner_from_density(rho, gs) through measure_C_wigner and
+    measure_P_wigner, as any caller's would; I is reconstructed through I = (C - M*P)/2,
     and the report is built as the operator one is, refusing chi2 <= 0. The
     same state is first measured through the operator traces, and the two
     pipelines must agree on C, P and chi2 within the relative tolerance.
@@ -559,8 +558,8 @@ def wigner_measure_report(
     """
     _require_single_mode(rho, "wigner_measure_report")
     operator = measure_report(rho, provenance=provenance)
-    grid = _sampled(rho, gs or default_grid_spec(rho.spec.truncation), grow=gs is None)
-    c_value = _c_from_values(grid.values, grid.spec.dq, grid.spec.dp)
+    grid = wigner_from_density(rho, gs)
+    c_value = measure_C_wigner(grid)
     p_value = measure_P_wigner(grid)
     report = _checked_report((c_value - p_value) / 2.0, c_value, p_value, rho.spec, provenance)
     deltas = {

@@ -218,7 +218,7 @@ class TestCriterion7CliReproduction:
         assert passed, out
         assert "summary: 11/11 checks passed" in out
         assert "PASS dual-pipeline" in out
-        assert "on 256^2 grids (tol 1e-03)" in out
+        assert "on the default grids (tol 1e-09)" in out
         assert "INFO fock-mixture-convention" in out
         doc = json.loads(summary_path.read_text())
         assert doc["failed"] == 0

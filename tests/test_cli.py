@@ -167,6 +167,7 @@ class TestStateCommand:
     @pytest.mark.parametrize("params, message", [
         (("n1",), "parameters take the form key=value, got 'n1'"),
         (("n=1", "m=2"), "unrecognized parameters for 'fock': ['m']"),
+        (("n=1", "n=2"), "parameter 'n' is given more than once"),
     ])
     def test_malformed_parameters_are_usage_errors(self, tmp_path, capsys, params, message):
         assert run("state", "fock", *params, "--out", str(tmp_path / "x.json")) == 2
@@ -564,16 +565,7 @@ class TestMeasureCommand:
         assert doc["operator"]["provenance"] == {"state_file": str(out)}
         assert doc["operator"]["C"] == measure_report(load_state(out)).C
 
-    def test_large_cat_both_methods_at_fine_grid(self, tmp_path, capsys):
-        out = tmp_path / "cat7.json"
-        assert run("state", "cat", "alpha=7", "--out", str(out)) == 0
-        capsys.readouterr()
-        assert run("measure", str(out), "--method", "both", "--grid", "1024") == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["operator"]["truncation"] == 115
-        assert max(doc["cross_deltas"].values()) < 1e-3
-
-    @pytest.mark.parametrize("alpha", ["3", "5", "10"])
+    @pytest.mark.parametrize("alpha", ["3", "5", "7", "10"])
     def test_large_cat_both_methods_at_default_grid(self, tmp_path, capsys, alpha):
         out = tmp_path / "cat.json"
         assert run("state", "cat", f"alpha={alpha}", "--out", str(out)) == 0
@@ -582,19 +574,13 @@ class TestMeasureCommand:
         doc = json.loads(capsys.readouterr().out)
         assert max(doc["cross_deltas"].values()) <= 1e-12
 
-    @pytest.mark.parametrize("alpha, method, points, count", [
-        ("7", "both", "256", "219x362"), ("1.5", "wigner", "64", "69x99")])
-    def test_under_sampled_explicit_grid_fails_naming_the_count(self, tmp_path, capsys, alpha,
-                                                                 method, points, count):
-        # the transform refuses the grid before the pipelines are compared: a
-        # truncation error naming the count, not a disagreement or a bug
+    def test_measure_takes_no_grid(self, tmp_path, capsys):
+        # the kernel's reach sets the measured grid's count
         out = tmp_path / "cat.json"
-        assert run("state", "cat", f"alpha={alpha}", "--out", str(out)) == 0
+        assert run("state", "cat", "alpha=1.5", "--out", str(out)) == 0
         capsys.readouterr()
-        assert run("measure", str(out), "--method", method, "--grid", points) == 3
-        assert capsys.readouterr().err == (
-            f"truncation/resource error: wigner_from_density: the {points}x{points} grid "
-            f"under-samples W; the reach of its kernel needs {count} points or more\n")
+        assert run("measure", str(out), "--method", "both", "--grid", "512") == 2
+        assert "unrecognized arguments: --grid 512" in capsys.readouterr().err
 
     def test_wigner_method_is_the_grid_half_of_both(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
@@ -731,7 +717,7 @@ class TestMeasureCommand:
         monkeypatch.setattr(wigner, "TOL", dataclasses.replace(TOL, dual_pipeline_rel=1e-18))
         assert run("measure", str(out), "--method", "both") == 4
         err = capsys.readouterr().err
-        assert "disagree on the 256x256 grid" in err and "relative deltas" in err
+        assert "disagree on the 257x257 grid" in err and "relative deltas" in err
 
     def test_round_trip_matches_in_process_values(self, tmp_path, capsys):
         out = tmp_path / "thermal.json"
@@ -904,7 +890,7 @@ class TestWignerCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("transform ran although the output paths clash")
 
-        monkeypatch.setattr("macroq.cli.wigner_from_density", refuse)
+        monkeypatch.setattr("macroq.cli.wigner_on_window", refuse)
         out = tmp_path / "g.json"
         assert run("wigner", str(state), "--out", str(out), "--format", "both") == 2
         assert str(out) in capsys.readouterr().err
@@ -917,6 +903,20 @@ class TestWignerCommand:
         run("state", "product", f"left={left}", f"right={left}", "--out", str(prod))
         capsys.readouterr()
         assert run("wigner", str(prod), "--out", str(tmp_path / "p.csv")) == 2
+
+    @pytest.mark.parametrize("alpha, points, count", [
+        ("7", "256", "219x362"), ("1.5", "64", "69x99")])
+    def test_under_sampled_explicit_grid_fails_naming_the_count(self, tmp_path, capsys, alpha,
+                                                                 points, count):
+        # the transform refuses the grid: a truncation error naming the count
+        out = tmp_path / "cat.json"
+        assert run("state", "cat", f"alpha={alpha}", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("wigner", str(out), "--out", str(tmp_path / "w.csv"), "--grid", points) == 3
+        assert capsys.readouterr().err == (
+            f"truncation/resource error: wigner_from_density: the {points}x{points} grid "
+            f"under-samples W; the reach of its kernel needs {count} points or more\n")
+        assert not (tmp_path / "w.csv").exists()
 
     def test_custom_window_grows_without_grid(self, tmp_path, capsys):
         # cat alpha = 1.5 on a window of half-width 40 needs more than 257
@@ -965,7 +965,7 @@ class TestVerifyCommand:
         assert [line.split(":", 1)[0] for line in fails] == [
             "FAIL gaussian-family-wigner", "FAIL dual-pipeline"]
         for line in fails:
-            assert "pipelines disagree on the 256x256 grid" in line
+            assert "pipelines disagree on the 257x257 grid" in line
         assert lines[-1] == "summary: 9/11 checks passed, 2 informational notes"
 
     def test_valid_corpus_file_joins_suite(self, tmp_path, capsys, monkeypatch, rng):

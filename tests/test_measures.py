@@ -349,7 +349,7 @@ class TestMeasureChi2:
             measure_report(coherent_state(ModeSpec(1, 19), 1.0))
 
     def test_grid_report_refuses_nonpositive_chi2(self, monkeypatch):
-        monkeypatch.setattr(macroq.wigner, "_c_from_values", lambda values, dq, dp: 0.0)
+        monkeypatch.setattr(macroq.wigner, "measure_C_wigner", lambda grid: 0.0)
         with pytest.raises(ConsistencyError, match="chi2 must be positive"):
             wigner_measure_report(fock_mixture(ModeSpec(1, 12), 3))
 

@@ -41,7 +41,6 @@ from macroq.cli import build_state
 from macroq.config import TOL
 from macroq.wigner import (
     PhaseSpaceGrid,
-    _c_from_values,
     _defining_integral,
     _ETA_BLOCK,
     _kernel,
@@ -337,7 +336,7 @@ class TestEtaSampling:
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
                         reason="long double is no wider than float64 here")
     def test_phase_tables_as_accurate_as_direct_evaluation(self):
-        # every eta step of thermal a = 12's default grid, J = 2551: the tables turned
+        # every eta step of thermal a = 12's default grid, J = 2561: the tables turned
         # block by block against cos and sin of the rounded float64 products, both
         # judged by a long-double evaluation of the exact products
         gs = _grid(default_thermal_truncation(12.0), DEFAULT_GRID_POINTS)
@@ -350,7 +349,7 @@ class TestEtaSampling:
         theta = np.outer(np.arange(reach + 1) * d_eta, p)
         exact = np.outer(np.arange(reach + 1, dtype=np.longdouble) * np.longdouble(d_eta),
                          p.astype(np.longdouble))
-        assert reach + 1 == 2551 and tables[0].shape == theta.shape
+        assert reach + 1 == 2561 and tables[0].shape == theta.shape
         for table, direct, reference in ((tables[0], np.cos(theta), np.cos(exact)),
                                          (tables[1], np.sin(theta), np.sin(exact))):
             assert np.max(np.abs(table - reference)) <= np.max(np.abs(direct - reference))
@@ -586,7 +585,8 @@ class TestGridMeasures:
             for points in (65, 129, 257):
                 gs = _grid(rho.spec.truncation, points)
                 values = _raw_transform(rho.matrix, gs)[0]
-                errs.append(abs(_c_from_values(values, gs.dq, gs.dp) - reference) / reference)
+                c_value = measure_C_wigner(PhaseSpaceGrid(gs, values))
+                errs.append(abs(c_value - reference) / reference)
             assert coarse_low <= errs[0] < coarse_high, errs
             assert max(errs[1:]) < 1e-12, errs
         with pytest.raises(TruncationError, match="the 65x65 grid under-samples W; the reach "
@@ -597,13 +597,14 @@ class TestGridMeasures:
     def test_half_spectrum_matches_full_spectrum(self, shape):
         # random samples carry power up to Nyquist, where a wrong column weight shows
         values = np.random.default_rng(sum(shape)).standard_normal(shape)
-        dq, dp = 0.11, 0.07
+        gs = GridSpec(1.0, *shape)
+        dq, dp = gs.dq, gs.dp
         k_q = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=dq)
         k_p = 2.0 * np.pi * np.fft.fftfreq(shape[1], d=dp)
         power = np.abs(np.fft.fft2(values)) ** 2
         full = np.pi * dq * dp / values.size * np.sum(
             (k_q[:, None] ** 2 + k_p[None, :] ** 2) * power)
-        assert _c_from_values(values, dq, dp) == pytest.approx(full, rel=1e-12)
+        assert measure_C_wigner(PhaseSpaceGrid(gs, values)) == pytest.approx(full, rel=1e-12)
 
     def test_marginal_recovers_position_density(self):
         states = [
@@ -675,7 +676,7 @@ class TestWignerReport:
     def test_widest_thermal_states_on_the_default_grid(self, a, monkeypatch):
         # N = 1424 and 1682: the default windows reach past |x| = 38.6, where psi_0 underflows;
         # the report's own grid is judged, so each state is transformed once. Its
-        # kernel's reach asks for far fewer than the 256 points of the floor.
+        # kernel's reach asks for far fewer than the 257 points of the floor.
         rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
         grids = []
         transform = macroq.wigner._sampled
@@ -688,9 +689,28 @@ class TestWignerReport:
         report = wigner_measure_report(rho)
         assert max(report.cross_deltas.values()) < 1e-11
         (grid,) = grids
-        assert grid.spec == default_grid_spec(rho.spec.truncation, 256)
+        assert grid.spec == default_grid_spec(rho.spec.truncation)
         expected = gaussian_wigner(a, grid.q_vector(), grid.p_vector())
         assert np.abs(grid.values - expected).max() < 1e-12
+
+    def test_default_grid_and_C_are_the_public_functions(self, monkeypatch):
+        # the report samples W through wigner_from_density and takes C from
+        # measure_C_wigner: cat alpha = 7 grows from the floor to its reach's count
+        rho = as_density(cat_state(ModeSpec(1, default_coherent_truncation(7.0)), 7.0))
+        grids = []
+        measure = macroq.wigner.measure_C_wigner
+
+        def kept(grid):
+            grids.append(grid)
+            return measure(grid)
+
+        monkeypatch.setattr(macroq.wigner, "measure_C_wigner", kept)
+        report = wigner_measure_report(rho)
+        (grid,) = grids
+        alone = wigner_from_density(rho)
+        assert grid.spec == alone.spec == GridSpec(alone.spec.half_width, nq=363, np=363)
+        assert np.array_equal(grid.values, alone.values)
+        assert report.C == measure(alone)
 
     def test_keeps_the_operator_report_it_was_checked_against(self):
         cut = default_thermal_truncation(SQRT2)
