@@ -2,8 +2,8 @@
 
 Subcommands: state, measure, sweep, wigner, verify. Outputs are JSON on
 stdout and JSON/CSV files on disk; every output is deterministic for fixed
-inputs and flags, except for ISO-8601 "generated_at" fields written into
-file metadata.
+inputs and flags on the same host, numpy build and BLAS thread count, except
+for ISO-8601 "generated_at" fields written into file metadata.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 truncation or resource error, 4 internal consistency error.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from collections import namedtuple
 from datetime import datetime, timezone
@@ -191,6 +192,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def _sweep_values(args: argparse.Namespace) -> tuple:
     integer = _TABLE[SWEEP_PARAM_FAMILIES[args.parameter][0]].params[0][1] is int
     if args.values is not None:
+        if args.start is not None or args.stop is not None:
+            raise ValueError("--values and --start/--stop are alternatives; give one or the other")
         items = [item for item in args.values.split(",") if item.strip()]
         if not items:
             raise ValueError("sweep needs at least one value")
@@ -213,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"parameter {args.parameter!r} applies to families {allowed}, not {args.family!r}")
     max_dimension()  # a malformed MACROQ_MAX_DIM is a usage error, not every point's failure
-    ordered = sorted(values)
+    ordered = sorted(values, key=lambda value: (math.isnan(value), value))  # NaN last
     outcomes = [_run_point(args, value) for value in ordered]
     successes = sum(1 for _, report, err in outcomes if err is None)
     lines = ["parameter,I,C,P,chi2,errors"]

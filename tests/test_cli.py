@@ -32,7 +32,7 @@ from macroq import (
 from macroq import cli, wigner
 from macroq.cli import main
 
-from oracles import cat_mixture_I, state_bits
+from oracles import state_bits
 
 
 def run(*argv):
@@ -515,35 +515,6 @@ class TestMalformedStateFiles:
 
 
 class TestMeasureCommand:
-    def test_thermal_operator_report(self, tmp_path, capsys):
-        out = tmp_path / "thermal.json"
-        run("state", "thermal", "a=2", "--out", str(out))
-        capsys.readouterr()
-        assert run("measure", str(out)) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["P"] == pytest.approx(0.25, abs=1e-9)
-        assert report["I"] == pytest.approx(-3.0 / 32.0, abs=1e-9)
-        assert report["method"] == "operator"
-
-    def test_cat_mixture_coherence(self, tmp_path, capsys):
-        out = tmp_path / "cm.json"
-        run("state", "cat-mixture", "alpha=1", "--out", str(out))
-        capsys.readouterr()
-        assert run("measure", str(out)) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["I"] == pytest.approx(cat_mixture_I(1.0), abs=1e-10)
-        assert abs(report["I"]) < 0.1  # small, but not exactly zero
-
-    def test_both_methods_include_deltas(self, tmp_path, capsys):
-        out = tmp_path / "thermal.json"
-        run("state", "thermal", "a=1.4142135623730951", "--out", str(out))
-        capsys.readouterr()
-        assert run("measure", str(out), "--method", "both") == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"operator", "wigner", "cross_deltas"}
-        assert max(doc["cross_deltas"].values()) < 1e-3
-        assert doc["wigner"]["chi2"] == pytest.approx(1.0, abs=1e-3)
-
     def test_both_methods_trace_the_operator_side_once(self, tmp_path, capsys, monkeypatch):
         import macroq.measures
 
@@ -560,6 +531,7 @@ class TestMeasureCommand:
         monkeypatch.setattr(macroq.measures, "_traces", counted)
         assert run("measure", str(out), "--method", "both") == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"operator", "wigner", "cross_deltas"}
         assert len(calls) == 1
         assert doc["operator"]["method"] == "operator"
         assert doc["operator"]["provenance"] == {"state_file": str(out)}
@@ -619,14 +591,6 @@ class TestMeasureCommand:
         self._nearly_normalized_cat(out)
         assert run("measure", str(out)) == 4
         assert "pure-state relation violated" in capsys.readouterr().err
-
-    def test_coherent_structure_measure(self, tmp_path, capsys):
-        out = tmp_path / "coh.json"
-        run("state", "coherent", "alpha=2", "--out", str(out))
-        capsys.readouterr()
-        run("measure", str(out))
-        report = json.loads(capsys.readouterr().out)
-        assert report["chi2"] == pytest.approx(2.0, abs=1e-8)
 
     def test_pure_file_measured_from_vector(self, tmp_path, capsys, monkeypatch, rng):
         out = tmp_path / "pure.json"
@@ -737,28 +701,6 @@ class TestMeasureCommand:
 
 
 class TestSweepCommand:
-    def test_fock_sweep_counts_excitations(self, tmp_path, capsys):
-        out = tmp_path / "fock.csv"
-        assert run("sweep", "--family", "fock", "--parameter", "n",
-                   "--values", "0,1,2,3", "--out", str(out)) == 0
-        capsys.readouterr()
-        rows = out.read_text().splitlines()[1:]
-        for row in rows:
-            n_text, i_text = row.split(",")[:2]
-            assert float(i_text) == pytest.approx(float(n_text), abs=1e-9)
-
-    def test_cat_mixture_sweep_follows_overlap_formula(self, tmp_path, capsys):
-        out = tmp_path / "cm.csv"
-        assert run("sweep", "--family", "cat-mixture", "--parameter", "alpha",
-                   "--values", "0.5,1,2,3", "--out", str(out)) == 0
-        capsys.readouterr()
-        rows = out.read_text().splitlines()[1:]
-        for row in rows:
-            alpha_text, i_text = row.split(",")[:2]
-            expected = cat_mixture_I(float(alpha_text))
-            assert float(i_text) == pytest.approx(expected, abs=1e-9)
-            assert abs(float(i_text)) < 0.1
-
     def test_sidecar_lists_every_point(self, tmp_path, capsys):
         out = tmp_path / "fock.csv"
         run("sweep", "--family", "fock", "--parameter", "n",
@@ -787,6 +729,16 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()[1:]
         assert rows[0].split(",")[5] == ""
         assert rows[1].split(",")[5].startswith("TruncationError")
+        # a NaN point sorts last wherever --values lists it, so both listings write one CSV
+        written = []
+        for values in ("2,nan,1", "nan,2,1"):
+            assert run("sweep", "--family", "thermal", "--parameter", "a",
+                       "--values", values, "--out", str(out)) == 0
+            written.append(out.read_bytes())
+        capsys.readouterr()
+        assert written[0] == written[1]
+        assert [row.split(",")[0] for row in written[0].decode().splitlines()[1:]] == [
+            "1", "2", "nan"]
 
     @pytest.mark.parametrize("truncation", ["0", "-3"])
     def test_non_positive_truncation_fails_every_point(self, tmp_path, capsys, truncation):
@@ -813,6 +765,8 @@ class TestSweepCommand:
         # np.linspace would fail inside with an IndexError
         ("thermal", "a", ("--start", "1", "--stop", "2", "--steps", str(2 ** 63 - 1)),
          f"--steps {2 ** 63 - 1} is more values than an array can hold"),
+        ("thermal", "a", ("--values", "2", "--start", "1", "--stop", "3", "--steps", "5"),
+         "--values and --start/--stop are alternatives"),
     ])
     def test_unusable_range_is_usage_error(self, tmp_path, capsys, family, parameter, options,
                                            message):
@@ -1005,15 +959,22 @@ class TestDeterminism:
         doc_b["metadata"].pop("generated_at")
         assert doc_a == doc_b
 
-    def test_measure_output_is_deterministic(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["measure", "sweep", "wigner"])
+    def test_output_is_deterministic(self, tmp_path, capsys, command):
+        # the same bytes twice on one host, numpy build and BLAS thread count
         state = tmp_path / "s.json"
         run("state", "coherent", "alpha=1.1", "--out", str(state))
-        capsys.readouterr()
-        run("measure", str(state))
-        first = capsys.readouterr().out
-        run("measure", str(state))
-        second = capsys.readouterr().out
-        assert first == second
+        out = tmp_path / "out.csv"
+        argv = {"measure": ("measure", str(state)),
+                "sweep": ("sweep", "--family", "thermal", "--parameter", "a", "--start", "1",
+                          "--stop", "5", "--steps", "9", "--out", str(out)),
+                "wigner": ("wigner", str(state), "--out", str(out))}[command]
+        outputs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run(*argv) == 0
+            outputs.append(capsys.readouterr().out if command == "measure" else out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # (family, CLI parameters, the same state from its constructor, the default
@@ -1038,6 +999,8 @@ FAMILY_CASES = [
      default_thermal_truncation(1.0)),
     ("thermal", {"a": "3.5"}, lambda spec: thermal_state(spec, GaussianSpec(3.5)),
      default_thermal_truncation(3.5)),
+    ("fock-mixture", {"d": "2", "include_vacuum": "1"},
+     lambda spec: fock_mixture(spec, 2, True), 12),
 ]
 
 

@@ -202,7 +202,7 @@ class TestModeSpec:
         assert named in str(info.value)
         assert len(str(info.value)) < 200
 
-    def test_cached_matrices_are_read_only(self):
+    def test_built_matrices_are_read_only(self):
         op = annihilation_op(ModeSpec(1, 6)).matrix
         with pytest.raises(ValueError):
             op[0, 0] = 1.0

@@ -11,7 +11,6 @@ import pytest
 from macroq import (
     DensityMatrix,
     GaussianSpec,
-    GridSpec,
     ModeSpec,
     PureState,
     StateValidationError,
@@ -34,7 +33,6 @@ from macroq import (
     random_pure_state,
     save_state,
     thermal_state,
-    wigner_from_density,
 )
 
 from macroq.config import TOL
@@ -47,7 +45,6 @@ from oracles import (
     coherent_vector,
     connected_blocks,
     even_cat_I,
-    gaussian_wigner,
     state_document_pairs,
 )
 
@@ -288,15 +285,6 @@ class TestThermalState:
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError, match="a >= 1"):
             GaussianSpec(0.9)
-
-    def test_phase_space_profile_matches_analytic_gaussian(self):
-        a = SQRT2
-        cut = default_thermal_truncation(a)
-        rho = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
-        gs = GridSpec(half_width=math.sqrt(2 * cut) + 5, nq=128, np=128)
-        sampled = wigner_from_density(rho, gs)
-        analytic = gaussian_wigner(a, gs.q_vector(), gs.p_vector())
-        assert np.max(np.abs(sampled.values - analytic)) < 1e-6
 
 
 class TestDefaultTruncations:

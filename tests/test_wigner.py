@@ -26,11 +26,9 @@ from macroq import (
     coherent_state,
     default_coherent_truncation,
     default_thermal_truncation,
-    fock_mixture,
     fock_state,
     measure_C,
     measure_C_wigner,
-    measure_P_wigner,
     measure_report,
     product_state,
     thermal_state,
@@ -71,11 +69,6 @@ def _vacuum(n_levels=12):
 
 def _grid(n_levels, points):
     return default_grid_spec(n_levels, points)
-
-
-def _gaussian_grid(a, gs):
-    """The analytic Gaussian profile sampled on gs, as a grid the measures take."""
-    return PhaseSpaceGrid(gs, gaussian_wigner(a, gs.q_vector(), gs.p_vector()))
 
 
 def _eta_sum_pair_by_pair(mat, gs):
@@ -442,7 +435,7 @@ class TestGaussianProfile:
     def test_normalization_on_wide_window(self):
         for a in (1.0, 2.0):
             gs = GridSpec(half_width=5.0 * a + 1.0, nq=256, np=256)
-            grid = _gaussian_grid(a, gs)
+            grid = PhaseSpaceGrid(gs, gaussian_wigner(a, gs.q_vector(), gs.p_vector()))
             assert grid.normalization() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -509,44 +502,6 @@ class TestKernelReach:
 
 
 class TestGridMeasures:
-    def test_vacuum_purity(self):
-        grid = wigner_from_density(_vacuum(), _grid(12, 256))
-        assert measure_P_wigner(grid) == pytest.approx(1.0, abs=1e-6)
-
-    def test_gaussian_purity(self):
-        gs = GridSpec(half_width=12.0, nq=256, np=256)
-        grid = _gaussian_grid(SQRT2, gs)
-        assert measure_P_wigner(grid) == pytest.approx(0.5, abs=1e-6)
-
-    def test_two_level_mixture_purity(self):
-        rho = fock_mixture(ModeSpec(1, 12), 2, include_vacuum=True)
-        grid = wigner_from_density(rho, _grid(12, 256))
-        assert measure_P_wigner(grid) == pytest.approx(0.5, abs=1e-5)
-
-    def test_gaussian_structure_functional(self):
-        gs = GridSpec(half_width=12.0, nq=256, np=256)
-        grid = _gaussian_grid(SQRT2, gs)
-        assert measure_C_wigner(grid) == pytest.approx(0.25, abs=1e-4)
-
-    def test_vacuum_structure_functional(self):
-        gs = GridSpec(half_width=10.0, nq=256, np=256)
-        grid = _gaussian_grid(1.0, gs)
-        assert measure_C_wigner(grid) == pytest.approx(1.0, abs=1e-4)
-
-    def test_cat_mixture_ratio_tracks_operator_value(self):
-        rho = cat_mixture(ModeSpec(1, 19), 1.0)
-        grid = wigner_from_density(rho, _grid(19, 256))
-        ratio = measure_C_wigner(grid) / measure_P_wigner(grid)
-        from oracles import cat_mixture_chi2
-
-        assert ratio == pytest.approx(cat_mixture_chi2(1.0) / 2.0, abs=1e-3)
-
-    def test_large_cat_mixture_ratio_approaches_one(self):
-        rho = cat_mixture(ModeSpec(1, 44), 3.0)
-        grid = wigner_from_density(rho, _grid(44, 256))
-        ratio = measure_C_wigner(grid) / measure_P_wigner(grid)
-        assert ratio == pytest.approx(1.0, abs=1e-3)
-
     def test_resolution_guard_fires_on_coarse_grid(self):
         # cat alpha=7's fringes run along p, and 256 points sample them below
         # Nyquist (its grid C was 99% off there): the transform refuses the
@@ -626,28 +581,6 @@ class TestGridMeasures:
 
 
 class TestWignerReport:
-    def test_thermal_row(self):
-        a = SQRT2
-        cut = default_thermal_truncation(a)
-        rho = thermal_state(ModeSpec(1, cut), GaussianSpec(a))
-        report = wigner_measure_report(rho, _grid(cut, 256))
-        assert report.I == pytest.approx(-0.125, abs=1e-3)
-        assert report.C == pytest.approx(0.25, abs=1e-3)
-        assert report.P == pytest.approx(0.5, abs=1e-3)
-        assert report.chi2 == pytest.approx(1.0, abs=1e-3)
-        assert report.method == "wigner"
-
-    def test_vacuum_row(self):
-        report = wigner_measure_report(_vacuum(), _grid(12, 256))
-        for got, expected in ((report.I, 0.0), (report.C, 1.0),
-                              (report.P, 1.0), (report.chi2, 2.0)):
-            assert got == pytest.approx(expected, abs=1e-3)
-
-    def test_single_excitation_matches_operator_path(self):
-        rho = as_density(fock_state(ModeSpec(1, 12), 1))
-        report = wigner_measure_report(rho, _grid(12, 256))
-        assert max(report.cross_deltas.values()) < 1e-3
-
     def test_under_sampled_grid_is_refused_before_the_cross_check(self):
         # 64 points under-sample the fringes: a truncation error naming the
         # count, not a disagreement between the pipelines
