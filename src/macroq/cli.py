@@ -194,19 +194,23 @@ def _sweep_values(args: argparse.Namespace) -> tuple:
     if args.values is not None:
         if args.start is not None or args.stop is not None:
             raise ValueError("--values and --start/--stop are alternatives; give one or the other")
+        if args.steps is not None:
+            raise ValueError("--steps counts the points of a --start/--stop range; "
+                             "it cannot be given with --values")
         items = [item for item in args.values.split(",") if item.strip()]
         if not items:
             raise ValueError("sweep needs at least one value")
         return tuple(map(int if integer else float, items))
     if args.start is None or args.stop is None:
         raise ValueError("sweep needs either --values or --start/--stop/--steps")
-    if args.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {args.steps}")
+    steps = 1 if args.steps is None else args.steps
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if integer:
         raise ValueError(f"integer parameter {args.parameter!r} needs --values")
-    if args.steps > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
-        raise ValueError(f"--steps {args.steps} is more values than an array can hold")
-    return tuple(float(v) for v in np.linspace(args.start, args.stop, args.steps))
+    if steps > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+        raise ValueError(f"--steps {steps} is more values than an array can hold")
+    return tuple(float(v) for v in np.linspace(args.start, args.stop, steps))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -341,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(SWEEP_PARAM_FAMILIES))
     p_sweep.add_argument("--start", type=float, default=None)
     p_sweep.add_argument("--stop", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=1)
+    p_sweep.add_argument("--steps", type=int, default=None,
+                         help="points from --start to --stop (default 1)")
     p_sweep.add_argument("--values", default=None,
                          help="comma-separated explicit values (required for d and n)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")

@@ -30,7 +30,9 @@ lives in the test suite.
 
 Measures on a sampled grid: P = 2pi * integral(W^2) by composite trapezoid,
 C = pi * integral(|dW/dq|^2 + |dW/dp|^2) by Parseval over the half
-spectrum of one real 2-D FFT, which treats W as periodic over the window
+spectrum of W: a real FFT along p, then a complex FFT along q written in
+place, whose entries are squared in place, so one half-spectrum plane is
+the whole working memory. The sum treats W as periodic over the window
 and converges exponentially once W is negligible at its edge (Trefethen &
 Weideman, SIAM Rev. 56, 385 (2014)).
 Grids cover a square of half-width sqrt(2N) + 5, outside which an
@@ -522,7 +524,11 @@ def measure_C_wigner(w: PhaseSpaceGrid) -> float:
 
     The spectrum of real W is Hermitian, so each half-spectrum column
     k_p > 0 stands for itself and -k_p; the zero column, and the Nyquist
-    column of an even axis, stand for themselves alone.
+    column of an even axis, stand for themselves alone. The half spectrum
+    is a real FFT along p followed by a complex FFT along q written back
+    into it, and its float view is squared in place, so that Re^2 and Im^2
+    of each entry sit side by side: one half-spectrum plane is the whole
+    working memory.
     """
     values, dq, dp = w.values, w.spec.dq, w.spec.dp
     nq, np_ = values.shape
@@ -532,10 +538,13 @@ def measure_C_wigner(w: PhaseSpaceGrid) -> float:
     count[0] = 1.0
     if np_ % 2 == 0:
         count[-1] = 1.0
-    spectrum = np.fft.rfft2(values)
-    power = np.square(spectrum.real)
-    power += np.square(spectrum.imag)
-    weighted = (k_q ** 2) @ (power @ count) + power.sum(axis=0) @ (count * k_p ** 2)
+    spectrum = np.fft.rfft(values, axis=1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    parts = spectrum.view(np.float64)
+    np.square(parts, out=parts)
+    columns = parts.sum(axis=0)
+    weighted = ((k_q ** 2) @ (parts @ np.repeat(count, 2))
+                + (columns[0::2] + columns[1::2]) @ (count * k_p ** 2))
     return float(np.pi * dq * dp / (nq * np_) * weighted)
 
 

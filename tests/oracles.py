@@ -239,6 +239,24 @@ def kernel_reach_points(rho: np.ndarray, half_width: float, step: float = 0.05
     return tuple(counts)
 
 
+def parseval_C(values: np.ndarray, dq: float, dp: float) -> float:
+    """pi * integral(|dW/dq|^2 + |dW/dp|^2) of samples periodic over the window, by Parseval.
+
+    The sum of (k_q^2 + k_p^2)|FFT2(W)|^2 runs over the half spectrum
+    rfft2(W): a column whose mirror -k_p is another column (0 < k < np/2)
+    counts twice, the zero and Nyquist columns once.
+    """
+    nq, np_ = values.shape
+    spectrum = np.fft.rfft2(values)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    k_q = 2.0 * np.pi * np.fft.fftfreq(nq, d=dq)
+    k_p = 2.0 * np.pi * np.fft.rfftfreq(np_, d=dp)
+    column = np.arange(k_p.size)
+    weight = np.where((column > 0) & (2 * column < np_), 2.0, 1.0)
+    return float(np.pi * dq * dp / values.size
+                 * np.sum(weight * (k_q[:, None] ** 2 + k_p ** 2) * power))
+
+
 def even_cat_wigner(alpha: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """W of the untruncated (|alpha> + |-alpha>) / norm for real alpha."""
     q0 = math.sqrt(2.0) * alpha

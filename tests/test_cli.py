@@ -767,6 +767,8 @@ class TestSweepCommand:
          f"--steps {2 ** 63 - 1} is more values than an array can hold"),
         ("thermal", "a", ("--values", "2", "--start", "1", "--stop", "3", "--steps", "5"),
          "--values and --start/--stop are alternatives"),
+        ("thermal", "a", ("--values", "2", "--steps", "5"),
+         "--steps counts the points of a --start/--stop range; it cannot be given with --values"),
     ])
     def test_unusable_range_is_usage_error(self, tmp_path, capsys, family, parameter, options,
                                            message):
@@ -1029,7 +1031,7 @@ class TestFamilyTable:
         ("n", (1, 3)), ("d", (1, 3)), ("a", (1.0, 3.0)), ("alpha", (1.0, 3.0))])
     def test_sweep_parses_integers_for_d_and_n_only(self, parameter, parsed):
         args = argparse.Namespace(parameter=parameter, values="1, 3", start=None, stop=None,
-                                  steps=1)
+                                  steps=None)
         values = cli._sweep_values(args)
         assert values == parsed
         assert [type(v) for v in values] == [type(v) for v in parsed]

@@ -57,6 +57,7 @@ from oracles import (
     gaussian_wigner,
     kernel_reach_points,
     oscillator_eigenfunctions,
+    parseval_C,
     wigner_dyad_recurrence,
 )
 
@@ -548,9 +549,11 @@ class TestGridMeasures:
                            "of its kernel needs 70x99 points or more"):
             wigner_from_density(rho, _grid(25, 65))
 
-    @pytest.mark.parametrize("shape", [(64, 64), (65, 65), (64, 65), (48, 81)])
+    @pytest.mark.parametrize("shape", [(64, 64), (65, 65), (64, 65), (48, 81), (256, 256),
+                                       (257, 257), (363, 363), (300, 211), (61, 41)])
     def test_half_spectrum_matches_full_spectrum(self, shape):
-        # random samples carry power up to Nyquist, where a wrong column weight shows
+        # random samples carry power up to Nyquist, where a wrong column weight shows;
+        # odd and even np, so the Nyquist column is there or not, and dq != dp off the square
         values = np.random.default_rng(sum(shape)).standard_normal(shape)
         gs = GridSpec(1.0, *shape)
         dq, dp = gs.dq, gs.dp
@@ -559,7 +562,21 @@ class TestGridMeasures:
         power = np.abs(np.fft.fft2(values)) ** 2
         full = np.pi * dq * dp / values.size * np.sum(
             (k_q[:, None] ** 2 + k_p[None, :] ** 2) * power)
-        assert measure_C_wigner(PhaseSpaceGrid(gs, values)) == pytest.approx(full, rel=1e-12)
+        half = parseval_C(values, dq, dp)
+        assert half == pytest.approx(full, rel=1e-12)
+        assert abs(measure_C_wigner(PhaseSpaceGrid(gs, values)) - half) <= 1e-15 * half
+
+    @pytest.mark.parametrize("shape", [(512, 512), (300, 211)])
+    def test_C_works_in_one_half_spectrum_plane(self, shape):
+        grid = PhaseSpaceGrid(GridSpec(1.0, *shape),
+                              np.random.default_rng(sum(shape)).standard_normal(shape))
+        tracemalloc.start()
+        try:
+            measure_C_wigner(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * shape[0] * (shape[1] // 2 + 1) * 16
 
     def test_marginal_recovers_position_density(self):
         states = [
