@@ -7,7 +7,9 @@ values), criterion 3 (the identity on the twelve-state corpus), criterion 4
 invariance, tensor composition, chi2 positivity, the three- vs two-term forms
 of I): its checks must all pass in criterion 7, and tests/test_verify.py pins
 its closed forms to tests/oracles.py. tests/test_closed_forms.py holds every
-family's closed forms to tighter bounds on both pipelines. This module keeps
+family's closed forms to tighter bounds on four routes: the grid report, the
+report it was checked against, the dense traces of as_density(state) and
+purity. This module keeps
 criterion 5, whose refined grids no other test samples, and the verify run.
 """
 

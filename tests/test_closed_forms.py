@@ -2,19 +2,20 @@
 
 Each row is a state as `macroq state` builds it, at its family's default
 cutoff, with its exact I, C, P and chi2 and one bound tol: each value must
-lie within tol * max(1, |exact|) of its closed form, in the grid report on
-the default grid and in the operator report it was checked against. Each
-bound stays at least three times above the worst deviation measured on
-either pipeline at one and two BLAS threads. The thermal rows carry the
-renormalization of the truncated state (about 5e-13 of P at a = 2), the
-others rounding alone.
+lie within tol * max(1, |exact|) of its closed form on four routes. They are
+the grid report on the default grid, the report it was checked against
+(`checked_against`, the pure-vector route for a pure row), the dense traces
+of `as_density(state)` and `purity` of that matrix. Each bound stays at
+least three times above the worst deviation measured on any route at one
+and two BLAS threads. The thermal rows carry the renormalization of the
+truncated state (about 5e-13 of P at a = 2), the others rounding alone.
 """
 
 import math
 
 import pytest
 
-from macroq import wigner_measure_report
+from macroq import as_density, measure_report, purity, wigner_measure_report
 from macroq.cli import build_state
 
 from oracles import (
@@ -69,9 +70,13 @@ CLOSED_FORMS = [
                          ids=[f"{family}-{'-'.join(f'{k}={v}' for k, v in params.items())}"
                               for family, params, _, _ in CLOSED_FORMS])
 def test_report_matches_the_closed_form(family, params, exact, tol):
-    # the grid report keeps the operator report it was checked against
-    grid = wigner_measure_report(build_state(family, params, None)[0])
-    for report in (grid.checked_against, grid):
+    # the grid report keeps the report it was checked against; a pure row reaches
+    # the dense tile traces only through as_density, and purity walks its own tiles
+    state = build_state(family, params, None)[0]
+    grid = wigner_measure_report(state)
+    dense = as_density(state)
+    for report in (grid.checked_against, grid, measure_report(dense)):
         for name, want in zip(("I", "C", "P", "chi2"), exact):
             got = getattr(report, name)
             assert abs(got - want) <= tol * max(1.0, abs(want)), (report.method, name, got, want)
+    assert abs(purity(dense) - exact[2]) <= tol * max(1.0, exact[2]), ("purity", purity(dense))

@@ -41,10 +41,8 @@ from macroq.states import _blocks, _survey
 from oracles import (
     brute_force_I,
     brute_force_purity,
-    cat_mixture_purity,
     coherent_vector,
     connected_blocks,
-    even_cat_I,
     state_document_pairs,
 )
 
@@ -58,20 +56,10 @@ def blocks_of(mat: np.ndarray) -> list[np.ndarray]:
 
 
 class TestFockState:
-    def test_vacuum_has_unit_purity(self):
-        rho = as_density(fock_state(ModeSpec(1, 12), 0))
-        assert purity(rho) == pytest.approx(1.0, abs=1e-10)
-
     def test_occupation_expectation(self):
         spec = ModeSpec(1, 10)
         psi = fock_state(spec, 3).amplitudes
         assert np.abs(psi) ** 2 @ np.arange(10) == pytest.approx(3.0, abs=1e-12)
-
-    def test_coherence_measure_equals_occupation(self):
-        spec = ModeSpec(1, 10)
-        rho = as_density(fock_state(spec, 3))
-        assert brute_force_I(rho.matrix, 1, 10) == pytest.approx(3.0, abs=1e-10)
-        assert measure_I(rho) == pytest.approx(3.0, abs=1e-10)
 
     def test_multimode_indexing(self):
         spec = ModeSpec(2, 4)
@@ -128,10 +116,6 @@ class TestCoherentState:
         psi = coherent_state(spec, 2.0).amplitudes
         assert np.abs(psi) ** 2 @ np.arange(40) == pytest.approx(4.0, abs=1e-8)
 
-    def test_zero_coherence_measure(self):
-        rho = as_density(coherent_state(ModeSpec(1, 30), 2.0))
-        assert abs(measure_I(rho)) < 1e-9
-
     def test_matches_exact_factorial_expansion(self):
         spec = ModeSpec(1, 25)
         got = coherent_state(spec, 1.3 + 0.4j).amplitudes
@@ -155,20 +139,6 @@ class TestCatState:
     def test_even_cat_at_zero_is_vacuum(self):
         psi = cat_state(ModeSpec(1, 12), 0.0, 0.0).amplitudes
         assert psi[0] == pytest.approx(1.0)
-
-    def test_even_cat_coherence_closed_form(self):
-        rho = as_density(cat_state(ModeSpec(1, 30), 2.0))
-        expected = even_cat_I(2.0)
-        assert expected == pytest.approx(3.9973171989562686, rel=1e-12)
-        assert measure_I(rho) == pytest.approx(expected, abs=1e-9)
-        assert brute_force_I(rho.matrix, 1, 30) == pytest.approx(expected, abs=1e-9)
-
-    def test_even_cat_structure_measure(self):
-        from macroq import measure_report
-
-        rho = as_density(cat_state(ModeSpec(1, 30), 2.0))
-        assert measure_report(rho).chi2 == pytest.approx(4 * even_cat_I(2.0) + 2.0, abs=1e-8)
-        assert measure_report(rho).chi2 == pytest.approx(17.989268795825076, abs=1e-8)
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf])
     def test_non_finite_phase_rejected(self, phase):
@@ -199,16 +169,6 @@ class TestCatState:
 
 
 class TestCatMixture:
-    def test_degenerate_overlap_is_vacuum_projector(self):
-        rho = cat_mixture(ModeSpec(1, 12), 0.0)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_coherence_carries_overlap_residue(self):
-        # cross terms through the lowering operator leave -|a|^2 exp(-4|a|^2)
-        rho = cat_mixture(ModeSpec(1, 19), 1.0)
-        expected = -math.exp(-4.0)
-        assert brute_force_I(rho.matrix, 1, 19) == pytest.approx(expected, abs=1e-12)
-        assert measure_I(rho) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("levels, alpha", [(54, 3.0), (26, 0.6 + 0.8j), (19, -1.0j)])
     def test_parity_sectors_are_exactly_apart(self, levels, alpha):
@@ -223,54 +183,14 @@ class TestCatMixture:
         expected = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
         assert np.allclose(mat, expected, rtol=0.0, atol=1e-15)
 
-    def test_purity_closed_form(self):
-        for alpha in (0.5, 1.0, 2.0):
-            rho = cat_mixture(ModeSpec(1, 32), alpha)
-            assert purity(rho) == pytest.approx(cat_mixture_purity(alpha), abs=1e-9)
-        assert cat_mixture_purity(1.0) == pytest.approx(0.5091578194443671, rel=1e-14)
-
 
 class TestFockMixture:
-    def test_single_level_with_vacuum_is_vacuum(self):
-        from macroq import measure_report
-
-        rho = fock_mixture(ModeSpec(1, 12), 1, include_vacuum=True)
-        assert measure_I(rho) == pytest.approx(0.0, abs=1e-15)
-        assert measure_report(rho).chi2 == pytest.approx(2.0, abs=1e-12)
-
-    def test_vacuum_anchored_range_has_zero_coherence(self):
-        rho = fock_mixture(ModeSpec(1, 12), 5, include_vacuum=True)
-        assert abs(brute_force_I(rho.matrix, 1, 12)) < 1e-12
-        assert abs(measure_I(rho)) < 1e-12
-
-    def test_shifted_range_coherence_is_inverse_square(self):
-        rho = fock_mixture(ModeSpec(1, 12), 5, include_vacuum=False)
-        assert brute_force_I(rho.matrix, 1, 12) == pytest.approx(0.04, abs=1e-12)
-        assert measure_I(rho) == pytest.approx(1.0 / 25.0, abs=1e-12)
-
     def test_range_must_fit_truncation(self):
         with pytest.raises(TruncationError, match="use N >= 7"):
             fock_mixture(ModeSpec(1, 6), 5, include_vacuum=False)
 
 
 class TestThermalState:
-    def test_unit_width_is_vacuum(self):
-        rho = thermal_state(ModeSpec(1, 12), GaussianSpec(1.0))
-        assert rho.matrix[0, 0] == pytest.approx(1.0)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_purity_matches_inverse_square_width(self):
-        a = SQRT2
-        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        assert purity(rho) == pytest.approx(0.5, abs=1e-9)
-        rho2 = thermal_state(ModeSpec(1, default_thermal_truncation(2.0)), GaussianSpec(2.0))
-        assert purity(rho2) == pytest.approx(0.25, abs=1e-9)
-
-    def test_coherence_measure_closed_form(self):
-        a = SQRT2
-        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        assert measure_I(rho) == pytest.approx(-0.125, abs=1e-9)
-
     def test_inadequate_truncation_names_requirement(self):
         with pytest.raises(TruncationError, match=r"use at least N="):
             thermal_state(ModeSpec(1, 12), GaussianSpec(2.0))
@@ -422,14 +342,6 @@ def test_single_mode_constructor_refuses_two_modes(name, build):
 
 
 class TestPurity:
-    def test_pure_projector(self):
-        assert purity(as_density(cat_state(ModeSpec(1, 25), 1.5))) == pytest.approx(
-            1.0, abs=1e-10)
-
-    def test_uniform_four_level_mixture(self):
-        rho = fock_mixture(ModeSpec(1, 10), 4, include_vacuum=True)
-        assert purity(rho) == pytest.approx(0.25, abs=1e-14)
-
     def test_agrees_with_brute_force(self, rng):
         rho = random_mixed_state(ModeSpec(1, 12), rng)
         assert purity(rho) == pytest.approx(brute_force_purity(rho.matrix), abs=1e-13)

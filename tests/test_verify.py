@@ -3,6 +3,8 @@ one call per check by its global name, and refusals as FAIL lines."""
 
 import math
 
+import pytest
+
 import macroq.verify
 from macroq import ConsistencyError, PureState, random_pure_state
 from macroq.verify import (
@@ -16,7 +18,14 @@ from macroq.verify import (
     thermal_I_exact,
 )
 
-from oracles import cat_mixture_chi2, cat_mixture_I, thermal_chi2, thermal_I
+from oracles import (
+    cat_mixture_chi2,
+    cat_mixture_I,
+    cat_mixture_purity,
+    even_cat_I,
+    thermal_chi2,
+    thermal_I,
+)
 
 CHECK_NAMES = [name for name in vars(macroq.verify)
                if name.startswith(("check_", "note_")) and name != "check_corpus_file"]
@@ -31,6 +40,10 @@ def test_closed_forms_are_the_oracles():
     for alpha in CAT_MIXTURE_ALPHAS:
         assert cat_mixture_I_exact(alpha) == cat_mixture_I(alpha)
         assert cat_mixture_chi2_exact(alpha) == cat_mixture_chi2(alpha)
+    # and the oracles the closed-form table takes its pure cats and cat mixtures from
+    assert even_cat_I(2.0) == pytest.approx(3.9973171989562686, rel=1e-12)
+    assert 4.0 * even_cat_I(2.0) + 2.0 == pytest.approx(17.989268795825076, rel=1e-12)
+    assert cat_mixture_purity(1.0) == pytest.approx(0.5091578194443671, rel=1e-14)
 
 
 def _counting(monkeypatch, name, calls, keep=None):

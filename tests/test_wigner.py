@@ -237,6 +237,12 @@ class TestEtaSampling:
         (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 189, 189, 1, 2),
         (lambda: as_density(fock_state(ModeSpec(1, 12), 5)), 512, 512, 1, 8),
         (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5 * np.exp(0.7j))), 90, 96, 2, 1),
+        # 101 points: the vacuum, a coherent state off the origin (its W is not even
+        # in q), an even cat, and a thermal state whose kernel needs r = 2
+        (lambda: _vacuum(), 101, 101, 1, 1),
+        (lambda: as_density(coherent_state(ModeSpec(1, 19), 1.0)), 101, 101, 1, 1),
+        (lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)), 101, 101, 1, 1),
+        (lambda: thermal_state(ModeSpec(1, 31), GaussianSpec(SQRT2)), 101, 101, 2, 1),
     ])
     def test_matches_dyad_oracle(self, make, nq, np_, refine, stride):
         rho = make()
@@ -384,47 +390,6 @@ class TestEtaSampling:
         assert peak <= 24 * 2 ** 20
 
 
-class TestDirectTransform:
-    """wigner_from_density compared point by point with closed forms and the oracle."""
-
-    def test_vacuum_matches_analytic(self):
-        gs = _grid(12, 65)
-        grid = wigner_from_density(_vacuum(), gs)
-        q = gs.q_vector()[:, None]
-        p = gs.p_vector()[None, :]
-        analytic = np.exp(-(q ** 2 + p ** 2)) / np.pi
-        assert np.max(np.abs(grid.values - analytic)) < 1e-6
-
-    def test_coherent_peak_position(self):
-        rho = as_density(coherent_state(ModeSpec(1, 19), 1.0))
-        gs = _grid(19, 81)
-        grid = wigner_from_density(rho, gs)
-        peak = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-        cell = grid.spec.dq
-        assert abs(grid.q_vector()[peak[0]] - SQRT2) <= cell
-        assert abs(grid.p_vector()[peak[1]] - 0.0) <= cell
-
-    def test_default_grid(self):
-        # 257 points, which sample the origin, resolve the kernel's reach here
-        psi = coherent_state(ModeSpec(1, 19), 1.0)
-        grid = wigner_from_density(psi)
-        assert grid.spec == default_grid_spec(19, 257)
-        assert np.array_equal(grid.values,
-                              wigner_from_density(psi, default_grid_spec(19, 257)).values)
-
-    @pytest.mark.parametrize("make", [
-        lambda: _vacuum(),
-        lambda: as_density(coherent_state(ModeSpec(1, 19), 1.0)),
-        lambda: as_density(cat_state(ModeSpec(1, 25), 1.5)),
-        lambda: thermal_state(ModeSpec(1, 31), GaussianSpec(SQRT2)),
-    ])
-    def test_agrees_with_kernel_transform(self, make):
-        rho = make()
-        gs = _grid(rho.spec.truncation, 101)
-        kernel = wigner_from_density(rho, gs)
-        assert _oracle_gap(rho, kernel) < 1e-10
-
-
 class TestGaussianProfile:
     def test_origin_values(self):
         gs = GridSpec(half_width=10.0, nq=65, np=65)
@@ -488,6 +453,14 @@ class TestKernelReach:
         (flat, *_), counts = _kernel([rho.matrix, rho.matrix], _grid(25, 256))
         assert counts == [(186, 186)]
         assert np.array_equal(flat, _kernel([rho.matrix], _grid(25, 256))[0][0])
+
+    def test_default_grid(self):
+        # 257 points, which sample the origin, resolve the kernel's reach here
+        psi = coherent_state(ModeSpec(1, 19), 1.0)
+        grid = wigner_from_density(psi)
+        assert grid.spec == default_grid_spec(19, 257)
+        assert np.array_equal(grid.values,
+                              wigner_from_density(psi, default_grid_spec(19, 257)).values)
 
     @pytest.mark.parametrize("family, params", [
         ("cat", {"alpha": "3"}), ("cat", {"alpha": "5"}), ("cat", {"alpha": "7"}),
