@@ -50,25 +50,6 @@ class TestStateCommand:
         assert doc["kind"] == "mixed"
         assert doc["metadata"]["family"] == "thermal"
 
-    def test_vacuum_file(self, tmp_path):
-        out = tmp_path / "vac.json"
-        assert run("state", "fock", "n=0", "--out", str(out)) == 0
-        doc = json.loads(out.read_text())
-        assert doc["kind"] == "pure"
-        assert doc["data"][0] == [1.0, 0.0]
-
-    def test_product_of_files(self, tmp_path):
-        left = tmp_path / "l.json"
-        right = tmp_path / "r.json"
-        out = tmp_path / "prod.json"
-        assert run("state", "fock", "n=1", "--truncation", "16", "--out", str(left)) == 0
-        assert run("state", "coherent", "alpha=0.5", "--truncation", "16",
-                   "--out", str(right)) == 0
-        assert run("state", "product", f"left={left}", f"right={right}",
-                   "--out", str(out)) == 0
-        doc = json.loads(out.read_text())
-        assert doc["spec"]["num_modes"] == 2
-
     def test_product_kind_follows_its_factors(self, tmp_path, capsys):
         fock = tmp_path / "fock.json"
         coherent = tmp_path / "coherent.json"
@@ -535,7 +516,9 @@ class TestMeasureCommand:
         assert len(calls) == 1
         assert doc["operator"]["method"] == "operator"
         assert doc["operator"]["provenance"] == {"state_file": str(out)}
-        assert doc["operator"]["C"] == measure_report(load_state(out)).C
+        direct = measure_report(load_state(out))
+        for key in ("I", "C", "P", "chi2"):
+            assert doc["operator"][key] == getattr(direct, key), key
 
     @pytest.mark.parametrize("alpha", ["3", "5", "7", "10"])
     def test_large_cat_both_methods_at_default_grid(self, tmp_path, capsys, alpha):
@@ -563,34 +546,6 @@ class TestMeasureCommand:
         assert run("measure", str(out), "--method", "both") == 0
         assert alone["method"] == "wigner"
         assert alone == json.loads(capsys.readouterr().out)["wigner"]
-
-    @staticmethod
-    def _nearly_normalized_cat(path):
-        # squared norm 1 + 9e-11, inside norm_tol
-        cat = cat_state(ModeSpec(1, 43), 3.0)
-        save_state(PureState(cat.spec, cat.amplitudes * math.sqrt(1.0 + 9e-11)), path)
-
-    def test_nearly_normalized_pure_file_is_measured(self, tmp_path, capsys):
-        out = tmp_path / "cat.json"
-        self._nearly_normalized_cat(out)
-        assert run("measure", str(out)) == 0
-        assert json.loads(capsys.readouterr().out)["pure_relation_residual"] < 1e-12
-
-    def test_broken_pure_relation_exit_code(self, tmp_path, capsys, monkeypatch):
-        import macroq.measures
-
-        measures = macroq.measures._pure_measures
-
-        def shifted(amps, spec, norm_sq):
-            # I moved by 5e-10: inside the identity's 1e-9, outside the relation's 1e-10
-            three, two, c_value = measures(amps, spec, norm_sq)
-            return three + 5e-10, two + 5e-10, c_value
-
-        monkeypatch.setattr(macroq.measures, "_pure_measures", shifted)
-        out = tmp_path / "cat.json"
-        self._nearly_normalized_cat(out)
-        assert run("measure", str(out)) == 4
-        assert "pure-state relation violated" in capsys.readouterr().err
 
     def test_pure_file_measured_from_vector(self, tmp_path, capsys, monkeypatch, rng):
         out = tmp_path / "pure.json"
@@ -683,22 +638,6 @@ class TestMeasureCommand:
         err = capsys.readouterr().err
         assert "disagree on the 257x257 grid" in err and "relative deltas" in err
 
-    def test_round_trip_matches_in_process_values(self, tmp_path, capsys):
-        out = tmp_path / "thermal.json"
-        run("state", "thermal", "a=2", "--out", str(out))
-        capsys.readouterr()
-        run("measure", str(out))
-        via_cli = json.loads(capsys.readouterr().out)
-        a = 2.0
-        from macroq import default_thermal_truncation
-
-        rho = thermal_state(ModeSpec(1, default_thermal_truncation(a)), GaussianSpec(a))
-        direct = measure_report(rho)
-        assert via_cli["I"] == direct.I
-        assert via_cli["C"] == direct.C
-        assert via_cli["P"] == direct.P
-        assert via_cli["chi2"] == direct.chi2
-
 
 class TestSweepCommand:
     def test_sidecar_lists_every_point(self, tmp_path, capsys):
@@ -710,16 +649,6 @@ class TestSweepCommand:
         assert sidecar["parameter"] == "n"
         assert len(sidecar["points"]) == 2
         assert "generated_at" in sidecar
-
-    def test_failing_points_recorded_not_fatal(self, tmp_path, capsys):
-        out = tmp_path / "mix.csv"
-        assert run("sweep", "--family", "fock-mixture", "--parameter", "d",
-                   "--values", "2,3,30", "--truncation", "12",
-                   "--out", str(out)) == 0
-        capsys.readouterr()
-        rows = out.read_text().splitlines()[1:]
-        assert rows[0].split(",")[5] == ""
-        assert "TruncationError" in rows[2].split(",")[5]
 
     def test_overflowing_point_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "thermal.csv"
@@ -810,14 +739,6 @@ class TestWignerCommand:
         header, first = out.read_text().splitlines()[:2]
         assert header == "q,p,w"
         assert len(first.split(",")) == 3
-
-    def test_thermal_peak_value(self, tmp_path, capsys):
-        state = tmp_path / "thermal.json"
-        run("state", "thermal", "a=2", "--out", str(state))
-        capsys.readouterr()
-        assert run("wigner", str(state), "--out", str(tmp_path / "t.csv")) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["extreme_value"] == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-6)
 
     def test_single_excitation_negative_center(self, tmp_path, capsys):
         state = tmp_path / "one.json"

@@ -1,4 +1,4 @@
-"""Measure evaluation: values, identities, and consistency guards."""
+"""Measure traces against the oracles, their tile walks, and the refusals of each report."""
 
 import copy
 import math
@@ -93,7 +93,7 @@ class TestSliceTracesAgainstOracle:
         assert two == pytest.approx(expected_I, abs=1e-12)
         assert measure_C(rho) == pytest.approx(
             brute_force_C(rho.matrix, num_modes, truncation), abs=1e-12)
-        assert purity(rho) == pytest.approx(brute_force_purity(rho.matrix), abs=1e-12)
+        assert purity(rho) == pytest.approx(brute_force_purity(rho.matrix), abs=1e-13)
 
     def test_no_embedded_operator_is_built(self, monkeypatch, rng):
         def refuse(*args):
@@ -107,29 +107,7 @@ class TestSliceTracesAgainstOracle:
 
 
 class TestTiledTraces:
-    """Residue checks and refusals where a tile pair, not one tile, holds the fault."""
-
-    @staticmethod
-    def _corrupted_off_diagonal_tile():
-        # (|3> + |B+5>)/sqrt(2); the corruption sits in tile (2, 1), its mirror
-        # entry rho[3, B+5] = 1/2 in tile (1, 2)
-        spec = ModeSpec(1, TILE + 8)
-        amps = np.zeros(spec.total_dim, dtype=complex)
-        amps[[3, TILE + 5]] = 1.0 / SQRT2
-        rho = as_density(PureState(spec, amps))
-        corrupted = rho.matrix.copy()
-        corrupted[TILE + 5, 3] += 1e-4j
-        object.__setattr__(rho, "matrix", corrupted)
-        return rho
-
-    @pytest.mark.parametrize("trace,error,what", [
-        (measure_I, ConsistencyError, "measure I"),
-        (measure_C, ConsistencyError, "measure C"),
-        (purity, ConsistencyError, "purity"),
-    ])
-    def test_residue_in_off_diagonal_tile_detected(self, trace, error, what):
-        with pytest.raises(error, match=f"{what} has imaginary residue"):
-            trace(self._corrupted_off_diagonal_tile())
+    """Refusals of a fault in an off-diagonal tile pair and of a pure state by name."""
 
     def test_non_hermitian_off_diagonal_tile_refused(self):
         spec = ModeSpec(1, TILE + 8)
@@ -161,6 +139,40 @@ def _across_tiles() -> DensityMatrix:
     amps[[TILE - 2, TILE + 2]] = 1.0 / SQRT2
     thermal = thermal_state(spec, GaussianSpec(1.5))
     return mix([(0.5, thermal), (0.5, as_density(PureState(spec, amps)))])
+
+
+def _two_tiles() -> DensityMatrix:
+    """(|3> + |B+5>)/sqrt(2): rho[3, B+5] = 1/2 sits in tile (1, 2), its mirror in (2, 1)."""
+    spec = ModeSpec(1, TILE + 8)
+    amps = np.zeros(spec.total_dim, dtype=complex)
+    amps[[3, TILE + 5]] = 1.0 / SQRT2
+    return as_density(PureState(spec, amps))
+
+
+def _corrupted(rho: DensityMatrix, row: int, col: int) -> DensityMatrix:
+    """rho with 1e-4j added at [row, col] behind the type's back."""
+    corrupted = rho.matrix.copy()
+    corrupted[row, col] += 1e-4j
+    object.__setattr__(rho, "matrix", corrupted)
+    return rho
+
+
+# a non-Hermitian perturbation in one diagonal tile, in an off-diagonal tile pair
+# and in the band across tiles; the diagonal-tile base state is non-diagonal so the
+# corrupted traces close (and not alpha=1, whose amplitudes cancel this residue exactly)
+RESIDUES = {
+    "diagonal tile": lambda: _corrupted(as_density(coherent_state(ModeSpec(1, 22), 1.3)), 1, 0),
+    "tile pair": lambda: _corrupted(_two_tiles(), TILE + 5, 3),
+    "band across tiles": lambda: _corrupted(_across_tiles(), TILE + 2, TILE - 2),
+}
+TRACES = {"measure I": measure_I, "measure C": measure_C, "purity": purity}
+
+
+@pytest.mark.parametrize("what", list(TRACES))
+@pytest.mark.parametrize("placement", list(RESIDUES))
+def test_imaginary_residue_detected(placement, what):
+    with pytest.raises(ConsistencyError, match=f"{what} has imaginary residue"):
+        TRACES[what](RESIDUES[placement]())
 
 
 class TestBandLimitedWalks:
@@ -227,30 +239,8 @@ class TestBandLimitedWalks:
         with pytest.raises(StateValidationError, match="Hermiticity violated: .* 1.00e-03"):
             DensityMatrix(ModeSpec(1, len(mat)), mat)
 
-    @pytest.mark.parametrize("trace,what", [
-        (measure_I, "measure I"), (measure_C, "measure C"), (purity, "purity")])
-    def test_non_hermitian_perturbation_in_the_band_detected(self, trace, what):
-        rho = _across_tiles()
-        assert rho._band == 4
-        corrupted = rho.matrix.copy()
-        corrupted[TILE + 2, TILE - 2] += 1e-4j  # tile pair (1, 0)
-        object.__setattr__(rho, "matrix", corrupted)
-        with pytest.raises(ConsistencyError, match=f"{what} has imaginary residue"):
-            trace(rho)
-
 
 class TestMeasureI:
-    def test_agrees_with_brute_force_oracle(self, rng):
-        for _ in range(3):
-            rho = random_mixed_state(ModeSpec(1, 10), rng)
-            assert measure_I(rho) == pytest.approx(
-                brute_force_I(rho.matrix, 1, 10), abs=1e-12)
-
-    def test_two_mode_agrees_with_brute_force(self, rng):
-        rho = random_mixed_state(ModeSpec(2, 5), rng)
-        assert measure_I(rho) == pytest.approx(
-            brute_force_I(rho.matrix, 2, 5), abs=1e-12)
-
     def test_three_and_two_term_forms_agree(self, rng):
         states = [
             cat_mixture(ModeSpec(1, 19), 1.0),
@@ -266,12 +256,6 @@ class TestMeasureI:
         with pytest.raises(ConsistencyError, match="three-term and two-term evaluations of I "
                                                    r"disagree: 1\.0 vs 1\.0000000002"):
             measure_I(_thermal(2.0))
-
-
-class TestMeasureC:
-    def test_agrees_with_brute_force_oracle(self, rng):
-        rho = random_mixed_state(ModeSpec(1, 10), rng)
-        assert measure_C(rho) == pytest.approx(brute_force_C(rho.matrix, 1, 10), abs=1e-12)
 
 
 class TestMeasureChi2:
@@ -303,11 +287,6 @@ class TestMeasureChi2:
 
 
 class TestMeasureReport:
-    def test_chi2_consistent_with_components(self, rng):
-        report = measure_report(random_mixed_state(ModeSpec(1, 12), rng))
-        assert report.chi2 == pytest.approx(2.0 * report.C / report.P, rel=1e-12)
-        assert report.identity_residual < 1e-9
-
     def test_serializes_every_field(self):
         report = measure_report(_thermal(SQRT2), provenance={"family": "thermal"})
         doc = report.to_dict()
@@ -348,11 +327,6 @@ class TestMeasureReport:
 
 
 class TestPureStateMeasures:
-    def test_relation_on_random_states(self, rng):
-        for _ in range(10):
-            report = pure_state_measures(random_pure_state(ModeSpec(1, 12), rng))
-            assert report.pure_relation_residual < 1e-10
-
     def test_nearly_normalized_state_is_measured(self):
         # squared norm 1 + 9e-11, inside norm_tol: I and P carry that factor
         # squared and chi2 does not, so |I - (chi2/4 - M/2)| would be 1.6e-9
@@ -453,13 +427,6 @@ class TestMixedPathBounds:
 
 
 class TestIdentity:
-    def test_identity_on_random_mixtures(self, rng):
-        for _ in range(5):
-            rho = random_mixed_state(ModeSpec(1, 12), rng)
-            lhs = measure_I(rho)
-            rhs = (measure_C(rho) - purity(rho)) / 2.0
-            assert abs(lhs - rhs) < 1e-9
-
     def test_identity_violation_refused(self, monkeypatch):
         # C moved by 4e-9 puts the residual at 2e-9, past its 1e-9 tolerance
         traces = macroq.measures._traces
@@ -486,15 +453,6 @@ class TestIdentity:
 
 
 class TestDisplacement:
-    def test_invariance_for_interior_state(self):
-        rho = as_density(coherent_state(ModeSpec(1, 40), 0.5))
-        i_ref = measure_I(rho)
-        chi_ref = measure_report(rho).chi2
-        for beta in (0.4, 0.5 + 0.5j):
-            moved = displaced(rho, beta)
-            assert measure_I(moved) == pytest.approx(i_ref, abs=1e-7)
-            assert measure_report(moved).chi2 == pytest.approx(chi_ref, abs=1e-6)
-
     @pytest.mark.parametrize("mode", [1, 2])
     def test_axiswise_matches_embedded_conjugation(self, mode, rng):
         # a random 2-mode mixed state on levels 0..2 of each mode, padded into
@@ -519,32 +477,3 @@ class TestDisplacement:
         with pytest.raises(TruncationError, match="too large"):
             displaced(rho, 1.0)
 
-
-class TestConsistencyGuards:
-    def test_imaginary_residue_detected(self):
-        # a non-Hermitian perturbation injected behind the type's back; the
-        # base state must be non-diagonal so the corrupted traces close
-        # (and not alpha=1, whose amplitudes cancel this residue exactly)
-        rho = as_density(coherent_state(ModeSpec(1, 22), 1.3))
-        corrupted = rho.matrix.copy()
-        corrupted[1, 0] += 1e-4j
-        object.__setattr__(rho, "matrix", corrupted)
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            measure_I(rho)
-
-    @staticmethod
-    def _corrupted():
-        # same corruption as test_imaginary_residue_detected
-        rho = as_density(coherent_state(ModeSpec(1, 22), 1.3))
-        corrupted = rho.matrix.copy()
-        corrupted[1, 0] += 1e-4j
-        object.__setattr__(rho, "matrix", corrupted)
-        return rho
-
-    def test_imaginary_residue_detected_in_C(self):
-        with pytest.raises(ConsistencyError, match="measure C has imaginary residue"):
-            measure_C(self._corrupted())
-
-    def test_imaginary_residue_detected_in_purity(self):
-        with pytest.raises(ConsistencyError, match="purity has imaginary residue"):
-            purity(self._corrupted())

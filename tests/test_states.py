@@ -39,8 +39,6 @@ from macroq.config import TOL
 from macroq.states import _blocks, _survey
 
 from oracles import (
-    brute_force_I,
-    brute_force_purity,
     coherent_vector,
     connected_blocks,
     state_document_pairs,
@@ -300,22 +298,6 @@ class TestProductState:
         assert np.array_equal(mixed.matrix, dense)
         assert np.allclose(mixed.matrix, prod.projector().matrix, rtol=0, atol=1e-15)
 
-    def test_purity_factorizes(self, rng):
-        left = random_mixed_state(ModeSpec(1, 10), rng)
-        right = random_mixed_state(ModeSpec(1, 10), rng)
-        prod = product_state(left, right)
-        assert purity(prod) == pytest.approx(purity(left) * purity(right), abs=1e-10)
-
-    def test_coherence_composition_thermal_times_cat_mixture(self):
-        thermal = thermal_state(ModeSpec(1, 26), GaussianSpec(SQRT2))
-        catmix = cat_mixture(ModeSpec(1, 26), 1.0)
-        prod = product_state(thermal, catmix)
-        composed = (purity(catmix) * measure_I(thermal)
-                    + purity(thermal) * measure_I(catmix))
-        direct = brute_force_I(prod.matrix, 2, 26)
-        assert measure_I(prod) == pytest.approx(composed, abs=1e-9)
-        assert direct == pytest.approx(composed, abs=1e-9)
-
     def test_unequal_truncations_rejected(self):
         with pytest.raises(ValueError, match="^product requires equal per-mode truncations, "
                                              "got 12 and 13$"):
@@ -339,12 +321,6 @@ def test_single_mode_constructor_refuses_two_modes(name, build):
     with pytest.raises(ValueError, match=f"^{name} builds single-mode states; "
                                          "combine with product_state$"):
         build(ModeSpec(2, 6))
-
-
-class TestPurity:
-    def test_agrees_with_brute_force(self, rng):
-        rho = random_mixed_state(ModeSpec(1, 12), rng)
-        assert purity(rho) == pytest.approx(brute_force_purity(rho.matrix), abs=1e-13)
 
 
 class TestValidation:
@@ -553,23 +529,6 @@ class TestBlockPositivity:
 
 
 class TestSerialization:
-    def test_pure_round_trip_is_exact(self, tmp_path, rng):
-        state = cat_state(ModeSpec(1, 22), 1.2 + 0.3j, 0.7)
-        path = tmp_path / "cat.json"
-        save_state(state, path, metadata={"note": "round trip"})
-        loaded = load_state(path)
-        assert isinstance(loaded, PureState)
-        assert loaded.spec == state.spec
-        assert np.array_equal(loaded.amplitudes, state.amplitudes)
-
-    def test_mixed_round_trip_is_exact(self, tmp_path):
-        state = thermal_state(ModeSpec(1, 31), GaussianSpec(SQRT2))
-        path = tmp_path / "thermal.json"
-        save_state(state, path)
-        loaded = load_state(path)
-        assert isinstance(loaded, DensityMatrix)
-        assert np.array_equal(loaded.matrix, state.matrix)
-
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_signed_zeros_round_trip(self, kind, tmp_path):
         # array_equal counts -0.0 equal to 0.0, so compare the bits
@@ -603,10 +562,14 @@ class TestSerialization:
         save_state(loaded, path, metadata={"note": "round trip"})
         assert path.read_text() == text
 
-    @pytest.mark.parametrize("kind", ["pure", "mixed"])
-    def test_document_is_the_sorted_key_dump(self, kind, tmp_path, rng):
-        # the streamed writer must give exactly json.dumps of the whole document
-        spec = ModeSpec(2, 5)
+    # the spec is built in the test: D = 4096 is the default dimension cap, and a
+    # ModeSpec built at collection would turn a budget fault into a collection error
+    @pytest.mark.parametrize("kind, spec", [("pure", (2, 64)), ("mixed", (2, 17))])
+    def test_blocks_of_rows_write_the_per_row_bytes(self, kind, spec, tmp_path, rng):
+        # the data go out a block of rows per json.dumps call; the bytes must be
+        # those of one call per row (a pure state's rows are its pairs), which are
+        # those of json.dumps of the whole document
+        spec = ModeSpec(*spec)
         if kind == "pure":
             state = random_pure_state(spec, rng)
             values = state.amplitudes
@@ -614,37 +577,16 @@ class TestSerialization:
             state = random_mixed_state(spec, rng)
             values = state.matrix
         metadata = {"note": "byte for byte", "points": [1, 2.5]}
-        path = tmp_path / f"{kind}.json"
-        save_state(state, path, metadata=metadata)
-        doc = {
-            "format_version": 1,
-            "spec": {"num_modes": 2, "truncation": 5},
-            "kind": kind,
-            "data": np.stack((values.real, values.imag), axis=-1).tolist(),
-            "metadata": metadata,
-        }
-        assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
-
-    @pytest.mark.parametrize("kind, spec", [("pure", ModeSpec(2, 64)), ("mixed", ModeSpec(2, 17))])
-    def test_blocks_of_rows_write_the_per_row_bytes(self, kind, spec, tmp_path, rng):
-        # the data go out a block of rows per json.dumps call; the bytes must
-        # be those of one call per row (a pure state's rows are its pairs)
-        if kind == "pure":
-            state = random_pure_state(spec, rng)
-            values = state.amplitudes
-        else:
-            state = random_mixed_state(spec, rng)
-            values = state.matrix
-        metadata = {"note": "blocks"}
-        rest = json.dumps({
+        header = {
             "format_version": 1,
             "spec": {"num_modes": spec.num_modes, "truncation": spec.truncation},
             "kind": kind,
             "metadata": metadata,
-        }, sort_keys=True)
+        }
         rows = np.stack((values.real, values.imag), axis=-1)
         per_row = ('{"data": [' + ", ".join(json.dumps(row.tolist()) for row in rows)
-                   + "], " + rest[1:] + "\n")
+                   + "], " + json.dumps(header, sort_keys=True)[1:] + "\n")
+        assert per_row == json.dumps({**header, "data": rows.tolist()}, sort_keys=True) + "\n"
         path = tmp_path / f"{kind}.json"
         save_state(state, path, metadata=metadata)
         assert path.read_text() == per_row
