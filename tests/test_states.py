@@ -36,7 +36,7 @@ from macroq import (
 )
 
 from macroq.config import TOL
-from macroq.states import _blocks, _survey
+from macroq.states import _PROOF_MIN, _blocks, _proven_positive, _survey
 
 from oracles import (
     coherent_vector,
@@ -339,8 +339,11 @@ class TestValidation:
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             DensityMatrix(ModeSpec(1, 4), mat)
 
-    @pytest.mark.parametrize("num_modes,truncation", [(1, 6), (2, 3)])
-    def test_psd_floor_boundary(self, num_modes, truncation, rng):
+    # rank counts the eigenvalues besides the low one; at D = 128 the one block
+    # reaches _PROOF_MIN, so the proof runs first and the Cholesky decides
+    @pytest.mark.parametrize("num_modes,truncation,rank", [(1, 6, 5), (2, 3, 8), (1, 128, 3)],
+                             ids=["1-6", "2-3", "1-128-rank-3"])
+    def test_psd_floor_boundary(self, num_modes, truncation, rank, rng):
         # the floor is -1e-8: a minimum eigenvalue of -2e-8 lies below it,
         # -5e-9 above it
         spec = ModeSpec(num_modes, truncation)
@@ -349,7 +352,8 @@ class TestValidation:
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
         def with_min_eigenvalue(low):
-            eigs = np.full(dim, (1.0 - low) / (dim - 1))
+            eigs = np.zeros(dim)
+            eigs[1:rank + 1] = (1.0 - low) / rank
             eigs[0] = low
             mat = (basis * eigs) @ basis.conj().T
             return (mat + mat.conj().T) / 2.0
@@ -443,6 +447,40 @@ def _one_link(dim: int, i: int, j: int) -> np.ndarray:
     return mat
 
 
+def _low_rank_near_the_floor(rng) -> np.ndarray:
+    """A rank-4 mixture at D = 300 with -6e-9 added to its least populated level,
+    which no pivot takes: R keeps that -6e-9 on its diagonal, above the floor by less
+    than |R_ii|, so a disc that also counted R_ii would not clear it."""
+    mat = random_mixed_state(ModeSpec(1, 300), rng, components=4).matrix.copy()
+    level = np.argmin(mat.diagonal()[:-1].real)  # the guard level is empty, and apart
+    mat[level, level] -= 6e-9
+    return mat
+
+
+def _star_below_the_floor() -> np.ndarray:
+    """Two diagonal levels beside a star of _PROOF_MIN = s levels, 5e-9 on its diagonal
+    and on each centre-leaf pair: its smallest eigenvalue is 5e-9 (1 - sqrt(s - 1)),
+    below the floor, yet its diagonal alone, or its discs with only the row sums left
+    of the diagonal, clear it. With no diagonal above |psd_floor| no pivot is taken."""
+    mat = np.zeros((_PROOF_MIN + 2, _PROOF_MIN + 2), dtype=complex)
+    mat[0, 0] = mat[1, 1] = 0.5 - _PROOF_MIN / 2 * 5e-9
+    star = np.arange(2, _PROOF_MIN + 2)
+    mat[star, star] = mat[2, star[1:]] = mat[star[1:], 2] = 5e-9
+    return mat
+
+
+def _on_the_floor_edge() -> np.ndarray:
+    """A path of _PROOF_MIN levels linked by 1e-30, its trace on levels 0 and 1 and
+    level 2 at psd_floor (1 + 3e-14): the smallest eigenvalue lies 3e-22 below the
+    floor, inside the margin the proof keeps for rounding (1.2e-21 here)."""
+    mat = np.zeros((_PROOF_MIN, _PROOF_MIN), dtype=complex)
+    low = TOL.psd_floor * (1.0 + 3e-14)
+    mat[0, 0], mat[1, 1], mat[2, 2] = 0.5, 0.5 - low, low
+    steps = np.arange(_PROOF_MIN - 1)
+    mat[steps, steps + 1] = mat[steps + 1, steps] = 1e-30
+    return mat
+
+
 def _whole_matrix_verdict(mat: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(mat - TOL.psd_floor * np.eye(len(mat)))
@@ -467,6 +505,16 @@ class TestBlockPositivity:
         "corner pair": lambda rng: _one_link(300, 0, 299),
         # the link's row ends one tile and its column starts the one after next
         "link between tile edges": lambda rng: _one_link(300, 127, 256),
+        # band 0: the diagonal's sign test, no labelling and no Cholesky
+        "negative diagonal entry": lambda rng: np.diag([0.5, 0.3, -0.02, 0.2, 0.02]).astype(complex),
+        # one block past _PROOF_MIN, rank 4: the pivoted proof closes
+        "low-rank dense": lambda rng: random_mixed_state(ModeSpec(1, 300), rng, components=4).matrix,
+        "low-rank near the floor": _low_rank_near_the_floor,
+        # a 199-level block of rank 30, past its budget of 24 pivots: the Cholesky decides
+        "beyond the pivot budget": lambda rng: random_mixed_state(ModeSpec(1, 200), rng,
+                                                                  components=30).matrix,
+        "star below the floor": lambda rng: _star_below_the_floor(),
+        "on the floor's edge": lambda rng: _on_the_floor_edge(),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -494,7 +542,18 @@ class TestBlockPositivity:
     def test_refused_cases_are_exercised(self, rng):
         verdicts = {case: _whole_matrix_verdict(build(rng)) for case, build in self.CASES.items()}
         assert not verdicts["permuted blocks"] and not verdicts["permuted path"]
+        assert not any(verdicts[case] for case in ("negative diagonal entry", "star below the floor",
+                                                    "on the floor's edge"))
         assert verdicts["thermal x cat mixture"] and verdicts["upper-triangle entry"]
+
+    # without this, a proof that never closes would pass every verdict through the Cholesky
+    @pytest.mark.parametrize("case, closes", [("low-rank dense", True),
+                                              ("low-rank near the floor", True),
+                                              ("beyond the pivot budget", False)])
+    def test_proof_closes_within_the_pivot_budget(self, case, closes, rng):
+        mat = self.CASES[case](rng)
+        (block,) = [row for index in blocks_of(mat) if index.shape[1] >= _PROOF_MIN for row in index]
+        assert _proven_positive(mat, block) is closes
 
     def test_negative_eigenvalue_hidden_in_one_block(self):
         mat = _thermal_times_cat_mixture()
